@@ -86,6 +86,12 @@ def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
 
 @dataclass
 class SimilarityMatrix:
+    """Pairwise similarities along one axis; treated as read-only once built.
+
+    Each row's neighbor order is sorted on first use and cached, so the
+    values must not be changed afterwards.
+    """
+
     axis: str  # "user" or "item"
     metric: str  # pearson | cosine | jaccard | fuzzy
     ids: tuple[int, ...]
@@ -93,23 +99,73 @@ class SimilarityMatrix:
     co_counts: np.ndarray  # (n, n) int, co-rated dimension counts
     min_overlap: int
     index: dict[int, int] = field(repr=False, default_factory=dict)
+    _orders: dict[int, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.index = {e: i for i, e in enumerate(self.ids)}
 
+    def neighbor_order(self, pos: int) -> np.ndarray:
+        """Positions of the co-counted neighbors of row `pos`, similarity
+        desc then id asc. Sorted once per row."""
+        order = self._orders.get(pos)
+        if order is None:
+            order = np.lexsort((np.asarray(self.ids), -self.values[pos]))
+            order = order[(order != pos) & (self.co_counts[pos, order] > 0)]
+            self._orders[pos] = order
+        return order
 
-def _pair_pearson(x, y, w):
-    sw = w.sum()
-    if sw <= 0.0:
-        return 0.0
-    xm = float((w * x).sum() / sw)
-    ym = float((w * y).sum() / sw)
-    dx, dy = x - xm, y - ym
-    vx = float((w * dx * dx).sum())
-    vy = float((w * dy * dy).sum())
-    if vx <= 1e-15 or vy <= 1e-15:
-        return 0.0
-    return float((w * dx * dy).sum() / np.sqrt(vx * vy))
+
+# Cells of the (pairs x dimension) temporaries one block of the pair kernels
+# may hold; keeps their memory bounded whatever the matrix size.
+_BLOCK_CELLS = 1 << 16
+
+
+def _pair_blocks(n: int, d: int, co=None, min_overlap: int = 0):
+    """(I, J) index arrays of the pairs i < j with co[i, j] >= min_overlap
+    (every pair when `co` is None), in row-major order and in blocks of at
+    most _BLOCK_CELLS // d pairs."""
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    per_block = max(1, _BLOCK_CELLS // max(d, 1))
+    for a in range(0, n, rows):
+        b = min(n, a + rows)
+        keep = np.ones((b - a, n), dtype=bool) if co is None else co[a:b] >= min_overlap
+        li, cj = np.nonzero(np.triu(keep, a + 1))
+        for s in range(0, li.size, per_block):
+            yield li[s : s + per_block] + a, cj[s : s + per_block]
+
+
+def _row_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each row of a ragged array stored row after row in `flat`;
+    `counts`, the row lengths, must be ascending.
+
+    Rows of equal length are summed together as one C-contiguous
+    (rows, length) block. numpy's row-wise sum of such a block gives the same
+    bits as summing each row on its own as a 1-D array, so the result equals
+    a per-row loop exactly, rounding included.
+    """
+    lengths, rows = np.unique(counts, return_counts=True)
+    ends = np.cumsum(lengths * rows)
+    blocks = [flat[e - c * r : e].reshape(r, c) for c, r, e in zip(lengths, rows, ends)]
+    return np.concatenate([b.sum(axis=1) for b in blocks])
+
+
+def _pearson_pairs(x, y, w, counts):
+    """Weighted pearson of each pair over its co-rated cells.
+
+    `x`, `y`, `w` hold the co-rated cells of every pair, pair after pair, and
+    `counts` the cells per pair, ascending. Each operation is the one a
+    scalar per-pair computation would do, in the same order, so the result
+    is bit-identical to it.
+    """
+    sw = _row_sums(w, counts)
+    xm = _row_sums(w * x, counts) / sw
+    ym = _row_sums(w * y, counts) / sw
+    dx, dy = x - np.repeat(xm, counts), y - np.repeat(ym, counts)
+    vx = _row_sums(w * dx * dx, counts)
+    vy = _row_sums(w * dy * dy, counts)
+    s = _row_sums(w * dx * dy, counts) / np.sqrt(vx * vy)
+    s[(sw <= 0.0) | (vx <= 1e-15) | (vy <= 1e-15)] = 0.0
+    return s
 
 
 def similarity_matrix(
@@ -147,27 +203,32 @@ def similarity_matrix(
             raise CinefuseError("negative weight")
 
     mask = ~np.isnan(vals)
-    filled = np.where(mask, vals, 0.0)
-    co = (mask.astype(np.int64) @ mask.astype(np.int64).T).astype(np.int64)
+    m = mask.astype(float)
+    co = (m @ m.T).astype(np.int64)  # exact: sums of 0/1 products
 
     sims = np.zeros((n, n))
     if metric == "cosine":
         # norms over each entity's own rated set
-        norms = np.sqrt(((filled**2) * w).sum(axis=1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if co[i, j] < min_overlap:
-                continue
-            both = mask[i] & mask[j]
+        norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, j in _pair_blocks(n, d, co, min_overlap):
+            by_count = np.argsort(co[i, j], kind="stable")
+            i, j = i[by_count], j[by_count]
+            counts = co[i, j]
+            pair, cols = np.nonzero(mask[i] & mask[j])
+            x, y, wc = vals[i[pair], cols], vals[j[pair], cols], w[cols]
             if metric == "pearson":
-                s = _pair_pearson(vals[i][both], vals[j][both], w[both])
+                s = _pearson_pairs(x, y, wc, counts)
             elif metric == "cosine":
                 denom = norms[i] * norms[j]
-                s = float((w[both] * vals[i][both] * vals[j][both]).sum() / denom) if denom > 0 else 0.0
+                s = np.where(denom > 0, _row_sums(wc * x * y, counts) / denom, 0.0)
             else:  # jaccard on rated sets, values ignored
                 union = mask[i] | mask[j]
-                wu = float(w[union].sum())
-                s = float(w[both].sum() / wu) if wu > 0 else 0.0
+                sizes = union.sum(axis=1)
+                by_size = np.argsort(sizes, kind="stable")
+                wu = np.empty(sizes.size)
+                wu[by_size] = _row_sums(w[np.nonzero(union[by_size])[1]], sizes[by_size])
+                s = np.where(wu > 0, _row_sums(wc, counts) / wu, 0.0)
             sims[i, j] = sims[j, i] = s
     np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, 1.0)
@@ -180,15 +241,11 @@ class NeighborSet:
     neighbors: list[tuple[int, float]]  # (neighbor id, similarity), sim desc, id asc
 
 
-def _eligible_sorted(sim: SimilarityMatrix, pos: int):
-    """All co-counted neighbors of `pos`, similarity desc then id asc."""
-    out = []
-    for j, other in enumerate(sim.ids):
-        if j == pos or sim.co_counts[pos, j] <= 0:
-            continue
-        out.append((other, float(sim.values[pos, j])))
-    out.sort(key=lambda t: (-t[1], t[0]))
-    return out
+def _eligible_sorted(sim: SimilarityMatrix, pos: int, limit: int | None = None):
+    """The first `limit` (default all) co-counted neighbors of `pos`,
+    similarity desc then id asc."""
+    row = sim.values[pos]
+    return [(sim.ids[j], float(row[j])) for j in sim.neighbor_order(pos)[:limit]]
 
 
 def knn_neighbors(sim: SimilarityMatrix, target_id: int, k: int) -> NeighborSet:
@@ -197,7 +254,7 @@ def knn_neighbors(sim: SimilarityMatrix, target_id: int, k: int) -> NeighborSet:
         raise CinefuseError(f"k must be >= 1, got {k}")
     if target_id not in sim.index:
         raise UnknownEntityError(f"unknown {sim.axis} id {target_id}")
-    return NeighborSet(target_id, _eligible_sorted(sim, sim.index[target_id])[:k])
+    return NeighborSet(target_id, _eligible_sorted(sim, sim.index[target_id], k))
 
 
 @dataclass
@@ -230,33 +287,24 @@ def predict_rating(
     mj = matrix.item_index[movie_id]
 
     if sim.axis == "user":
-        base = float(matrix.user_means[ui])
-        pos = sim.index[user_id]
-        candidates = [
-            (other, s)
-            for other, s in _eligible_sorted(sim, pos)
-            if not np.isnan(matrix.values[matrix.user_index[other], mj])
-        ]
-        candidates = candidates[:k]
-        num = den = 0.0
-        for other, s in candidates:
-            oi = matrix.user_index[other]
-            num += s * (float(matrix.values[oi, mj]) - float(matrix.user_means[oi]))
-            den += abs(s)
+        pos, base = sim.index[user_id], float(matrix.user_means[ui])
+        ratings, means = matrix.values[:, mj], matrix.user_means
+        index, axis_ids = matrix.user_index, matrix.user_ids
     else:
-        base = float(matrix.item_means[mj])
-        pos = sim.index[movie_id]
-        candidates = [
-            (other, s)
-            for other, s in _eligible_sorted(sim, pos)
-            if not np.isnan(matrix.values[ui, matrix.item_index[other]])
-        ]
-        candidates = candidates[:k]
-        num = den = 0.0
-        for other, s in candidates:
-            oj = matrix.item_index[other]
-            num += s * (float(matrix.values[ui, oj]) - float(matrix.item_means[oj]))
-            den += abs(s)
+        pos, base = sim.index[movie_id], float(matrix.item_means[mj])
+        ratings, means = matrix.values[ui], matrix.item_means
+        index, axis_ids = matrix.item_index, matrix.item_ids
+    order = sim.neighbor_order(pos)
+    # the neighbors' rows (user axis) or columns (item axis) in the matrix
+    where = order if sim.ids == axis_ids else np.array([index[sim.ids[q]] for q in order], dtype=np.intp)
+    rated = ~np.isnan(ratings[where])
+    candidates = list(zip(order[rated][:k].tolist(), where[rated][:k].tolist()))
+    row = sim.values[pos]
+    num = den = 0.0
+    for q, o in candidates:
+        s = float(row[q])
+        num += s * (float(ratings[o]) - float(means[o]))
+        den += abs(s)
 
     if not candidates or den == 0.0:
         return Prediction(matrix.scale.clamp(base), fallback=True)
@@ -297,8 +345,8 @@ def recommend_cf(
             raise CinefuseError("item_item mode requires an item similarity matrix")
         if target not in sim_item.index:
             raise UnknownEntityError(f"unknown movie id {target}")
-        ranked = _eligible_sorted(sim_item, sim_item.index[target])
-        return [CFCandidate(mid, s, "item_item") for mid, s in ranked[:n]]
+        ranked = _eligible_sorted(sim_item, sim_item.index[target], n)
+        return [CFCandidate(mid, s, "item_item") for mid, s in ranked]
 
     if target not in matrix.user_index:
         raise UnknownEntityError(f"unknown user id {target}")
@@ -387,12 +435,9 @@ def augment_implicit(
     mix = {m: j for j, m in enumerate(item_ids)}
     values = np.full((len(user_ids), len(item_ids)), np.nan)
     sources = np.zeros((len(user_ids), len(item_ids)), dtype=np.uint8)
-
-    for i, u in enumerate(matrix.user_ids):
-        for j, m in enumerate(matrix.item_ids):
-            if not np.isnan(matrix.values[i, j]):
-                values[uix[u], mix[m]] = matrix.values[i, j]
-                sources[uix[u], mix[m]] = matrix.sources[i, j]
+    old = np.ix_([uix[u] for u in matrix.user_ids], [mix[m] for m in matrix.item_ids])
+    values[old] = matrix.values
+    sources[old] = matrix.sources  # SOURCE_NONE wherever values is NaN
 
     for (u, m), v in pseudo.items():
         if sources[uix[u], mix[m]] == SOURCE_EXPLICIT:
@@ -430,11 +475,14 @@ def load_similarity(path) -> SimilarityMatrix:
         n = int(header["n"])
         ids = tuple(int(x) for x in lines[1].removeprefix("ids=").split(","))
         values = np.array([[float(x) for x in lines[2 + i].split()] for i in range(n)])
-        assert lines[2 + n] == "co_counts"
+        if lines[2 + n] != "co_counts":
+            raise CinefuseError(
+                f"corrupt similarity cache {path}: line {3 + n} should read 'co_counts', got {lines[2 + n]!r}"
+            )
         co = np.array(
             [[int(x) for x in lines[3 + n + i].split()] for i in range(n)], dtype=np.int64
         )
-    except (KeyError, ValueError, IndexError, AssertionError) as exc:
+    except (KeyError, ValueError, IndexError) as exc:
         raise CinefuseError(f"corrupt similarity cache {path}: {exc}") from None
     if len(ids) != n or values.shape != (n, n) or co.shape != (n, n):
         raise CinefuseError(f"corrupt similarity cache {path}: shape mismatch")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, Rating
-from .cf import RatingMatrix, SimilarityMatrix, predict_rating, similarity_matrix
+from .cf import RatingMatrix, SimilarityMatrix, _pair_blocks, predict_rating, similarity_matrix
 from .errors import CinefuseError
 
 
@@ -240,6 +240,15 @@ def build_fuzzy_profiles(catalog: Catalog) -> dict[int, FuzzyProfile]:
     return profiles
 
 
+def _fuzzy_weights(weights, n_genres: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n_genres,):
+        raise CinefuseError(f"weight vector of length {w.size}, expected {n_genres}")
+    if np.any(w < 0):
+        raise CinefuseError("negative weight")
+    return w
+
+
 def fuzzy_similarity(a: FuzzyProfile, b: FuzzyProfile, weights) -> float:
     """Weighted fuzzy Jaccard: sum(w*min) / sum(w*max), in [0, 1].
 
@@ -249,11 +258,7 @@ def fuzzy_similarity(a: FuzzyProfile, b: FuzzyProfile, weights) -> float:
     """
     if a.genres() != b.genres():
         raise CinefuseError("profiles do not share a genre universe")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(a.genres()),):
-        raise CinefuseError(f"weight vector of length {w.size}, expected {len(a.genres())}")
-    if np.any(w < 0):
-        raise CinefuseError("negative weight")
+    w = _fuzzy_weights(weights, len(a.genres()))
     da, db = a.degrees(), b.degrees()
     num = float((w * np.minimum(da, db)).sum())
     den = float((w * np.maximum(da, db)).sum())
@@ -263,22 +268,29 @@ def fuzzy_similarity(a: FuzzyProfile, b: FuzzyProfile, weights) -> float:
 
 
 def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> SimilarityMatrix:
-    """User-user similarity from fuzzy profiles.
+    """User-user similarity from fuzzy profiles: fuzzy_similarity for every
+    pair, computed a block of pairs at a time with the same bits.
 
     Co-counts here are shared-support sizes (genres where both memberships
     are positive), which is what neighbor eligibility keys on.
     """
     ids = tuple(sorted(profiles))
     n = len(ids)
-    values = np.zeros((n, n))
-    co = np.zeros((n, n), dtype=np.int64)
-    degs = [profiles[u].degrees() for u in ids]
-    for i in range(n):
-        values[i, i] = 1.0
-        co[i, i] = int(np.count_nonzero(degs[i]))
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = fuzzy_similarity(profiles[ids[i]], profiles[ids[j]], weights)
-            co[i, j] = co[j, i] = int(np.count_nonzero(np.minimum(degs[i], degs[j])))
+    genres = profiles[ids[0]].genres() if ids else ()
+    if any(profiles[u].genres() != genres for u in ids):
+        raise CinefuseError("profiles do not share a genre universe")
+    w = _fuzzy_weights(weights, len(genres))
+    degs = np.array([profiles[u].degrees() for u in ids]).reshape(n, len(genres))
+    values = np.eye(n)
+    co = np.diag(np.count_nonzero(degs, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, j in _pair_blocks(n, len(genres)):
+            a, b = degs[i], degs[j]
+            lo = np.minimum(a, b)
+            num = (w * lo).sum(axis=1)
+            den = (w * np.maximum(a, b)).sum(axis=1)
+            values[i, j] = values[j, i] = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
+            co[i, j] = co[j, i] = np.count_nonzero(lo, axis=1)
     return SimilarityMatrix("user", "fuzzy", ids, values, co, min_overlap=0)
 
 

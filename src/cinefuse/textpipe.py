@@ -131,16 +131,19 @@ class TfidfProvider:
     vocabulary: tuple[str, ...]
     idf: np.ndarray
     options: PreprocessOptions = field(default_factory=PreprocessOptions)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {t: i for i, t in enumerate(self.vocabulary)}
 
     @property
     def dimension(self) -> int:
         return len(self.vocabulary)
 
     def embed(self, text: str) -> np.ndarray:
-        index = {t: i for i, t in enumerate(self.vocabulary)}
         vec = np.zeros(self.dimension)
         for tok in preprocess(text, self.options).tokens:
-            i = index.get(tok)
+            i = self._index.get(tok)
             if i is not None:
                 vec[i] += 1.0
         vec *= self.idf

@@ -1,7 +1,9 @@
 """Collaborative filtering: similarity, prediction, recommendation, implicit.
 
 The similarity and prediction tests check against naive per-pair
-reimplementations written with plain loops, over randomized matrices.
+reimplementations written with plain loops, over randomized matrices: to
+1e-9 against scalar Python arithmetic, and bit for bit against the per-pair
+numpy loops the vectorised kernels replaced.
 """
 
 import math
@@ -9,11 +11,13 @@ import math
 import numpy as np
 import pytest
 
+from cinefuse import cf
 from cinefuse.catalog import ImplicitEvent, RatingScale
 from cinefuse.cf import (
     SOURCE_EXPLICIT,
     SOURCE_IMPLICIT,
     ImplicitBlend,
+    SimilarityMatrix,
     augment_implicit,
     build_rating_matrix,
     knn_neighbors,
@@ -108,6 +112,94 @@ def naive_predict(matrix, sim, axis, user_id, movie_id, k):
     return min(hi, max(lo, value)), fallback
 
 
+def loop_pair_pearson(x, y, w):
+    sw = w.sum()
+    if sw <= 0.0:
+        return 0.0
+    xm = float((w * x).sum() / sw)
+    ym = float((w * y).sum() / sw)
+    dx, dy = x - xm, y - ym
+    vx = float((w * dx * dx).sum())
+    vy = float((w * dy * dy).sum())
+    if vx <= 1e-15 or vy <= 1e-15:
+        return 0.0
+    return float((w * dx * dy).sum() / np.sqrt(vx * vy))
+
+
+def loop_similarity(matrix, axis, metric, weights=None, min_overlap=2):
+    """The per-pair numpy loop similarity_matrix used before it was
+    vectorised; the kernel must reproduce its values bit for bit."""
+    vals = matrix.values if axis == "user" else matrix.values.T
+    n, d = vals.shape
+    w = np.ones(d) if weights is None else np.asarray(weights, dtype=float)
+    mask = ~np.isnan(vals)
+    filled = np.where(mask, vals, 0.0)
+    co = (mask.astype(np.int64) @ mask.astype(np.int64).T).astype(np.int64)
+    sims = np.zeros((n, n))
+    if metric == "cosine":
+        norms = np.sqrt(((filled**2) * w).sum(axis=1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if co[i, j] < min_overlap:
+                continue
+            both = mask[i] & mask[j]
+            if metric == "pearson":
+                s = loop_pair_pearson(vals[i][both], vals[j][both], w[both])
+            elif metric == "cosine":
+                denom = norms[i] * norms[j]
+                s = float((w[both] * vals[i][both] * vals[j][both]).sum() / denom) if denom > 0 else 0.0
+            else:
+                union = mask[i] | mask[j]
+                wu = float(w[union].sum())
+                s = float(w[both].sum() / wu) if wu > 0 else 0.0
+            sims[i, j] = sims[j, i] = s
+    np.clip(sims, -1.0, 1.0, out=sims)
+    np.fill_diagonal(sims, 1.0)
+    return sims, co
+
+
+def loop_eligible_sorted(sim, pos):
+    out = []
+    for j, other in enumerate(sim.ids):
+        if j == pos or sim.co_counts[pos, j] <= 0:
+            continue
+        out.append((other, float(sim.values[pos, j])))
+    out.sort(key=lambda t: (-t[1], t[0]))
+    return out
+
+
+def loop_predict(matrix, sim, user_id, movie_id, k):
+    """The predictor before neighbor orders were cached: a Python sort of
+    every row on every call. predict_rating must match it bit for bit."""
+    ui = matrix.user_index[user_id]
+    mj = matrix.item_index[movie_id]
+    if sim.axis == "user":
+        base = float(matrix.user_means[ui])
+        index, means = matrix.user_index, matrix.user_means
+        rating = lambda other: matrix.values[index[other], mj]  # noqa: E731
+        pos = sim.index[user_id]
+    else:
+        base = float(matrix.item_means[mj])
+        index, means = matrix.item_index, matrix.item_means
+        rating = lambda other: matrix.values[ui, index[other]]  # noqa: E731
+        pos = sim.index[movie_id]
+    candidates = [(o, s) for o, s in loop_eligible_sorted(sim, pos) if not np.isnan(rating(o))][:k]
+    num = den = 0.0
+    for other, s in candidates:
+        num += s * (float(rating(other)) - float(means[index[other]]))
+        den += abs(s)
+    if not candidates or den == 0.0:
+        return matrix.scale.clamp(base), True
+    return matrix.scale.clamp(base + num / den), False
+
+
+def half_step_matrix(rng, n_users, n_items, density):
+    """Random half-step ratings; rows or columns may be empty."""
+    rated = rng.uniform(size=(n_users, n_items)) < density
+    values = np.where(rated, rng.integers(1, 11, size=(n_users, n_items)) / 2.0, np.nan)
+    return make_matrix(values)
+
+
 class TestSimilarityOracle:
     def test_random_matrices_all_metrics(self):
         rng = np.random.default_rng(1234)
@@ -184,6 +276,133 @@ class TestSimilarityOracle:
         matrix = make_matrix(values)
         sim = similarity_matrix(matrix, "user", "pearson")
         assert sim.values[0, 1] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+class TestSimilarityBitwise:
+    """The vectorised kernel against the per-pair loop, compared with
+    np.array_equal: any change in the last bit of a similarity can reorder
+    exactly tied neighbors."""
+
+    def assert_matches_loop(self, matrix, axis, metric, weights=None, min_overlap=2):
+        sim = similarity_matrix(matrix, axis, metric, weights=weights, min_overlap=min_overlap)
+        values, co = loop_similarity(matrix, axis, metric, weights, min_overlap)
+        assert np.array_equal(sim.values, values), (axis, metric, min_overlap)
+        assert np.array_equal(sim.co_counts, co)
+
+    def test_random_matrices_every_metric_and_weighting(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n_users, n_items = (int(v) for v in rng.integers(2, 31, size=2))
+            matrix = half_step_matrix(rng, n_users, n_items, rng.uniform(0.1, 1.0))
+            for axis, d in (("user", n_items), ("item", n_users)):
+                # some zero weights, so a co-rated set can carry no weight at all
+                weights = rng.uniform(0.0, 2.0, size=d) * (rng.uniform(size=d) < 0.8)
+                for metric in ("pearson", "cosine", "jaccard"):
+                    for w in (None, weights):
+                        self.assert_matches_loop(matrix, axis, metric, w, int(rng.integers(0, 4)))
+
+    def test_long_overlaps_cover_every_summation_regime(self):
+        # co-rated sets below 8, from 8 to 128 and above 128 cells: numpy
+        # sums each of these ranges with a different pairwise scheme
+        rng = np.random.default_rng(77)
+        wide = half_step_matrix(rng, 24, 300, 0.75)
+        for axis, matrix in (("user", wide), ("item", make_matrix(wide.values.T))):
+            co = similarity_matrix(matrix, axis, "jaccard").co_counts
+            assert co[np.triu_indices(24, 1)].min() > 128
+            weights = rng.uniform(0.0, 2.0, size=300)
+            for metric in ("pearson", "cosine", "jaccard"):
+                for w in (None, weights):
+                    self.assert_matches_loop(matrix, axis, metric, w)
+        sparse = half_step_matrix(rng, 30, 60, 0.35)
+        counts = similarity_matrix(sparse, "user", "jaccard").co_counts[np.triu_indices(30, 1)]
+        assert counts.min() < 8 <= counts.max()
+        for metric in ("pearson", "cosine", "jaccard"):
+            self.assert_matches_loop(sparse, "user", metric, rng.uniform(0.0, 2.0, size=60))
+
+    def test_blocking_does_not_change_bits(self, monkeypatch):
+        # blocks of a handful of pairs and of single rows must give the
+        # same bits as one block holding every pair
+        rng = np.random.default_rng(5)
+        matrix = half_step_matrix(rng, 25, 40, 0.6)
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", 97)
+        for axis in ("user", "item"):
+            for metric in ("pearson", "cosine", "jaccard"):
+                self.assert_matches_loop(matrix, axis, metric)
+
+
+class TestNeighborOrder:
+    def tied_sim(self):
+        ids = (42, 7, 19, 3, 88, 11, 5, 60)
+        values = np.zeros((8, 8))
+        row = [1.0, 1.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0]
+        values[0] = values[:, 0] = row
+        np.fill_diagonal(values, 1.0)
+        co = np.full((8, 8), 3)
+        co[0, 5] = co[5, 0] = 0  # no overlap: never a neighbor, whatever its score
+        return SimilarityMatrix("user", "pearson", ids, values, co, 2)
+
+    def test_exact_ties_break_by_ascending_id(self):
+        sim = self.tied_sim()
+        want = sorted(
+            ((sim.ids[j], float(sim.values[0, j])) for j in range(1, 8) if sim.co_counts[0, j] > 0),
+            key=lambda t: (-t[1], t[0]),
+        )
+        assert knn_neighbors(sim, 42, k=8).neighbors == want
+        assert [o for o, _ in want] == [7, 88, 3, 60, 5, 19]
+        assert knn_neighbors(sim, 42, k=3).neighbors == want[:3]
+
+    def test_ties_from_ratings_match_python_sort(self):
+        # shifted, reversed and constant rows give similarities of exactly
+        # 1.0, -1.0 and 0.0 to user 1
+        values = [
+            [1.0, 2.0, 3.0, 4.0],
+            [2.0, 3.0, 4.0, 5.0],
+            [4.0, 3.0, 2.0, 1.0],
+            [3.0, 3.0, 3.0, 3.0],
+            [1.5, 2.5, 3.5, 4.5],
+            [5.0, 4.0, 3.0, 2.0],
+            [2.0, 2.0, np.nan, 2.0],
+        ]
+        matrix = make_matrix(values)
+        sim = similarity_matrix(matrix, "user", "pearson")
+        assert sorted(set(sim.values[0, 1:].tolist())) == [-1.0, 0.0, 1.0]
+        for uid in matrix.user_ids:
+            assert knn_neighbors(sim, uid, k=10).neighbors == loop_eligible_sorted(sim, sim.index[uid])
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+class TestPredictionBitwise:
+    def test_random_matrices_both_axes(self):
+        rng = np.random.default_rng(8642)
+        for _ in range(25):
+            n_users, n_items = (int(v) for v in rng.integers(2, 16, size=2))
+            matrix = half_step_matrix(rng, n_users, n_items, rng.uniform(0.2, 0.9))
+            k = int(rng.integers(1, 8))
+            for axis in ("user", "item"):
+                sim = similarity_matrix(matrix, axis, "pearson", min_overlap=int(rng.integers(1, 3)))
+                for uid in matrix.user_ids:
+                    for mid in matrix.item_ids:
+                        got = predict_rating(matrix, sim, uid, mid, k)
+                        assert (got.value, got.fallback) == loop_predict(matrix, sim, uid, mid, k)
+
+    def test_similarity_in_another_id_order(self):
+        # a similarity whose rows are not in the matrix's order maps each
+        # neighbor back by id and predicts the same bits
+        rng = np.random.default_rng(31)
+        matrix = random_rating_matrix(rng, 12, 12)
+        for axis in ("user", "item"):
+            sim = similarity_matrix(matrix, axis, "cosine", min_overlap=1)
+            perm = rng.permutation(len(sim.ids))
+            shuffled = SimilarityMatrix(
+                axis, "cosine", tuple(sim.ids[p] for p in perm),
+                sim.values[np.ix_(perm, perm)], sim.co_counts[np.ix_(perm, perm)], 1,
+            )
+            for uid in matrix.user_ids:
+                for mid in matrix.item_ids:
+                    got = predict_rating(matrix, shuffled, uid, mid, 3)
+                    assert got == predict_rating(matrix, sim, uid, mid, 3)
+                    assert (got.value, got.fallback) == loop_predict(matrix, shuffled, uid, mid, 3)
 
 
 class TestPredictionOracle:
@@ -319,6 +538,41 @@ class TestImplicitAugmentation:
         with pytest.raises(CinefuseError, match="sum to 1"):
             augment_implicit(matrix, [], blend)
 
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    def test_matches_cell_by_cell_copy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            matrix = half_step_matrix(rng, 8, 9, 0.5)
+            users = [int(u) for u in rng.integers(1, 12, size=30)]
+            items = [int(m) for m in rng.integers(101, 113, size=30)]
+            events = [
+                ImplicitEvent(u, m, bool(rng.uniform() < 0.7), float(rng.uniform()), int(rng.integers(0, 15)))
+                for u, m in zip(users, items)
+            ]
+            aug = augment_implicit(matrix, events)
+            # old rows and columns copied cell by cell, then events replayed
+            values = np.full(aug.values.shape, np.nan)
+            sources = np.zeros(aug.sources.shape, dtype=np.uint8)
+            for i, u in enumerate(matrix.user_ids):
+                for j, m in enumerate(matrix.item_ids):
+                    if not np.isnan(matrix.values[i, j]):
+                        values[aug.user_index[u], aug.item_index[m]] = matrix.values[i, j]
+                        sources[aug.user_index[u], aug.item_index[m]] = matrix.sources[i, j]
+            blend = ImplicitBlend()
+            for ev in events:
+                i, j = aug.user_index[ev.user_id], aug.item_index[ev.movie_id]
+                if sources[i, j] == SOURCE_EXPLICIT:
+                    continue
+                raw = (
+                    blend.alpha_watch * (1.0 if ev.watched else 0.0)
+                    + blend.alpha_fraction * ev.watch_fraction
+                    + blend.alpha_freq * min(ev.watch_count, blend.freq_cap) / blend.freq_cap
+                )
+                values[i, j] = matrix.scale.clamp(matrix.scale.max * raw)
+                sources[i, j] = SOURCE_IMPLICIT
+            assert np.array_equal(aug.values, values, equal_nan=True)
+            assert np.array_equal(aug.sources, sources)
+
     def test_unwatched_event_clamps_to_scale_floor(self):
         matrix = make_matrix([[4.0, np.nan], [3.0, 2.0]])
         events = [ImplicitEvent(1, 102, False, 0.0, 0)]
@@ -345,6 +599,14 @@ class TestSimilarityCache:
         path = tmp_path / "sim.txt"
         path.write_text("axis=item metric=pearson n=2 min_overlap=2\nids=1,2\n0.0\n")
         with pytest.raises(CinefuseError):
+            load_similarity(path)
+
+    def test_wrong_marker_line_names_file(self, tmp_path):
+        matrix = make_matrix([[4.0, 3.0, 2.0], [3.5, 2.0, 1.0]])
+        path = tmp_path / "sim.txt"
+        save_similarity(similarity_matrix(matrix, "user"), path)
+        path.write_text(path.read_text().replace("co_counts", "co-counts"))
+        with pytest.raises(CinefuseError, match=r"sim\.txt.*line 5 should read 'co_counts'"):
             load_similarity(path)
 
     def test_scale_round_trips_through_catalog(self):

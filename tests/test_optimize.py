@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cinefuse import cf
 from cinefuse.catalog import train_test_split
 from cinefuse.cf import build_rating_matrix, similarity_matrix
 from cinefuse.errors import CinefuseError
@@ -165,6 +166,70 @@ class TestWeightVector:
         path.write_text("1.0\n0.5\n")
         with pytest.raises(CinefuseError, match="header"):
             load_weights(path)
+
+
+def loop_fuzzy_similarity_matrix(profiles, weights):
+    """The per-pair loop fuzzy_similarity_matrix used before it was
+    vectorised; the kernel must reproduce its values bit for bit."""
+    ids = tuple(sorted(profiles))
+    n = len(ids)
+    values = np.zeros((n, n))
+    co = np.zeros((n, n), dtype=np.int64)
+    degs = [profiles[u].degrees() for u in ids]
+    for i in range(n):
+        values[i, i] = 1.0
+        co[i, i] = int(np.count_nonzero(degs[i]))
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = fuzzy_similarity(profiles[ids[i]], profiles[ids[j]], weights)
+            co[i, j] = co[j, i] = int(np.count_nonzero(np.minimum(degs[i], degs[j])))
+    return values, co
+
+
+def random_profiles(rng, n_users, n_genres):
+    genres = [f"g{t:03d}" for t in range(n_genres)]
+    profiles = {}
+    for uid in rng.permutation(np.arange(1, 3 * n_users))[:n_users]:
+        # a share of exact zeros, and some users with no support at all
+        degrees = rng.uniform(0.0, 1.0, size=n_genres) * (rng.uniform(size=n_genres) < 0.6)
+        if rng.uniform() < 0.1:
+            degrees[:] = 0.0
+        profiles[int(uid)] = FuzzyProfile(int(uid), tuple(zip(genres, degrees.tolist())))
+    return profiles
+
+
+class TestFuzzySimilarityBitwise:
+    def test_random_profiles_with_and_without_weights(self):
+        rng = np.random.default_rng(606)
+        # genre counts below 8, from 8 to 128 and above 128: numpy's
+        # pairwise-sum regimes
+        for n_genres in (1, 3, 7, 8, 19, 130, 300):
+            for _ in range(3):
+                profiles = random_profiles(rng, int(rng.integers(2, 25)), n_genres)
+                sparse_w = rng.uniform(0.0, 2.0, size=n_genres) * (rng.uniform(size=n_genres) < 0.7)
+                for w in (np.ones(n_genres), sparse_w):
+                    sim = fuzzy_similarity_matrix(profiles, w)
+                    values, co = loop_fuzzy_similarity_matrix(profiles, w)
+                    assert np.array_equal(sim.values, values)
+                    assert np.array_equal(sim.co_counts, co)
+
+    def test_blocking_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        profiles = random_profiles(rng, 30, 12)
+        w = rng.uniform(0.0, 2.0, size=12)
+        want = fuzzy_similarity_matrix(profiles, w).values
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", 50)
+        assert np.array_equal(fuzzy_similarity_matrix(profiles, w).values, want)
+        assert np.array_equal(want, loop_fuzzy_similarity_matrix(profiles, w)[0])
+
+    def test_weights_and_genres_validated(self):
+        profiles = random_profiles(np.random.default_rng(1), 4, 3)
+        with pytest.raises(CinefuseError, match="length"):
+            fuzzy_similarity_matrix(profiles, [1.0, 1.0])
+        with pytest.raises(CinefuseError, match="negative"):
+            fuzzy_similarity_matrix(profiles, [1.0, -1.0, 1.0])
+        profiles[99] = FuzzyProfile(99, (("other", 0.5), ("g001", 0.1), ("g002", 0.2)))
+        with pytest.raises(CinefuseError, match="genre universe"):
+            fuzzy_similarity_matrix(profiles, [1.0, 1.0, 1.0])
 
 
 class TestFuzzyProfiles:
