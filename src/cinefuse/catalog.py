@@ -81,7 +81,6 @@ class Catalog:
     ratings: list[Rating]
     reviews: list[CriticReview]
     implicit: list[ImplicitEvent]
-    title_index: dict[str, int]
     scale: RatingScale = field(default_factory=RatingScale)
     dropped_reviews: int = 0
     # all movie ids per normalized title, for year-hint disambiguation
@@ -293,35 +292,30 @@ def load_catalog(
     groups: dict[str, list[int]] = {}
     for mid in sorted(movies):
         groups.setdefault(normalize_title(movies[mid].title), []).append(mid)
-    title_groups = {norm: tuple(ids) for norm, ids in groups.items()}
-    title_index = {norm: ids[0] for norm, ids in title_groups.items()}
 
     return Catalog(
         movies=movies,
         ratings=ratings,
         reviews=reviews,
         implicit=implicit,
-        title_index=title_index,
         scale=scale,
         dropped_reviews=dropped,
-        title_groups=title_groups,
+        title_groups={norm: tuple(ids) for norm, ids in groups.items()},
     )
 
 
 @dataclass
 class CatalogStats:
     per_year: dict[int, int]
-    per_month: dict[int, int]
     unknown_year: int
-    unknown_month: int
     rating_histogram: dict[float, int]
 
 
 def summary_stats(catalog: Catalog) -> CatalogStats:
-    """Per-year / per-month movie counts plus a rating histogram.
+    """Per-year movie counts plus a rating histogram.
 
-    The movies schema carries release year only, so every movie's month is
-    unknown; the month map stays empty and the unknown bucket holds them all.
+    The movies schema carries release year only, so there are no month
+    counts.
     """
     per_year: dict[int, int] = {}
     unknown_year = 0
@@ -335,9 +329,7 @@ def summary_stats(catalog: Catalog) -> CatalogStats:
         histogram[round(r.value, 10)] += 1
     return CatalogStats(
         per_year=dict(sorted(per_year.items())),
-        per_month={},
         unknown_year=unknown_year,
-        unknown_month=len(catalog.movies),
         rating_histogram=histogram,
     )
 

@@ -3,8 +3,9 @@
 Builds the sparse user x item rating matrix, computes pairwise similarity
 matrices (pearson / cosine / jaccard, optionally feature-weighted), selects
 KNN neighborhoods, predicts unseen ratings by weighted deviation from the
-mean, and produces candidate sets. Implicit events can densify the matrix
-with pseudo-ratings without ever touching explicit entries.
+mean, and lists a seed movie's item-item candidates. Implicit events can
+densify the matrix with pseudo-ratings without ever touching explicit
+entries.
 
 Conventions, fixed here because the similarity literature leaves them open:
   * pearson is the correlation of the two entities' ratings over their
@@ -62,10 +63,6 @@ class RatingMatrix:
     @property
     def entry_count(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.values)))
-
-    def rating(self, user_id: int, movie_id: int) -> float | None:
-        v = self.values[self.user_index[user_id], self.item_index[movie_id]]
-        return None if np.isnan(v) else float(v)
 
 
 def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
@@ -311,86 +308,12 @@ def predict_rating(
     return Prediction(matrix.scale.clamp(base + num / den), fallback=False)
 
 
-@dataclass
-class CFCandidate:
-    movie_id: int
-    score: float
-    origin: str  # user_user | item_item | both
-
-
-def recommend_cf(
-    matrix: RatingMatrix,
-    sim_user: SimilarityMatrix | None,
-    sim_item: SimilarityMatrix | None,
-    mode: str,
-    target: int,
-    n: int,
-    k: int = DEFAULT_K,
-    like_threshold: float = DEFAULT_LIKE_THRESHOLD,
-    min_shared: int = 2,
-) -> list[CFCandidate]:
-    """CF candidate movies for a target user (user_user/both) or seed movie.
-
-    user_user: movies the target has not rated that at least `min_shared` of
-    the target's KNN users rated at or above `like_threshold`, ordered by
-    predicted rating. item_item: the movies most similar to the seed. both:
-    union of the two (item seeds = the user's liked movies), keeping each
-    movie's max score. Ties always break by ascending movie id.
-    """
-    if mode not in ("user_user", "item_item", "both"):
-        raise CinefuseError(f"unknown mode {mode!r}")
-
-    if mode == "item_item":
-        if sim_item is None:
-            raise CinefuseError("item_item mode requires an item similarity matrix")
-        if target not in sim_item.index:
-            raise UnknownEntityError(f"unknown movie id {target}")
-        ranked = _eligible_sorted(sim_item, sim_item.index[target], n)
-        return [CFCandidate(mid, s, "item_item") for mid, s in ranked]
-
-    if target not in matrix.user_index:
-        raise UnknownEntityError(f"unknown user id {target}")
-    ui = matrix.user_index[target]
-    rated = {m for m in matrix.item_ids if not np.isnan(matrix.values[ui, matrix.item_index[m]])}
-
-    scores: dict[int, CFCandidate] = {}
-
-    if mode in ("user_user", "both"):
-        if sim_user is None:
-            raise CinefuseError(f"{mode} mode requires a user similarity matrix")
-        neighbors = knn_neighbors(sim_user, target, k).neighbors
-        liked_by: dict[int, int] = {}
-        for other, _ in neighbors:
-            oi = matrix.user_index[other]
-            for m in matrix.item_ids:
-                v = matrix.values[oi, matrix.item_index[m]]
-                if not np.isnan(v) and v >= like_threshold:
-                    liked_by[m] = liked_by.get(m, 0) + 1
-        for m in sorted(liked_by):
-            if liked_by[m] >= min_shared and m not in rated:
-                pred = predict_rating(matrix, sim_user, target, m, k)
-                scores[m] = CFCandidate(m, pred.value, "user_user")
-
-    if mode == "both":
-        if sim_item is None:
-            raise CinefuseError("both mode requires an item similarity matrix")
-        seeds = sorted(m for m in rated if matrix.values[ui, matrix.item_index[m]] >= like_threshold)
-        for seed in seeds:
-            if seed not in sim_item.index:
-                continue
-            for mid, s in _eligible_sorted(sim_item, sim_item.index[seed]):
-                if mid in rated:
-                    continue
-                prev = scores.get(mid)
-                if prev is None:
-                    scores[mid] = CFCandidate(mid, s, "item_item")
-                elif s > prev.score:
-                    scores[mid] = CFCandidate(mid, s, "both" if prev.origin != "item_item" else "item_item")
-                elif prev.origin == "user_user":
-                    scores[mid] = CFCandidate(mid, prev.score, "both")
-
-    ranked = sorted(scores.values(), key=lambda c: (-c.score, c.movie_id))
-    return ranked[:n]
+def recommend_cf(sim_item: SimilarityMatrix, seed_id: int, n: int) -> list[tuple[int, float]]:
+    """The `n` movies most similar to a seed movie, as (movie id, similarity)
+    pairs: co-counted neighbors only, similarity desc then id asc."""
+    if seed_id not in sim_item.index:
+        raise UnknownEntityError(f"unknown movie id {seed_id}")
+    return _eligible_sorted(sim_item, sim_item.index[seed_id], n)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,6 @@ def _data_parent() -> argparse.ArgumentParser:
     p.add_argument("--implicit", default=str(FIXTURE_DIR / "implicit.csv"),
                    help="implicit-events file; pass 'none' to skip")
     p.add_argument("--config", default=None, help="key=value file mirroring this subcommand's flags")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved worker count; outputs never depend on it")
     return p
 
 
@@ -78,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "which is accepted for symmetry but has no effect (this path is deterministic)")
     p.add_argument("--n", type=int, default=15)
     p.add_argument("--pool", type=int, default=100)
-    p.add_argument("--k", type=int, default=20)
     p.add_argument("--no-critic", action="store_true")
     p.add_argument("--include-seed", action="store_true")
     p.add_argument("--weights", default=None, help="weight file for the item-axis weighted pearson")
@@ -229,18 +226,11 @@ def cmd_recommend(args) -> int:
         raise UsageError("--provider precomputed requires --embeddings")
 
     catalog = _load(args)
-    weights = None
-    source = "uniform"
-    if args.weights:
-        weights, _, _ = opt.load_weights(args.weights)
-        source = weights.provenance
+    weights = opt.load_weights(args.weights)[0] if args.weights else None
     config = PipelineConfig(
-        k=args.k,
         candidate_pool=args.pool,
         n=args.n,
-        provider=args.provider,
         critic_enabled=not args.no_critic,
-        weights_source=source,
         include_seed=args.include_seed,
         metric=args.metric,
         min_overlap=args.min_overlap,
@@ -255,11 +245,11 @@ def cmd_recommend(args) -> int:
             print(f"{r.title}\t{r.fused_score:.7f}\t{r.content_cosine:.7f}\t{r.critic_bonus:.7f}")
     elif args.format == "table":
         width = max(len("title"), max(len(r.title) for r in result.items))
-        print(f"{'title':<{width}}  {'fused':>9}  {'cosine':>9}  {'critic':>9}  origin")
+        print(f"{'title':<{width}}  {'fused':>9}  {'cosine':>9}  {'critic':>9}")
         for r in result.items:
             print(
                 f"{r.title:<{width}}  {r.fused_score:9.7f}  {r.content_cosine:9.7f}  "
-                f"{r.critic_bonus:9.7f}  {r.cf_origin}"
+                f"{r.critic_bonus:9.7f}"
             )
     else:
         cells = ", ".join(f"({r.title!r}, {r.fused_score:.7f})" for r in result.items)
@@ -330,15 +320,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except CinefuseError as exc:
+    except (CinefuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -302,6 +302,14 @@ def _subsample(validation: list[Rating], cap: int, seed: int) -> list[Rating]:
     return [validation[i] for i in idx]
 
 
+def _sample_mae(matrix: RatingMatrix, sim: SimilarityMatrix, sample: list[Rating], k: int) -> float:
+    """MAE of predict_rating over `sample`, fallback predictions included."""
+    err = 0.0
+    for r in sample:
+        err += abs(predict_rating(matrix, sim, r.user_id, r.movie_id, k).value - r.value)
+    return err / len(sample)
+
+
 def cf_mae_objective(
     train_matrix: RatingMatrix,
     validation_ratings: list[Rating],
@@ -329,11 +337,7 @@ def cf_mae_objective(
 
     def objective(weights) -> float:
         sim = similarity_matrix(train_matrix, axis, "pearson", weights=weights, min_overlap=min_overlap)
-        err = 0.0
-        for r in sample:
-            pred = predict_rating(train_matrix, sim, r.user_id, r.movie_id, k)
-            err += abs(pred.value - r.value)
-        return err / len(sample)
+        return _sample_mae(train_matrix, sim, sample, k)
 
     return objective
 
@@ -352,12 +356,7 @@ def fuzzy_mae_objective(
     sample = _subsample(validation_ratings, validation_cap, cap_seed)
 
     def objective(weights) -> float:
-        sim = fuzzy_similarity_matrix(profiles, weights)
-        err = 0.0
-        for r in sample:
-            pred = predict_rating(train_matrix, sim, r.user_id, r.movie_id, k)
-            err += abs(pred.value - r.value)
-        return err / len(sample)
+        return _sample_mae(train_matrix, fuzzy_similarity_matrix(profiles, weights), sample, k)
 
     return objective
 
@@ -375,8 +374,8 @@ def load_weights(path) -> tuple[WeightVector, int, float]:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise CinefuseError(f"weight file {path} lacks a header line")
-    header = dict(kv.split("=", 1) for kv in lines[0].lstrip("#").split())
     try:
+        header = dict(kv.split("=", 1) for kv in lines[0].lstrip("#").split())
         provenance = header["provenance"]
         seed = int(header["seed"])
         objective = float(header["objective"])

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 from . import textpipe
 from .catalog import Catalog, Movie, closest_titles, resolve_title
-from .cf import (
-    DEFAULT_K,
-    DEFAULT_LIKE_THRESHOLD,
-    DEFAULT_MIN_OVERLAP,
-    RatingMatrix,
-    build_rating_matrix,
-    recommend_cf,
-    similarity_matrix,
-)
+from .cf import DEFAULT_MIN_OVERLAP, RatingMatrix, build_rating_matrix, recommend_cf, similarity_matrix
 from .critic import consensus_map
 from .errors import CinefuseError, UnknownEntityError
 
@@ -38,34 +30,22 @@ class Recommendation:
     fused_score: float
     content_cosine: float
     critic_bonus: float
-    cf_origin: str  # user_user | item_item | both
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    k: int = DEFAULT_K
     candidate_pool: int = 100
     n: int = 15
-    like_threshold: float = DEFAULT_LIKE_THRESHOLD
-    provider: str = "tfidf"  # tfidf | precomputed
     critic_enabled: bool = True
-    weights_source: str = "uniform"  # uniform | ga | pso
-    critic_weight: float = 1.0
     include_seed: bool = False
     metric: str = "pearson"
     min_overlap: int = DEFAULT_MIN_OVERLAP
-    max_vocab: int = 5000
-    consensus_method: str = "mean"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise CinefuseError(f"k must be >= 1, got {self.k}")
         if self.n > self.candidate_pool:
             raise CinefuseError(
                 f"output size n={self.n} exceeds candidate pool {self.candidate_pool}"
             )
-        if self.provider not in ("tfidf", "precomputed"):
-            raise CinefuseError(f"unknown provider {self.provider!r}")
 
 
 @dataclass(frozen=True)
@@ -77,12 +57,12 @@ class HybridResult:
     reason: str = ""  # set when items is empty
 
 
-def _default_provider(catalog: Catalog, config: PipelineConfig):
+def _default_provider(catalog: Catalog):
     texts = [
         m.summary if m.summary else m.title
         for _, m in sorted(catalog.movies.items())
     ]
-    return textpipe.fit_tfidf(texts, max_vocab=config.max_vocab)
+    return textpipe.fit_tfidf(texts)
 
 
 def recommend_hybrid(
@@ -120,38 +100,27 @@ def recommend_hybrid(
         sim_item = similarity_matrix(
             matrix, "item", config.metric, weights=w, min_overlap=config.min_overlap
         )
-    pool = recommend_cf(
-        matrix,
-        sim_user=None,
-        sim_item=sim_item,
-        mode="item_item",
-        target=seed_id,
-        n=config.candidate_pool,
-        k=config.k,
-        like_threshold=config.like_threshold,
-    )
-    candidate_ids = [c.movie_id for c in pool if c.movie_id != seed_id]
-    origins = {c.movie_id: c.origin for c in pool}
+    pool = recommend_cf(sim_item, seed_id, config.candidate_pool)
+    candidate_ids = [mid for mid, _ in pool if mid != seed_id]
     if config.include_seed:
         candidate_ids.append(seed_id)
-        origins[seed_id] = "item_item"
     if not candidate_ids:
         return HybridResult(
             seed_id, seed.title, (), 0, "candidate pool is empty: no movie shares a rater with the seed"
         )
 
     if provider is None:
-        provider = _default_provider(catalog, config)
+        provider = _default_provider(catalog)
     if consensus is None:
-        consensus = consensus_map(catalog, method=config.consensus_method)
+        consensus = consensus_map(catalog)
 
     seed_vec = provider.vector(seed)
     rows = []
     for mid in candidate_ids:
         movie = catalog.movies[mid]
         cos = textpipe.cosine_similarity(seed_vec, provider.vector(movie))
-        bonus = config.critic_weight * consensus[mid].normalized if config.critic_enabled else 0.0
-        rows.append(Recommendation(mid, movie.title, cos + bonus, cos, bonus, origins[mid]))
+        bonus = consensus[mid].normalized if config.critic_enabled else 0.0
+        rows.append(Recommendation(mid, movie.title, cos + bonus, cos, bonus))
     rows.sort(key=lambda r: (-r.fused_score, r.title))
     return HybridResult(seed_id, seed.title, tuple(rows[: config.n]), len(candidate_ids))
 
@@ -195,25 +164,16 @@ def cold_start_user(
         return top_rated()[:n]
     if strategy == "recent":
         return recent()[:n]
+    rated, dated = top_rated(), recent()
     seen = set()
     out = []
-    for pair in zip_longest_interleave(top_rated(), recent()):
-        if pair.movie_id not in seen:
-            seen.add(pair.movie_id)
-            out.append(pair)
-        if len(out) == n:
-            break
-    return out
-
-
-def zip_longest_interleave(a: list, b: list) -> list:
-    """a[0], b[0], a[1], b[1], ... continuing with the longer tail."""
-    out = []
-    for i in range(max(len(a), len(b))):
-        if i < len(a):
-            out.append(a[i])
-        if i < len(b):
-            out.append(b[i])
+    for i in range(max(len(rated), len(dated))):
+        for movie in rated[i : i + 1] + dated[i : i + 1]:
+            if movie.movie_id not in seen:
+                seen.add(movie.movie_id)
+                out.append(movie)
+                if len(out) == n:
+                    return out
     return out
 
 

@@ -15,7 +15,6 @@ any inference at query time.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -71,10 +70,9 @@ class PreprocessOptions:
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Preprocessed tokens plus a hash of the text they came from."""
+    """Preprocessed tokens of one text."""
 
     tokens: tuple[str, ...]
-    source_hash: str
 
 
 def preprocess(text: str, options: PreprocessOptions | None = None) -> TokenStream:
@@ -101,8 +99,7 @@ def preprocess(text: str, options: PreprocessOptions | None = None) -> TokenStre
     if opts.lemmatize:
         lemmas = lemma_table()
         tokens = [lemmas.get(t, t) for t in tokens]
-    digest = hashlib.sha1(text.encode("utf-8")).hexdigest()
-    return TokenStream(tuple(tokens), digest)
+    return TokenStream(tuple(tokens))
 
 
 def cosine_similarity(a, b) -> float:

@@ -88,7 +88,6 @@ def tiny_catalog() -> Catalog:
         ratings=ratings,
         reviews=[],
         implicit=[],
-        title_index={k: v[0] for k, v in title_groups.items()},
         scale=RatingScale(),
         dropped_reviews=0,
         title_groups={k: tuple(v) for k, v in title_groups.items()},

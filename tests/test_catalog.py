@@ -169,7 +169,6 @@ class TestSummaryStats:
         assert sum(stats.per_year.values()) == 19
         assert stats.unknown_year == 1
         assert stats.per_year[1994] == 1
-        assert stats.per_month == {}
         assert sum(stats.rating_histogram.values()) == 60
         assert stats.rating_histogram[3.5] == 13
         assert set(stats.rating_histogram) == set(RatingScale().values())

@@ -466,34 +466,17 @@ class TestRecommendCF:
     def test_item_item_around_seed(self, fixture_catalog):
         matrix = build_rating_matrix(fixture_catalog)
         sim_item = similarity_matrix(matrix, "item", "pearson")
-        out = recommend_cf(matrix, None, sim_item, "item_item", target=1, n=10)
+        out = recommend_cf(sim_item, 1, 10)
         assert len(out) == 10
-        assert all(c.movie_id != 1 for c in out)
-        scores = [c.score for c in out]
-        assert scores == sorted(scores, reverse=True)
-        assert all(c.origin == "item_item" for c in out)
+        assert all(mid != 1 for mid, _ in out)
+        keys = [(-s, mid) for mid, s in out]
+        assert keys == sorted(keys)
+        assert out == knn_neighbors(sim_item, 1, 10).neighbors
 
-    def test_user_user_recommends_unseen_liked(self, fixture_catalog):
-        matrix = build_rating_matrix(fixture_catalog)
-        sim_user = similarity_matrix(matrix, "user", "pearson")
-        out = recommend_cf(matrix, sim_user, None, "user_user", target=6, n=5)
-        rated_by_6 = {r.movie_id for r in fixture_catalog.ratings if r.user_id == 6}
-        assert all(c.movie_id not in rated_by_6 for c in out)
-        assert all(c.origin == "user_user" for c in out)
-
-    def test_both_mode_merges_origins(self, fixture_catalog):
-        matrix = build_rating_matrix(fixture_catalog)
-        sim_user = similarity_matrix(matrix, "user", "pearson")
-        sim_item = similarity_matrix(matrix, "item", "pearson")
-        out = recommend_cf(matrix, sim_user, sim_item, "both", target=1, n=15)
-        origins = {c.origin for c in out}
-        assert origins <= {"user_user", "item_item", "both"}
-        assert len(out) <= 15
-
-    def test_bad_mode_rejected(self, fixture_catalog):
-        matrix = build_rating_matrix(fixture_catalog)
-        with pytest.raises(CinefuseError):
-            recommend_cf(matrix, None, None, "sideways", target=1, n=5)
+    def test_unknown_seed_rejected(self, fixture_catalog):
+        sim_item = similarity_matrix(build_rating_matrix(fixture_catalog), "item", "pearson")
+        with pytest.raises(UnknownEntityError):
+            recommend_cf(sim_item, 999, 5)
 
 
 class TestImplicitAugmentation:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import ast
+import shlex
 from pathlib import Path
 
 import pytest
@@ -111,7 +112,7 @@ class TestRecommend:
     def test_table_format_has_header(self, capsys):
         _, out, _ = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--format", "table")
         header = out.splitlines()[0]
-        assert "title" in header and "fused" in header and "origin" in header
+        assert header.split() == ["title", "fused", "cosine", "critic"]
 
     def test_no_critic_zeroes_bonus_column(self, capsys):
         _, out, _ = run_cli(capsys, *self.ARGS, "--no-critic")
@@ -270,10 +271,50 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "recommend")[0] == 2
 
-    def test_bad_threads(self, capsys):
-        code, _, err = run_cli(capsys, "load-check", "--threads", "0")
-        assert code == 2
-        assert "threads" in err
-
     def test_no_arguments(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("load-check", "--threads", "2"),
+        ("recommend", "--seed", "Northern Lights", "--k", "5"),
+    ])
+    def test_removed_flags_are_unknown(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 2
+
+    def test_missing_weights_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, _, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(missing))
+        assert code == 1
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        out_path = tmp_path / "nodir" / "sim.txt"
+        code, _, err = run_cli(capsys, "build-index", "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ") and str(out_path) in err
+        assert "Traceback" not in err
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The `cinefuse ...` lines of the README's CLI `sh` block, as argv lists."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("cinefuse ")
+    ]
+
+
+class TestReadmeExamples:
+    def test_every_example_exits_zero(self, capsys, tmp_path):
+        examples = _readme_cli_examples()
+        assert len(examples) >= 8
+        for argv in examples:
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(tmp_path / argv[i])
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)

@@ -167,6 +167,12 @@ class TestWeightVector:
         with pytest.raises(CinefuseError, match="header"):
             load_weights(path)
 
+    def test_header_token_without_equals_names_file(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# provenance seed=1 objective=0.5\n1.0\n")
+        with pytest.raises(CinefuseError, match="w.txt"):
+            load_weights(path)
+
 
 def loop_fuzzy_similarity_matrix(profiles, weights):
     """The per-pair loop fuzzy_similarity_matrix used before it was

@@ -39,15 +39,11 @@ def run(pipeline, seed_title, **overrides):
 class TestPipelineConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
-        assert cfg.k == 20 and cfg.n == 15 and cfg.critic_weight == 1.0
+        assert cfg.candidate_pool == 100 and cfg.n == 15 and cfg.critic_enabled
 
     def test_validation(self):
         with pytest.raises(CinefuseError):
-            PipelineConfig(k=0)
-        with pytest.raises(CinefuseError):
             PipelineConfig(n=50, candidate_pool=10)
-        with pytest.raises(CinefuseError):
-            PipelineConfig(provider="bert")
 
 
 class TestHybrid:
@@ -57,17 +53,6 @@ class TestHybrid:
             assert rec.fused_score == pytest.approx(
                 rec.content_cosine + rec.critic_bonus, abs=1e-12
             )
-
-    def test_critic_weight_scales_bonus(self, pipeline):
-        base = run(pipeline, "Northern Lights")
-        double = run(pipeline, "Northern Lights", critic_weight=2.0)
-        by_id = {r.movie_id: r for r in double.items}
-        for rec in base.items:
-            if rec.movie_id in by_id:
-                other = by_id[rec.movie_id]
-                assert other.fused_score == pytest.approx(
-                    rec.content_cosine + 2.0 * rec.critic_bonus, abs=1e-12
-                )
 
     def test_disabling_critic_zeroes_bonus(self, pipeline):
         result = run(pipeline, "Northern Lights", critic_enabled=False)
@@ -112,10 +97,6 @@ class TestHybrid:
         assert list(result.items) == []
         assert result.pool_size == 0
         assert result.reason != ""
-
-    def test_cf_origin_recorded(self, pipeline):
-        result = run(pipeline, "Northern Lights")
-        assert all(r.cf_origin == "item_item" for r in result.items)
 
 
 class TestColdStartUser:

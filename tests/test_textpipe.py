@@ -1,7 +1,5 @@
 """Text preprocessing, stemming, TF-IDF vectors, and precomputed embeddings."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -126,11 +124,6 @@ class TestPreprocess:
         ts = preprocess("The detectives were running through 2 cities")
         assert list(ts.tokens) == ["detect", "run", "2", "citi"]
 
-    def test_source_hash_is_sha1_of_raw_text(self):
-        raw = "Some Raw Text 🎬"
-        ts = preprocess(raw)
-        assert ts.source_hash == hashlib.sha1(raw.encode("utf-8")).hexdigest()
-
     def test_emoji_expand_to_names(self):
         ts = preprocess("a 🎬 about a 🚀", PreprocessOptions(remove_stopwords=False, stem=False, lemmatize=False))
         assert list(ts.tokens) == ["a", "movie", "camera", "about", "a", "rocket"]
@@ -172,7 +165,6 @@ class TestPreprocess:
     def test_empty_text_gives_empty_stream(self):
         ts = preprocess("")
         assert list(ts.tokens) == []
-        assert ts.source_hash == hashlib.sha1(b"").hexdigest()
 
 
 class TestCosine:
