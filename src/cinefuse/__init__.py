@@ -52,11 +52,13 @@ from .optimize import (
     save_weights,
 )
 from .ranker import (
+    HybridModel,
     HybridResult,
     PipelineConfig,
     Recommendation,
     cold_start_item,
     cold_start_user,
+    fit_hybrid,
     recommend_hybrid,
 )
 from .textpipe import (

@@ -73,9 +73,11 @@ class ImplicitEvent:
     watch_count: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Catalog:
-    """Merged, validated store. Treat as immutable after load."""
+    """Merged, validated store. Treat as immutable after load: the fields
+    cannot be reassigned, and the lists and dicts must not be mutated, since
+    a fitted ranking model memoised on the catalog would go stale."""
 
     movies: dict[int, Movie]
     ratings: list[Rating]
@@ -85,6 +87,9 @@ class Catalog:
     dropped_reviews: int = 0
     # all movie ids per normalized title, for year-hint disambiguation
     title_groups: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    # ranking models fitted on this catalog, keyed by the config fields the
+    # fit reads (see ranker.recommend_hybrid); a `replace` copy starts empty
+    _models: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def genre_universe(self) -> list[str]:
         genres = set()

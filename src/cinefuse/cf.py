@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog, ImplicitEvent, RatingScale
-from .errors import CinefuseError, UnknownEntityError
+from .errors import CinefuseError, UnknownEntityError, require_positive
 
 DEFAULT_MIN_OVERLAP = 2
 DEFAULT_K = 20
@@ -247,8 +247,7 @@ def _eligible_sorted(sim: SimilarityMatrix, pos: int, limit: int | None = None):
 
 def knn_neighbors(sim: SimilarityMatrix, target_id: int, k: int) -> NeighborSet:
     """Top-k neighbors with nonzero co-count; may return fewer than k."""
-    if k < 1:
-        raise CinefuseError(f"k must be >= 1, got {k}")
+    require_positive("k", k)
     if target_id not in sim.index:
         raise UnknownEntityError(f"unknown {sim.axis} id {target_id}")
     return NeighborSet(target_id, _eligible_sorted(sim, sim.index[target_id], k))
@@ -276,6 +275,7 @@ def predict_rating(
     (none rated it, or all similarities are exactly 0) the target's own mean
     is returned with the fallback flag set.
     """
+    require_positive("k", k)
     if user_id not in matrix.user_index:
         raise UnknownEntityError(f"unknown user id {user_id}")
     if movie_id not in matrix.item_index:

@@ -26,7 +26,7 @@ from . import optimize as opt
 from .catalog import Movie, load_catalog, summary_stats, train_test_split
 from .cf import build_rating_matrix, save_similarity, similarity_matrix
 from .errors import CinefuseError
-from .ranker import PipelineConfig, cold_start_item, cold_start_user, recommend_hybrid
+from .ranker import PipelineConfig, cold_start_item, cold_start_user, fit_hybrid, recommend_hybrid
 from .textpipe import load_precomputed
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "fixtures"
@@ -39,6 +39,14 @@ _BOOL_FLAGS = {"no-critic", "include-seed", "timings"}
 
 class UsageError(Exception):
     pass
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _data_parent() -> argparse.ArgumentParser:
@@ -74,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", action="append", required=True,
                    help="seed movie title; may be repeated with an integer run seed, "
                         "which is accepted for symmetry but has no effect (this path is deterministic)")
-    p.add_argument("--n", type=int, default=15)
-    p.add_argument("--pool", type=int, default=100)
+    p.add_argument("--n", type=positive_int, default=15)
+    p.add_argument("--pool", type=positive_int, default=100)
     p.add_argument("--no-critic", action="store_true")
     p.add_argument("--include-seed", action="store_true")
     p.add_argument("--weights", default=None, help="weight file for the item-axis weighted pearson")
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from: " + ", ".join(ev.VARIANTS))
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", type=positive_int, default=20)
     p.add_argument("--timings", action="store_true", help="append wall-clock runtimes")
     p.set_defaults(func=cmd_evaluate)
 
@@ -100,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=("user", "item"), default="user")
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", type=positive_int, default=20)
     p.add_argument("--population", type=int, default=40)
     p.add_argument("--generations", type=int, default=80)
     p.add_argument("--particles", type=int, default=30)
@@ -110,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cold-start", parents=[data], help="rating-free recommendations")
     p.add_argument("--mode", choices=("top_rated", "recent", "blend"), default="top_rated")
-    p.add_argument("--n", type=int, default=15)
+    p.add_argument("--n", type=positive_int, default=15)
     p.add_argument("--min-count", type=int, default=3)
     p.add_argument("--genres", default=None,
                    help="pipe-separated genres of a new movie; switches to item cold start")
@@ -236,7 +244,8 @@ def cmd_recommend(args) -> int:
         min_overlap=args.min_overlap,
     )
     provider = load_precomputed(args.embeddings) if args.provider == "precomputed" else None
-    result = recommend_hybrid(catalog, title, config=config, provider=provider, weights=weights)
+    model = fit_hybrid(catalog, config, provider, weights)
+    result = recommend_hybrid(catalog, title, config, model)
     if not result.items:
         print(f"no recommendations: {result.reason}", file=sys.stderr)
         return 0

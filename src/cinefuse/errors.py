@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check on count arguments."""
 
 
 class CinefuseError(Exception):
@@ -28,3 +28,9 @@ class DataFormatError(CinefuseError):
 
 class UnknownEntityError(CinefuseError):
     """Lookup of a user, movie, or title that does not exist."""
+
+
+def require_positive(name: str, value: int) -> None:
+    """Raise CinefuseError naming `value` unless it is at least 1."""
+    if value < 1:
+        raise CinefuseError(f"{name} must be >= 1, got {value}")

@@ -26,7 +26,7 @@ from .cf import (
     predict_rating,
     similarity_matrix,
 )
-from .errors import CinefuseError
+from .errors import CinefuseError, require_positive
 from .optimize import (
     GAConfig,
     SwarmConfig,
@@ -78,8 +78,7 @@ def precision_at_k(
     id), truncate to k, count how many were actually liked (rating >=
     threshold), divide by the truncated length. Averaged across users.
     """
-    if k < 1:
-        raise CinefuseError(f"k must be >= 1, got {k}")
+    require_positive("k", k)
     by_user: dict[int, list[Rating]] = {}
     for r in test_ratings:
         if r.user_id in matrix.user_index and r.movie_id in matrix.item_index:
@@ -120,6 +119,7 @@ def evaluate_variants(
     Optimizer budgets default to small fixture-scale settings; pass
     explicit configs to raise them. Deterministic for a fixed split seed.
     """
+    require_positive("k", k)
     variants = list(variants)
     if not variants:
         return []

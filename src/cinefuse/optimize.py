@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import Catalog, Rating
 from .cf import RatingMatrix, SimilarityMatrix, _pair_blocks, predict_rating, similarity_matrix
-from .errors import CinefuseError
+from .errors import CinefuseError, require_positive
 
 
 @dataclass(frozen=True)
@@ -326,6 +326,7 @@ def cf_mae_objective(
     predictions included). The validation set is subsampled once, at
     construction, when it exceeds `validation_cap`.
     """
+    require_positive("k", k)
     if not validation_ratings:
         raise CinefuseError("empty validation set")
     for r in validation_ratings:
@@ -351,6 +352,7 @@ def fuzzy_mae_objective(
     cap_seed: int = 0,
 ):
     """Objective: genre weights -> validation MAE under fuzzy user similarity."""
+    require_positive("k", k)
     if not validation_ratings:
         raise CinefuseError("empty validation set")
     sample = _subsample(validation_ratings, validation_cap, cap_seed)

@@ -5,7 +5,10 @@ candidate pool around the seed movie (item-item neighbors), each
 candidate's plot summary is embedded and scored by cosine against the
 seed, and the movie's normalized critic consensus is added on top. The
 fused score is exactly cosine + bonus; the output is sorted by fused
-score descending with ties broken by ascending title.
+score descending with ties broken by ascending title. What the stages
+read that depends only on the catalog (the candidate lists, the embedding
+provider and the consensus) is fitted once into a `HybridModel` and reused
+by every request on that catalog.
 
 Cold start bypasses the pipeline: users without ratings get top-rated or
 recently released movies (or an interleave of both), and a movie without
@@ -14,13 +17,15 @@ ratings is surfaced next to the top-rated movies sharing a genre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import textpipe
 from .catalog import Catalog, Movie, closest_titles, resolve_title
-from .cf import DEFAULT_MIN_OVERLAP, RatingMatrix, build_rating_matrix, recommend_cf, similarity_matrix
-from .critic import consensus_map
-from .errors import CinefuseError, UnknownEntityError
+from .cf import DEFAULT_MIN_OVERLAP, build_rating_matrix, recommend_cf, similarity_matrix
+from .critic import CriticConsensus, consensus_map
+from .errors import CinefuseError, UnknownEntityError, require_positive
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,8 @@ class PipelineConfig:
     min_overlap: int = DEFAULT_MIN_OVERLAP
 
     def __post_init__(self):
+        require_positive("n", self.n)
+        require_positive("candidate_pool", self.candidate_pool)
         if self.n > self.candidate_pool:
             raise CinefuseError(
                 f"output size n={self.n} exceeds candidate pool {self.candidate_pool}"
@@ -57,30 +64,68 @@ class HybridResult:
     reason: str = ""  # set when items is empty
 
 
-def _default_provider(catalog: Catalog):
-    texts = [
-        m.summary if m.summary else m.title
-        for _, m in sorted(catalog.movies.items())
-    ]
-    return textpipe.fit_tfidf(texts)
+def _fit_key(config: PipelineConfig) -> tuple[str, int, int]:
+    """The config fields a fit reads; configs that share them share a model."""
+    return (config.metric, config.min_overlap, config.candidate_pool)
+
+
+@dataclass(frozen=True)
+class HybridModel:
+    """What ranking needs from a catalog, fitted once by `fit_hybrid`.
+
+    `candidates` maps each rated movie id to its co-counted item-item
+    neighbors (similarity desc, id asc), cut at the candidate pool; the
+    rating matrix and the similarity matrix are not kept. Embeddings are
+    computed on first use and memoised per movie.
+    """
+
+    key: tuple[str, int, int]  # (metric, min_overlap, candidate_pool) of the fit
+    candidates: dict[int, tuple[int, ...]]
+    provider: object  # anything with `vector(movie)`
+    consensus: dict[int, CriticConsensus]
+    _vectors: dict[int, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def vector(self, movie: Movie) -> np.ndarray:
+        vec = self._vectors.get(movie.movie_id)
+        if vec is None:
+            vec = self._vectors[movie.movie_id] = self.provider.vector(movie)
+        return vec
+
+
+def fit_hybrid(catalog: Catalog, config: PipelineConfig, provider=None, weights=None) -> HybridModel:
+    """Fit the ranking model of a catalog.
+
+    `weights`, when given, drives a weighted pearson item similarity (one
+    weight per user, the co-rated dimension of the item axis). `provider`
+    defaults to TF-IDF fitted on every movie's summary (its title when the
+    summary is empty).
+    """
+    matrix = build_rating_matrix(catalog)
+    w = weights.as_array() if hasattr(weights, "as_array") else weights
+    sim_item = similarity_matrix(
+        matrix, "item", config.metric, weights=w, min_overlap=config.min_overlap
+    )
+    candidates = {
+        mid: tuple(c for c, _ in recommend_cf(sim_item, mid, config.candidate_pool))
+        for mid in sim_item.ids
+    }
+    if provider is None:
+        texts = [m.summary if m.summary else m.title for _, m in sorted(catalog.movies.items())]
+        provider = textpipe.fit_tfidf(texts)
+    return HybridModel(_fit_key(config), candidates, provider, consensus_map(catalog))
 
 
 def recommend_hybrid(
     catalog: Catalog,
     seed_title: str,
     config: PipelineConfig | None = None,
-    provider=None,
-    weights=None,
-    matrix: RatingMatrix | None = None,
-    sim_item=None,
-    consensus=None,
+    model: HybridModel | None = None,
 ) -> HybridResult:
     """Rank movies around a seed title by content cosine plus critic bonus.
 
-    `weights`, when given, drives a weighted pearson item similarity (one
-    weight per user, the co-rated dimension of the item axis). All heavy
-    inputs (provider, matrix, similarity, consensus) can be passed in to
-    reuse across calls; anything omitted is built from the catalog.
+    Without `model`, ranks from the model memoised on the catalog for the
+    config's metric, min_overlap and candidate_pool, fitted on first use,
+    so repeated calls on one catalog fit once.
     """
     config = config or PipelineConfig()
     try:
@@ -90,18 +135,21 @@ def recommend_hybrid(
         hint = f"; closest matches: {', '.join(near)}" if near else ""
         raise UnknownEntityError(f"no movie titled '{seed_title}' in catalog{hint}") from None
 
-    seed = catalog.movies[seed_id]
-    if matrix is None:
-        matrix = build_rating_matrix(catalog)
-    if seed_id not in matrix.item_index:
-        return HybridResult(seed_id, seed.title, (), 0, "seed movie has no ratings to neighbor on")
-    if sim_item is None:
-        w = weights.as_array() if hasattr(weights, "as_array") else weights
-        sim_item = similarity_matrix(
-            matrix, "item", config.metric, weights=w, min_overlap=config.min_overlap
+    key = _fit_key(config)
+    if model is None:
+        model = catalog._models.get(key)
+        if model is None:
+            model = catalog._models[key] = fit_hybrid(catalog, config)
+    elif model.key != key:
+        raise CinefuseError(
+            f"model fitted for (metric, min_overlap, candidate_pool) = {model.key}, config asks {key}"
         )
-    pool = recommend_cf(sim_item, seed_id, config.candidate_pool)
-    candidate_ids = [mid for mid, _ in pool if mid != seed_id]
+
+    seed = catalog.movies[seed_id]
+    pool = model.candidates.get(seed_id)
+    if pool is None:
+        return HybridResult(seed_id, seed.title, (), 0, "seed movie has no ratings to neighbor on")
+    candidate_ids = list(pool)
     if config.include_seed:
         candidate_ids.append(seed_id)
     if not candidate_ids:
@@ -109,17 +157,12 @@ def recommend_hybrid(
             seed_id, seed.title, (), 0, "candidate pool is empty: no movie shares a rater with the seed"
         )
 
-    if provider is None:
-        provider = _default_provider(catalog)
-    if consensus is None:
-        consensus = consensus_map(catalog)
-
-    seed_vec = provider.vector(seed)
+    seed_vec = model.vector(seed)
     rows = []
     for mid in candidate_ids:
         movie = catalog.movies[mid]
-        cos = textpipe.cosine_similarity(seed_vec, provider.vector(movie))
-        bonus = consensus[mid].normalized if config.critic_enabled else 0.0
+        cos = textpipe.cosine_similarity(seed_vec, model.vector(movie))
+        bonus = model.consensus[mid].normalized if config.critic_enabled else 0.0
         rows.append(Recommendation(mid, movie.title, cos + bonus, cos, bonus))
     rows.sort(key=lambda r: (-r.fused_score, r.title))
     return HybridResult(seed_id, seed.title, tuple(rows[: config.n]), len(candidate_ids))
@@ -142,6 +185,7 @@ def cold_start_user(
     descending with title tie-break (movies without a year excluded);
     blend interleaves the two, skipping duplicates.
     """
+    require_positive("n", n)
     if strategy not in ("top_rated", "recent", "blend"):
         raise CinefuseError(f"unknown cold-start strategy {strategy!r}")
     means = _mean_ratings(catalog)
@@ -183,6 +227,7 @@ def cold_start_item(catalog: Catalog, new_movie: Movie, n: int = 15) -> list[Mov
     The new movie is meant to be co-surfaced beside these. Rated movies
     only, ranked by mean rating descending with title tie-break.
     """
+    require_positive("n", n)
     if not new_movie.genres:
         raise CinefuseError(f"movie '{new_movie.title}' carries no genres to match on")
     means = _mean_ratings(catalog)

@@ -21,15 +21,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num:2d} [{status}] {label}")
 
 
-@pytest.fixture(scope="session")
-def fixture_catalog() -> Catalog:
-    """The bundled toy dataset, loaded once per session."""
+def load_fixture_catalog() -> Catalog:
+    """A freshly loaded copy of the bundled toy dataset."""
     return load_catalog(
         FIXTURE_DIR / "movies.csv",
         FIXTURE_DIR / "ratings.csv",
         FIXTURE_DIR / "reviews.csv",
         implicit_path=FIXTURE_DIR / "implicit.csv",
     )
+
+
+@pytest.fixture(scope="session")
+def fixture_catalog() -> Catalog:
+    """The bundled toy dataset, loaded once per session."""
+    return load_fixture_catalog()
 
 
 def make_matrix(values, scale=None) -> RatingMatrix:

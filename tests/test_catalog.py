@@ -1,5 +1,7 @@
 """Catalog loading, validation, title resolution, stats, and splitting."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,10 @@ class TestLoadCatalog:
         assert len(fixture_catalog.reviews) == 23
         assert len(fixture_catalog.implicit) == 15
         assert fixture_catalog.dropped_reviews == 2
+
+    def test_fields_cannot_be_reassigned(self, fixture_catalog):
+        with pytest.raises(FrozenInstanceError):
+            fixture_catalog.ratings = []
 
     def test_referential_integrity(self, fixture_catalog):
         for r in fixture_catalog.ratings:

@@ -429,6 +429,13 @@ class TestPredictionOracle:
         with pytest.raises(UnknownEntityError):
             predict_rating(matrix, sim, 1, 999)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_rejected(self, k):
+        matrix = make_matrix([[4.0, 3.0], [3.5, 2.0]])
+        sim = similarity_matrix(matrix, "user")
+        with pytest.raises(CinefuseError, match=f"k must be >= 1, got {k}"):
+            predict_rating(matrix, sim, 1, 101, k)
+
 
 class TestKnnNeighbors:
     def test_order_and_truncation(self):

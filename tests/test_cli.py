@@ -4,11 +4,14 @@ import ast
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cinefuse.cf import load_similarity
 from cinefuse.cli import main
-from cinefuse.optimize import load_weights
+from cinefuse.optimize import WeightVector, load_weights, save_weights
+from cinefuse.ranker import PipelineConfig, fit_hybrid, recommend_hybrid
+from cinefuse.textpipe import save_precomputed
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +137,50 @@ class TestRecommend:
         code, out, _ = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(out_path))
         assert code == 0
         assert len(out.splitlines()) == 15
+
+    def test_weights_rank_as_a_model_fitted_with_them(self, capsys, tmp_path, fixture_catalog):
+        users = sorted({r.user_id for r in fixture_catalog.ratings})
+        rng = np.random.default_rng(0)
+        wv = WeightVector(tuple(float(w) for w in rng.uniform(0.0, 2.0, len(users))), "ga")
+        path = tmp_path / "w.txt"
+        save_weights(wv, path, seed=0, objective_value=0.0)
+        # a pool of 3 is cut from the weighted neighbor order, so the weights show
+        argv = ("recommend", "--seed", "Northern Lights", "--pool", "3", "--n", "3")
+        code, out, _ = run_cli(capsys, *argv, "--weights", str(path))
+        assert code == 0
+        config = PipelineConfig(candidate_pool=3, n=3)
+        model = fit_hybrid(fixture_catalog, config, weights=wv)
+        result = recommend_hybrid(fixture_catalog, "Northern Lights", config, model)
+        assert out == "".join(
+            f"{r.title}\t{r.fused_score:.7f}\t{r.content_cosine:.7f}\t{r.critic_bonus:.7f}\n"
+            for r in result.items
+        )
+        assert out != run_cli(capsys, *argv)[1]
+
+    @staticmethod
+    def _embeddings(catalog, path, drop):
+        """The default TF-IDF vectors of the movies ranked around Northern
+        Lights (id 1), the seed included, minus `drop`, as an embedding file;
+        returns how many catalog movies the file lacks."""
+        model = fit_hybrid(catalog, PipelineConfig())
+        ranked = (set(model.candidates[1]) | {1}) - drop
+        save_precomputed(path, {mid: model.provider.vector(catalog.movies[mid]) for mid in ranked})
+        return len(catalog.movies) - len(ranked)
+
+    def test_precomputed_file_needs_only_ranked_movies(self, capsys, tmp_path, fixture_catalog):
+        path = tmp_path / "emb.txt"
+        assert self._embeddings(fixture_catalog, path, drop=set()) > 0
+        code, out, _ = run_cli(capsys, *self.ARGS, "--provider", "precomputed", "--embeddings", str(path))
+        assert code == 0
+        assert out == run_cli(capsys, *self.ARGS)[1]
+
+    def test_precomputed_file_without_seed_vector(self, capsys, tmp_path, fixture_catalog):
+        path = tmp_path / "emb.txt"
+        self._embeddings(fixture_catalog, path, drop={1})
+        code, out, err = run_cli(capsys, *self.ARGS, "--provider", "precomputed", "--embeddings", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "movie 1" in err
 
     def test_precomputed_requires_embeddings(self, capsys):
         code, _, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--provider", "precomputed")
@@ -280,6 +327,20 @@ class TestExitCodes:
     ])
     def test_removed_flags_are_unknown(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("recommend", "--seed", "Northern Lights", "--n", "-1"),
+        ("recommend", "--seed", "Northern Lights", "--n", "0"),
+        ("recommend", "--seed", "Northern Lights", "--pool", "0"),
+        ("evaluate", "--k", "-2"),
+        ("optimize-weights", "--method", "ga", "--k", "0", "--out", "unused.txt"),
+        ("cold-start", "--n", "-2"),
+    ])
+    def test_non_positive_counts_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be >= 1" in err
 
     def test_missing_weights_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"

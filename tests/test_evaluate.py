@@ -49,6 +49,13 @@ class TestPrecisionAtK:
         p = precision_at_k(matrix, sim, test, k=10, like_threshold=3.5)
         assert 0.0 <= p <= 1.0
 
+    def test_non_positive_k_rejected(self, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.2, seed=42)
+        matrix = build_rating_matrix(train)
+        sim = similarity_matrix(matrix, "user", "pearson", min_overlap=2)
+        with pytest.raises(CinefuseError, match="k must be >= 1, got 0"):
+            precision_at_k(matrix, sim, test, k=0)
+
     def test_single_user_hand_check(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.2, seed=42)
         matrix = build_rating_matrix(train)
@@ -91,6 +98,13 @@ class TestEvaluateVariants:
         assert [(r.variant, r.mae, r.coverage) for r in a] == [
             (r.variant, r.mae, r.coverage) for r in b
         ]
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_rejected(self, fixture_catalog, k):
+        # a negative k used to slice neighbors from the end and report
+        # a coverage of 0.1666667 on the fixture
+        with pytest.raises(CinefuseError, match=f"k must be >= 1, got {k}"):
+            evaluate_variants(fixture_catalog, ["plain"], SplitConfig(0.2, 42), k=k)
 
     def test_empty_variant_list(self, fixture_catalog):
         assert evaluate_variants(fixture_catalog, [], SplitConfig(0.2, 42)) == []

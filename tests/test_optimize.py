@@ -310,6 +310,16 @@ class TestObjectives:
         with pytest.raises(CinefuseError, match="empty validation"):
             cf_mae_objective(matrix, [], axis="user")
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_rejected(self, fixture_catalog, k):
+        train, test = train_test_split(fixture_catalog, 0.2, seed=42)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        with pytest.raises(CinefuseError, match=f"k must be >= 1, got {k}"):
+            cf_mae_objective(matrix, test, axis="user", k=k)
+        with pytest.raises(CinefuseError, match=f"k must be >= 1, got {k}"):
+            fuzzy_mae_objective(matrix, profiles, test, k=k)
+
     def test_fuzzy_objective_runs(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.2, seed=42)
         matrix = build_rating_matrix(train)

@@ -3,37 +3,29 @@
 import numpy as np
 import pytest
 
+from cinefuse import ranker, textpipe
+from cinefuse.catalog import train_test_split
 from cinefuse.cf import build_rating_matrix, similarity_matrix
-from cinefuse.critic import consensus_map
 from cinefuse.errors import CinefuseError, UnknownEntityError
 from cinefuse.ranker import (
     PipelineConfig,
     cold_start_item,
     cold_start_user,
+    fit_hybrid,
     recommend_hybrid,
 )
-from cinefuse.textpipe import fit_tfidf
 
-from conftest import tiny_catalog
+from conftest import load_fixture_catalog, tiny_catalog
 
 
 @pytest.fixture(scope="module")
 def pipeline(fixture_catalog):
-    cat = fixture_catalog
-    provider = fit_tfidf([m.summary or m.title for m in cat.movies.values()])
-    matrix = build_rating_matrix(cat)
-    sim_item = similarity_matrix(matrix, "item", "pearson", min_overlap=2)
-    consensus = consensus_map(cat)
-    return cat, provider, matrix, sim_item, consensus
+    return fixture_catalog, fit_hybrid(fixture_catalog, PipelineConfig())
 
 
 def run(pipeline, seed_title, **overrides):
-    cat, provider, matrix, sim_item, consensus = pipeline
-    config = PipelineConfig(**overrides)
-    return recommend_hybrid(
-        cat, seed_title, config,
-        provider=provider, matrix=matrix, sim_item=sim_item, consensus=consensus,
-    )
+    cat, model = pipeline
+    return recommend_hybrid(cat, seed_title, PipelineConfig(**overrides), model)
 
 
 class TestPipelineConfig:
@@ -44,6 +36,16 @@ class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(CinefuseError):
             PipelineConfig(n=50, candidate_pool=10)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"n": -1}, "n must be >= 1, got -1"),
+        ({"candidate_pool": 0}, "candidate_pool must be >= 1, got 0"),
+        ({"candidate_pool": -3}, "candidate_pool must be >= 1, got -3"),
+    ])
+    def test_non_positive_counts_rejected(self, fields, message):
+        with pytest.raises(CinefuseError, match=message):
+            PipelineConfig(**fields)
 
 
 class TestHybrid:
@@ -78,7 +80,8 @@ class TestHybrid:
         assert len(run(pipeline, "Northern Lights", n=5).items) == 5
 
     def test_pool_comes_from_item_neighbors(self, pipeline):
-        cat, provider, matrix, sim_item, consensus = pipeline
+        matrix = build_rating_matrix(pipeline[0])
+        sim_item = similarity_matrix(matrix, "item", "pearson", min_overlap=2)
         result = run(pipeline, "Northern Lights", n=18, candidate_pool=100)
         seed_idx = matrix.item_ids.index(1)
         eligible = {
@@ -97,6 +100,75 @@ class TestHybrid:
         assert list(result.items) == []
         assert result.pool_size == 0
         assert result.reason != ""
+
+
+# configs whose results the memoised model must reproduce exactly
+MEMO_CONFIGS = [
+    PipelineConfig(),
+    PipelineConfig(include_seed=True),
+    PipelineConfig(critic_enabled=False),
+    PipelineConfig(n=5),
+    PipelineConfig(metric="cosine"),
+    PipelineConfig(metric="jaccard"),
+]
+
+
+class TestModelMemo:
+    @pytest.mark.parametrize("config", MEMO_CONFIGS, ids=repr)
+    def test_memoised_equals_fresh_fit_for_every_title(self, config):
+        memo_cat = load_fixture_catalog()
+        for movie in memo_cat.movies.values():
+            fresh = load_fixture_catalog()
+            expected = recommend_hybrid(fresh, movie.title, config, fit_hybrid(fresh, config))
+            assert recommend_hybrid(memo_cat, movie.title, config) == expected
+
+    def test_second_call_fits_nothing(self, monkeypatch):
+        calls = {"similarity_matrix": 0, "fit_tfidf": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(ranker, "similarity_matrix")
+        counting(textpipe, "fit_tfidf")
+        cat = load_fixture_catalog()
+        recommend_hybrid(cat, "Northern Lights")
+        assert calls == {"similarity_matrix": 1, "fit_tfidf": 1}
+        recommend_hybrid(cat, "Northern Lights")
+        # configs that differ only in fields the fit does not read share the model
+        recommend_hybrid(cat, "Meridian Beta", PipelineConfig(n=5, critic_enabled=False, include_seed=True))
+        assert calls == {"similarity_matrix": 1, "fit_tfidf": 1}
+        recommend_hybrid(cat, "Northern Lights", PipelineConfig(candidate_pool=50))
+        assert calls == {"similarity_matrix": 2, "fit_tfidf": 2}
+
+    def test_split_catalog_does_not_see_parent_model(self):
+        # a pool of 3 is cut from the neighbor order, so it follows the ratings
+        config = PipelineConfig(candidate_pool=3, n=3)
+        cat = load_fixture_catalog()
+        parent = recommend_hybrid(cat, "Northern Lights", config)
+        train, _ = train_test_split(cat, 0.2, seed=3)
+        assert train._models == {}
+        result = recommend_hybrid(train, "Northern Lights", config)
+        (key,) = train._models
+        assert train._models[key] is not cat._models[key]
+        assert result == recommend_hybrid(train, "Northern Lights", config, fit_hybrid(train, config))
+        assert result != parent
+
+    def test_model_for_other_fit_fields_rejected(self, pipeline):
+        with pytest.raises(CinefuseError, match="candidate_pool"):
+            run(pipeline, "Northern Lights", candidate_pool=50)
+
+    def test_vectors_embedded_only_for_ranked_movies(self, fixture_catalog):
+        model = fit_hybrid(fixture_catalog, PipelineConfig())
+        assert model._vectors == {}
+        recommend_hybrid(fixture_catalog, "Northern Lights", model=model)
+        assert set(model._vectors) == set(model.candidates[1]) | {1}
+        assert len(model._vectors) < len(fixture_catalog.movies)
 
 
 class TestColdStartUser:
@@ -142,6 +214,11 @@ class TestColdStartUser:
         with pytest.raises(CinefuseError):
             cold_start_user(fixture_catalog, strategy="random")
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_non_positive_n_rejected(self, fixture_catalog, n):
+        with pytest.raises(CinefuseError, match=f"n must be >= 1, got {n}"):
+            cold_start_user(fixture_catalog, n=n)
+
 
 class TestColdStartItem:
     def test_matches_brute_force(self, fixture_catalog):
@@ -177,3 +254,8 @@ class TestColdStartItem:
     def test_n_truncates(self, fixture_catalog):
         recs = cold_start_item(fixture_catalog, fixture_catalog.movies[20], n=2)
         assert len(recs) == 2
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_non_positive_n_rejected(self, fixture_catalog, n):
+        with pytest.raises(CinefuseError, match=f"n must be >= 1, got {n}"):
+            cold_start_item(fixture_catalog, fixture_catalog.movies[20], n=n)
