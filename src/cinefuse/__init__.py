@@ -28,6 +28,7 @@ from .cf import (
     build_rating_matrix,
     knn_neighbors,
     load_similarity,
+    predict_many,
     predict_rating,
     recommend_cf,
     save_similarity,

@@ -104,17 +104,30 @@ class SimilarityMatrix:
     def neighbor_order(self, pos: int) -> np.ndarray:
         """Positions of the co-counted neighbors of row `pos`, similarity
         desc then id asc. Sorted once per row."""
-        order = self._orders.get(pos)
-        if order is None:
-            order = np.lexsort((np.asarray(self.ids), -self.values[pos]))
-            order = order[(order != pos) & (self.co_counts[pos, order] > 0)]
-            self._orders[pos] = order
-        return order
+        return self.neighbor_orders([pos])[0]
+
+    def neighbor_orders(self, rows) -> list[np.ndarray]:
+        """neighbor_order of each of `rows`; the rows not sorted yet are
+        sorted together, a block of at most _PREDICT_CELLS cells at a time."""
+        missing = np.array([p for p in rows if p not in self._orders], dtype=np.intp)
+        ids = np.asarray(self.ids)
+        step = max(1, _PREDICT_CELLS // max(ids.size, 1))
+        for a in range(0, missing.size, step):
+            block = missing[a : a + step]
+            order = np.lexsort((np.broadcast_to(ids, (block.size, ids.size)), -self.values[block]))
+            keep = (order != block[:, None]) & (np.take_along_axis(self.co_counts[block], order, axis=1) > 0)
+            for p, o, kept in zip(block.tolist(), order, keep):
+                self._orders[p] = o[kept]
+        return [self._orders[p] for p in rows]
 
 
 # Cells of the (pairs x dimension) temporaries one block of the pair kernels
 # may hold; keeps their memory bounded whatever the matrix size.
 _BLOCK_CELLS = 1 << 16
+# Cells of the (rows x neighbors) temporaries of one block of neighbor sorts
+# or of predict_many; small, since a few thousand cells already amortise the
+# per-block cost.
+_PREDICT_CELLS = 1 << 12
 
 
 def _pair_blocks(n: int, d: int, co=None, min_overlap: int = 0):
@@ -259,14 +272,23 @@ class Prediction:
     fallback: bool  # True when no usable neighbor rated the movie
 
 
-def predict_rating(
+def _positions(index: dict, ids, what: str) -> np.ndarray:
+    """Position of each id in `index`; an unknown id raises, naming it."""
+    try:
+        return np.array([index[i] for i in ids], dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownEntityError(f"unknown {what} id {exc.args[0]}") from None
+
+
+def predict_many(
     matrix: RatingMatrix,
     sim: SimilarityMatrix,
-    user_id: int,
-    movie_id: int,
+    user_ids,
+    movie_ids,
     k: int = DEFAULT_K,
-) -> Prediction:
-    """Weighted-deviation KNN prediction, clamped to the rating scale.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted-deviation KNN predictions for (user, movie) pairs, clamped to
+    the rating scale: a float64 value and a bool fallback flag per pair.
 
     User-axis similarity gives the user-based form
         mean(u) + sum(s * (r_v - mean(v))) / sum(|s|)
@@ -274,38 +296,76 @@ def predict_rating(
     similarity gives the mirrored item-based form. With no usable neighbor
     (none rated it, or all similarities are exactly 0) the target's own mean
     is returned with the fallback flag set.
+
+    Every pair gets the bits of a scalar loop over its neighbors: num and den
+    are accumulated one neighbor rank at a time, left to right, and the
+    clamp keeps Python's min/max semantics (a NaN mean clamps to scale.min).
+    Pairs run in blocks of at most _PREDICT_CELLS pair-by-neighbor cells.
     """
     require_positive("k", k)
-    if user_id not in matrix.user_index:
-        raise UnknownEntityError(f"unknown user id {user_id}")
-    if movie_id not in matrix.item_index:
-        raise UnknownEntityError(f"unknown movie id {movie_id}")
-    ui = matrix.user_index[user_id]
-    mj = matrix.item_index[movie_id]
+    ui = _positions(matrix.user_index, user_ids, "user")
+    mj = _positions(matrix.item_index, movie_ids, "movie")
+    if ui.size != mj.size:
+        raise CinefuseError(f"{ui.size} user ids but {mj.size} movie ids")
 
+    # rating of neighbor o for pair p: grid[other[p], o]
     if sim.axis == "user":
-        pos, base = sim.index[user_id], float(matrix.user_means[ui])
-        ratings, means = matrix.values[:, mj], matrix.user_means
-        index, axis_ids = matrix.user_index, matrix.user_ids
+        target_ids, targets, other = user_ids, ui, mj
+        grid, means, index, axis_ids = matrix.values.T, matrix.user_means, matrix.user_index, matrix.user_ids
     else:
-        pos, base = sim.index[movie_id], float(matrix.item_means[mj])
-        ratings, means = matrix.values[ui], matrix.item_means
-        index, axis_ids = matrix.item_index, matrix.item_ids
-    order = sim.neighbor_order(pos)
-    # the neighbors' rows (user axis) or columns (item axis) in the matrix
-    where = order if sim.ids == axis_ids else np.array([index[sim.ids[q]] for q in order], dtype=np.intp)
-    rated = ~np.isnan(ratings[where])
-    candidates = list(zip(order[rated][:k].tolist(), where[rated][:k].tolist()))
-    row = sim.values[pos]
-    num = den = 0.0
-    for q, o in candidates:
-        s = float(row[q])
-        num += s * (float(ratings[o]) - float(means[o]))
-        den += abs(s)
+        target_ids, targets, other = movie_ids, mj, ui
+        grid, means, index, axis_ids = matrix.values, matrix.item_means, matrix.item_index, matrix.item_ids
+    pos = _positions(sim.index, target_ids, f"similarity {sim.axis}")
+    base = means[targets]
 
-    if not candidates or den == 0.0:
-        return Prediction(matrix.scale.clamp(base), fallback=True)
-    return Prediction(matrix.scale.clamp(base + num / den), fallback=False)
+    # each distinct target's neighbor order, -1 padded, as similarity
+    # positions (order) and as matrix rows or columns (where; its pads hold
+    # any valid index and are masked by order >= 0)
+    rows, row_of = np.unique(pos, return_inverse=True)
+    orders = sim.neighbor_orders(rows.tolist())
+    width = max((o.size for o in orders), default=0)
+    order = np.full((rows.size, width), -1, dtype=np.intp)
+    for r, o in enumerate(orders):
+        order[r, : o.size] = o
+    where = order if sim.ids == axis_ids else _positions(index, sim.ids, f"matrix {sim.axis}")[order]
+
+    sums = np.zeros((pos.size, 2))  # num, den
+    used = np.zeros(pos.size, dtype=np.intp)
+    step = max(1, _PREDICT_CELLS // max(width, 1))
+    for a in range(0, pos.size if width else 0, step):
+        b = min(pos.size, a + step)
+        r = row_of[a:b]
+        rated = (order[r] >= 0) & ~np.isnan(grid[other[a:b, None], where[r]])
+        rank = np.cumsum(rated, axis=1)
+        used[a:b] = np.minimum(rank[:, -1], k)
+        p, c = np.nonzero(rated & (rank <= k))
+        s = sim.values[pos[a + p], order[r[p], c]]
+        o = where[r[p], c]
+        cols = int(used[a:b].max())
+        terms = np.zeros((b - a, cols, 2))
+        terms[p, rank[p, c] - 1] = np.stack((s * (grid[other[a + p], o] - means[o]), np.abs(s)), axis=1)
+        for j in range(cols):  # left to right, as the scalar sum; +0.0 pads are exact
+            sums[a:b] += terms[:, j]
+
+    num, den = sums.T
+    fallback = (used == 0) | (den == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(fallback, base, base + num / den)
+    lo, hi = matrix.scale.min, matrix.scale.max
+    values = np.where(values > lo, values, lo)  # RatingScale.clamp: max(lo, v), then min(hi, .)
+    return np.where(values < hi, values, hi), fallback
+
+
+def predict_rating(
+    matrix: RatingMatrix,
+    sim: SimilarityMatrix,
+    user_id: int,
+    movie_id: int,
+    k: int = DEFAULT_K,
+) -> Prediction:
+    """predict_many for one (user, movie) pair."""
+    values, fallback = predict_many(matrix, sim, [user_id], [movie_id], k)
+    return Prediction(float(values[0]), bool(fallback[0]))
 
 
 def recommend_cf(sim_item: SimilarityMatrix, seed_id: int, n: int) -> list[tuple[int, float]]:

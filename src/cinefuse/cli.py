@@ -109,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=positive_int, default=20)
-    p.add_argument("--population", type=int, default=40)
-    p.add_argument("--generations", type=int, default=80)
-    p.add_argument("--particles", type=int, default=30)
-    p.add_argument("--iterations", type=int, default=100)
+    p.add_argument("--population", type=positive_int, default=40)
+    p.add_argument("--generations", type=positive_int, default=80)
+    p.add_argument("--particles", type=positive_int, default=30)
+    p.add_argument("--iterations", type=positive_int, default=100)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)
 

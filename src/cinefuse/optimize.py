@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, Rating
-from .cf import RatingMatrix, SimilarityMatrix, _pair_blocks, predict_rating, similarity_matrix
+from .cf import RatingMatrix, SimilarityMatrix, _pair_blocks, predict_many, similarity_matrix
 from .errors import CinefuseError, require_positive
 
 
@@ -303,10 +303,11 @@ def _subsample(validation: list[Rating], cap: int, seed: int) -> list[Rating]:
 
 
 def _sample_mae(matrix: RatingMatrix, sim: SimilarityMatrix, sample: list[Rating], k: int) -> float:
-    """MAE of predict_rating over `sample`, fallback predictions included."""
+    """MAE of predict_many over `sample`, fallback predictions included."""
+    values, _ = predict_many(matrix, sim, [r.user_id for r in sample], [r.movie_id for r in sample], k)
     err = 0.0
-    for r in sample:
-        err += abs(predict_rating(matrix, sim, r.user_id, r.movie_id, k).value - r.value)
+    for v, r in zip(values.tolist(), sample):
+        err += abs(v - r.value)
     return err / len(sample)
 
 
@@ -322,7 +323,7 @@ def cf_mae_objective(
     """Objective: weights over the co-rated dimension -> validation MAE.
 
     Each candidate rebuilds a weighted pearson similarity matrix on `axis`
-    and scores every held-out rating with predict_rating (fallback
+    and scores every held-out rating with predict_many (fallback
     predictions included). The validation set is subsampled once, at
     construction, when it exceeds `validation_cap`.
     """

@@ -213,6 +213,8 @@ def load_precomputed(path) -> PrecomputedProvider:
             raise DataFormatError("expected 'movieId<TAB>f1 f2 ...'", path=path, line=i) from None
         if values.size != dim:
             raise DataFormatError(f"vector of length {values.size}, expected {dim}", path=path, line=i)
+        if not np.all(np.isfinite(values)):
+            raise DataFormatError(f"non-finite vector entry for movie {movie_id}", path=path, line=i)
         if movie_id in vectors:
             raise DataFormatError(f"duplicate movie id {movie_id}", path=path, line=i)
         vectors[movie_id] = values

@@ -22,12 +22,14 @@ from cinefuse.cf import (
     build_rating_matrix,
     knn_neighbors,
     load_similarity,
+    predict_many,
     predict_rating,
     recommend_cf,
     save_similarity,
     similarity_matrix,
 )
 from cinefuse.errors import CinefuseError, UnknownEntityError
+from cinefuse.optimize import FuzzyProfile, fuzzy_similarity_matrix
 
 from conftest import make_matrix, random_rating_matrix, tiny_catalog
 
@@ -403,6 +405,119 @@ class TestPredictionBitwise:
                     got = predict_rating(matrix, shuffled, uid, mid, 3)
                     assert got == predict_rating(matrix, sim, uid, mid, 3)
                     assert (got.value, got.fallback) == loop_predict(matrix, shuffled, uid, mid, 3)
+            assert_many_matches_loop(matrix, shuffled, *every_pair(matrix), 3)
+
+
+def every_pair(matrix):
+    """(user ids, movie ids) of every cell of the matrix, row after row."""
+    users = [u for u in matrix.user_ids for _ in matrix.item_ids]
+    return users, [m for _ in matrix.user_ids for m in matrix.item_ids]
+
+
+def assert_many_matches_loop(matrix, sim, users, movies, k):
+    values, fallback = predict_many(matrix, sim, users, movies, k)
+    assert values.dtype == np.float64 and fallback.dtype == np.bool_
+    assert values.shape == fallback.shape == (len(users),)
+    for v, f, uid, mid in zip(values.tolist(), fallback.tolist(), users, movies):
+        assert (v, f) == loop_predict(matrix, sim, uid, mid, k)
+        got = predict_rating(matrix, sim, uid, mid, k)
+        assert (got.value, got.fallback) == (v, f)
+
+
+class TestPredictManyBitwise:
+    def test_random_matrices_every_metric(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(12):
+            n_users, n_items = (int(v) for v in rng.integers(1, 14, size=2))
+            # low densities leave rows and columns without ratings
+            matrix = half_step_matrix(rng, n_users, n_items, rng.uniform(0.1, 0.9))
+            for axis in ("user", "item"):
+                for metric in ("pearson", "cosine", "jaccard"):
+                    for min_overlap in (0, 1, 2):
+                        sim = similarity_matrix(matrix, axis, metric, min_overlap=min_overlap)
+                        k = int(rng.integers(1, 9))
+                        assert_many_matches_loop(matrix, sim, *every_pair(matrix), k)
+
+    def test_fuzzy_similarity(self):
+        rng = np.random.default_rng(77)
+        genres = [f"g{t}" for t in range(5)]
+        for _ in range(10):
+            matrix = half_step_matrix(rng, int(rng.integers(2, 14)), int(rng.integers(2, 14)), 0.5)
+            profiles = {
+                u: FuzzyProfile(u, tuple(zip(genres, (rng.uniform(size=5) * (rng.uniform(size=5) < 0.6)).tolist())))
+                for u in matrix.user_ids
+            }
+            sim = fuzzy_similarity_matrix(profiles, rng.uniform(0.0, 2.0, size=5))
+            for k in range(1, 9):
+                assert_many_matches_loop(matrix, sim, *every_pair(matrix), k)
+
+    def test_rows_without_ratings_clamp_to_scale_min(self):
+        # a NaN mean falls back and clamps as min/max do: to scale.min
+        nan = float("nan")
+        matrix = make_matrix([[4.0, 3.0, nan], [nan, nan, nan], [3.5, 2.0, nan]])
+        for axis, users, movies in (("user", [2, 2, 2], [101, 102, 103]), ("item", [1, 2, 3], [103, 103, 103])):
+            sim = similarity_matrix(matrix, axis, "pearson", min_overlap=0)
+            values, fallback = predict_many(matrix, sim, users, movies, 5)
+            assert values.tolist() == [matrix.scale.min] * 3
+            assert fallback.tolist() == [True] * 3
+            assert_many_matches_loop(matrix, sim, *every_pair(matrix), 5)
+
+    def test_repeated_unsorted_and_empty_pairs(self):
+        rng = np.random.default_rng(12)
+        matrix = half_step_matrix(rng, 8, 10, 0.5)
+        sim = similarity_matrix(matrix, "user", "cosine", min_overlap=1)
+        users, movies = every_pair(matrix)
+        picks = rng.integers(0, len(users), size=3 * len(users))  # repeats, in no order
+        assert_many_matches_loop(matrix, sim, [users[i] for i in picks], [movies[i] for i in picks], 3)
+        values, fallback = predict_many(matrix, sim, [], [], 3)
+        assert values.shape == fallback.shape == (0,)
+        assert values.dtype == np.float64 and fallback.dtype == np.bool_
+
+    @pytest.mark.parametrize("cells", [1, 5, 23])
+    def test_blocking_does_not_change_bits(self, monkeypatch, cells):
+        rng = np.random.default_rng(4)
+        matrix = half_step_matrix(rng, 13, 12, 0.6)
+        for axis in ("user", "item"):
+            sim = similarity_matrix(matrix, axis, "pearson", min_overlap=1)
+            pairs = every_pair(matrix)
+            want = predict_many(matrix, sim, *pairs, 6)
+            monkeypatch.setattr(cf, "_PREDICT_CELLS", cells)
+            got = predict_many(matrix, sim, *pairs, 6)
+            monkeypatch.undo()
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            monkeypatch.setattr(cf, "_PREDICT_CELLS", cells)
+            assert_many_matches_loop(matrix, sim, *pairs, 6)
+            monkeypatch.undo()
+
+    def test_unknown_ids_name_the_id(self):
+        matrix = make_matrix([[4.0, 3.0], [3.5, 2.0]])
+        sim = similarity_matrix(matrix, "user")
+        with pytest.raises(UnknownEntityError, match="unknown user id 999"):
+            predict_many(matrix, sim, [1, 999], [101, 101])
+        with pytest.raises(UnknownEntityError, match="unknown movie id 998"):
+            predict_many(matrix, sim, [1, 2], [101, 998])
+        # the user is checked before the movie, as predict_rating does
+        with pytest.raises(UnknownEntityError, match="unknown user id 999"):
+            predict_many(matrix, sim, [999], [998])
+        with pytest.raises(UnknownEntityError, match="unknown user id 999"):
+            predict_rating(matrix, sim, 999, 998)
+
+    def test_ids_missing_from_the_similarity_or_the_matrix_named(self):
+        matrix = make_matrix([[4.0, 3.0], [3.5, 2.0], [1.0, 5.0]])
+        sim = similarity_matrix(make_matrix([[4.0, 3.0], [3.5, 2.0]]), "user")  # users 1 and 2
+        with pytest.raises(UnknownEntityError, match="unknown similarity user id 3"):
+            predict_many(matrix, sim, [1, 3], [101, 101])
+        wider = similarity_matrix(matrix, "user")
+        narrower = make_matrix([[4.0, 3.0], [3.5, 2.0]])
+        reordered = SimilarityMatrix("user", "pearson", (3, 2, 1), wider.values[::-1, ::-1], wider.co_counts[::-1, ::-1], 2)
+        with pytest.raises(UnknownEntityError, match="unknown matrix user id 3"):
+            predict_many(narrower, reordered, [1], [101])
+
+    def test_pair_lists_of_different_lengths_rejected(self):
+        matrix = make_matrix([[4.0, 3.0], [3.5, 2.0]])
+        sim = similarity_matrix(matrix, "user")
+        with pytest.raises(CinefuseError, match="2 user ids but 1 movie ids"):
+            predict_many(matrix, sim, [1, 2], [101])
 
 
 class TestPredictionOracle:

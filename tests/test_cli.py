@@ -182,6 +182,15 @@ class TestRecommend:
         assert out == ""
         assert err.startswith("error: ") and "movie 1" in err
 
+    def test_precomputed_file_with_nan_entry(self, capsys, tmp_path, fixture_catalog):
+        # a NaN fused score has no sort order; the loader refuses the file
+        path = tmp_path / "emb.txt"
+        save_precomputed(path, {1: np.array([float("nan"), 1.0]), 2: np.array([1.0, 0.0])})
+        code, out, err = run_cli(capsys, *self.ARGS, "--provider", "precomputed", "--embeddings", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and f"{path}, line 2" in err
+
     def test_precomputed_requires_embeddings(self, capsys):
         code, _, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--provider", "precomputed")
         assert code == 2
@@ -341,6 +350,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "must be >= 1" in err
+
+    @pytest.mark.parametrize("method, flag", [
+        ("ga", "--population"), ("ga", "--generations"), ("pso", "--particles"), ("pso", "--iterations"),
+    ])
+    def test_non_positive_optimizer_counts_are_usage_errors(self, capsys, method, flag):
+        code, out, err = run_cli(capsys, "optimize-weights", "--method", method, flag, "0", "--out", "unused.txt")
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be >= 1" in err
 
     def test_missing_weights_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"

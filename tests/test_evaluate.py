@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from cinefuse.catalog import train_test_split
-from cinefuse.cf import build_rating_matrix, similarity_matrix
+from cinefuse.catalog import Rating, train_test_split
+from cinefuse.cf import augment_implicit, build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError
 from cinefuse.evaluate import (
     MIN_EVAL_RATINGS,
     VARIANTS,
     EvalReport,
     SplitConfig,
+    _score,
     evaluate_variants,
     mae,
     precision_at_k,
 )
+from cinefuse.optimize import build_fuzzy_profiles, fuzzy_similarity_matrix
 
 from conftest import tiny_catalog
 
@@ -79,6 +81,69 @@ class TestPrecisionAtK:
 
 def p_equal(value, per_user):
     return value == pytest.approx(sum(per_user) / len(per_user), abs=1e-9)
+
+
+def loop_score(matrix, sim, test, k):
+    """_score as it was before predict_many: one predict_rating per held-out
+    rating. _score must give the same MAE and coverage bit for bit."""
+    pairs = []
+    covered = 0
+    for r in test:
+        pred = predict_rating(matrix, sim, r.user_id, r.movie_id, k)
+        pairs.append((pred.value, r.value))
+        covered += 0 if pred.fallback else 1
+    return mae(pairs), covered / len(test)
+
+
+def loop_precision_at_k(matrix, sim, test_ratings, k=10, like_threshold=3.5):
+    """precision_at_k as it was before predict_many, one predict_rating per
+    held-out rating."""
+    by_user = {}
+    for r in test_ratings:
+        if r.user_id in matrix.user_index and r.movie_id in matrix.item_index:
+            by_user.setdefault(r.user_id, []).append(r)
+    per_user = []
+    for uid in sorted(by_user):
+        scored = [(predict_rating(matrix, sim, uid, r.movie_id).value, r) for r in by_user[uid]]
+        scored.sort(key=lambda t: (-t[0], t[1].movie_id))
+        top = scored[: min(k, len(scored))]
+        per_user.append(sum(1 for _, r in top if r.value >= like_threshold) / len(top))
+    return sum(per_user) / len(per_user)
+
+
+def scored_splits(catalog):
+    """(matrix, similarity, held-out ratings) over several splits, for the
+    similarities the variants score with."""
+    for seed in range(4):
+        train, test = train_test_split(catalog, 0.3, seed=seed)
+        matrix = build_rating_matrix(train)
+        yield matrix, similarity_matrix(matrix, "user", "pearson"), test
+        yield matrix, similarity_matrix(matrix, "item", "cosine", min_overlap=1), test
+        profiles = build_fuzzy_profiles(train)
+        yield matrix, fuzzy_similarity_matrix(profiles, np.ones(len(train.genre_universe()))), test
+        aug = augment_implicit(matrix, train.implicit)
+        yield aug, similarity_matrix(aug, "user", "pearson"), test
+
+
+class TestBatchedScoringBitwise:
+    def test_score_equals_per_pair_loop(self, fixture_catalog):
+        for matrix, sim, test in scored_splits(fixture_catalog):
+            for k in (1, 3, 20):
+                assert _score(matrix, sim, test, k) == loop_score(matrix, sim, test, k)
+
+    def test_precision_equals_per_pair_loop(self, fixture_catalog):
+        for matrix, sim, test in scored_splits(fixture_catalog):
+            for k, threshold in ((1, 3.5), (3, 4.0), (10, 3.5)):
+                got = precision_at_k(matrix, sim, test, k=k, like_threshold=threshold)
+                assert got == loop_precision_at_k(matrix, sim, test, k, threshold)
+
+    def test_precision_skips_ratings_outside_the_matrix(self, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=0)
+        matrix = build_rating_matrix(train)
+        sim = similarity_matrix(matrix, "user", "pearson")
+        stranger = Rating(user_id=10_000, movie_id=test[0].movie_id, value=4.0)
+        got = precision_at_k(matrix, sim, [stranger, *test])
+        assert got == loop_precision_at_k(matrix, sim, test) == precision_at_k(matrix, sim, test)
 
 
 class TestEvaluateVariants:

@@ -5,13 +5,14 @@ import pytest
 
 from cinefuse import cf
 from cinefuse.catalog import train_test_split
-from cinefuse.cf import build_rating_matrix, similarity_matrix
+from cinefuse.cf import build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError
 from cinefuse.optimize import (
     FuzzyProfile,
     GAConfig,
     SwarmConfig,
     WeightVector,
+    _sample_mae,
     build_fuzzy_profiles,
     cf_mae_objective,
     fuzzy_mae_objective,
@@ -291,13 +292,50 @@ class TestFuzzyProfiles:
         assert sim.co_counts[0, 1] == shared
 
 
+def loop_sample_mae(matrix, sim, sample, k):
+    """_sample_mae as it was before predict_many: one predict_rating per
+    rating, summed left to right. _sample_mae must match it bit for bit."""
+    err = 0.0
+    for r in sample:
+        err += abs(predict_rating(matrix, sim, r.user_id, r.movie_id, k).value - r.value)
+    return err / len(sample)
+
+
+class TestObjectivesBitwise:
+    def test_sample_mae_equals_per_pair_loop(self, fixture_catalog):
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            train, test = train_test_split(fixture_catalog, 0.3, seed=seed)
+            matrix = build_rating_matrix(train)
+            n_genres = len(train.genre_universe())
+            sims = [
+                similarity_matrix(matrix, "user", "pearson", weights=rng.uniform(0.0, 2.0, len(matrix.item_ids))),
+                similarity_matrix(matrix, "item", "pearson", weights=rng.uniform(0.0, 2.0, len(matrix.user_ids))),
+                fuzzy_similarity_matrix(build_fuzzy_profiles(train), rng.uniform(0.0, 2.0, n_genres)),
+            ]
+            for sim in sims:
+                for k in (1, 4, 20):
+                    assert _sample_mae(matrix, sim, test, k) == loop_sample_mae(matrix, sim, test, k)
+
+    def test_objectives_equal_per_pair_loop(self, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=2)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        rng = np.random.default_rng(3)
+        for axis, dim in (("user", len(matrix.item_ids)), ("item", len(matrix.user_ids))):
+            w = rng.uniform(0.0, 2.0, dim)
+            sim = similarity_matrix(matrix, axis, "pearson", weights=w)
+            assert cf_mae_objective(matrix, test, axis=axis, k=5)(w) == loop_sample_mae(matrix, sim, test, 5)
+        w = rng.uniform(0.0, 2.0, len(train.genre_universe()))
+        want = loop_sample_mae(matrix, fuzzy_similarity_matrix(profiles, w), test, 5)
+        assert fuzzy_mae_objective(matrix, profiles, test, k=5)(w) == want
+
+
 class TestObjectives:
     def test_cf_objective_uniform_equals_plain_mae(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.2, seed=42)
         matrix = build_rating_matrix(train)
         objective = cf_mae_objective(matrix, test, axis="user", k=20)
-        from cinefuse.cf import predict_rating
-
         sim = similarity_matrix(matrix, "user", "pearson")
         manual = sum(
             abs(predict_rating(matrix, sim, r.user_id, r.movie_id, 20).value - r.value)

@@ -291,6 +291,14 @@ class TestPrecomputed:
         with pytest.raises(DataFormatError, match="header"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "emb.tsv"
+        save_precomputed(path, {1: np.array([0.5, 0.5]), 2: np.array([0.1, bad]), 3: np.array([1.0, 0.0])})
+        with pytest.raises(DataFormatError, match="line 3") as info:
+            load_precomputed(path)
+        assert str(path) in str(info.value) and "non-finite" in str(info.value)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("dim=2\n1\t0.1 0.2\n1\t0.3 0.4\n")
