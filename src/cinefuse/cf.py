@@ -56,9 +56,14 @@ class RatingMatrix:
     def __post_init__(self):
         self.user_index = {u: i for i, u in enumerate(self.user_ids)}
         self.item_index = {m: j for j, m in enumerate(self.item_ids)}
+        # np.nanmean's own steps, so the same bits, without its warning on
+        # an empty row or column, whose mean is 0 / 0 = NaN
+        rated = ~np.isnan(self.values)
+        filled = np.array(self.values)
+        filled[~rated] = 0.0
         with np.errstate(invalid="ignore"):
-            self.user_means = np.nanmean(self.values, axis=1)
-            self.item_means = np.nanmean(self.values, axis=0)
+            self.user_means = filled.sum(axis=1) / rated.sum(axis=1)
+            self.item_means = filled.sum(axis=0) / rated.sum(axis=0)
 
     @property
     def entry_count(self) -> int:
@@ -108,10 +113,10 @@ class SimilarityMatrix:
 
     def neighbor_orders(self, rows) -> list[np.ndarray]:
         """neighbor_order of each of `rows`; the rows not sorted yet are
-        sorted together, a block of at most _PREDICT_CELLS cells at a time."""
+        sorted together, a block of at most _BLOCK_CELLS cells at a time."""
         missing = np.array([p for p in rows if p not in self._orders], dtype=np.intp)
         ids = np.asarray(self.ids)
-        step = max(1, _PREDICT_CELLS // max(ids.size, 1))
+        step = max(1, _BLOCK_CELLS // max(ids.size, 1))
         for a in range(0, missing.size, step):
             block = missing[a : a + step]
             order = np.lexsort((np.broadcast_to(ids, (block.size, ids.size)), -self.values[block]))
@@ -121,42 +126,66 @@ class SimilarityMatrix:
         return [self._orders[p] for p in rows]
 
 
-# Cells of the (pairs x dimension) temporaries one block of the pair kernels
-# may hold; keeps their memory bounded whatever the matrix size.
+# Cells one block may hold in its temporaries, whatever the matrix size: the
+# gathered rated cells of the similarity kernel, the pair-by-genre cells of
+# the fuzzy kernel, the row-by-neighbor cells of neighbor sorts and of
+# predict_many.
 _BLOCK_CELLS = 1 << 16
-# Cells of the (rows x neighbors) temporaries of one block of neighbor sorts
-# or of predict_many; small, since a few thousand cells already amortise the
-# per-block cost.
-_PREDICT_CELLS = 1 << 12
 
 
-def _pair_blocks(n: int, d: int, co=None, min_overlap: int = 0):
+def _pair_blocks(n: int, cells, co=None, min_overlap: int = 0):
     """(I, J) index arrays of the pairs i < j with co[i, j] >= min_overlap
-    (every pair when `co` is None), in row-major order and in blocks of at
-    most _BLOCK_CELLS // d pairs."""
+    (every pair when `co` is None), in row-major order, in blocks cut where
+    the running total of `cells(I, J)`, the cells each pair needs, crosses a
+    multiple of _BLOCK_CELLS: a block holds at most _BLOCK_CELLS cells plus
+    those of its last pair."""
     rows = max(1, _BLOCK_CELLS // max(n, 1))
-    per_block = max(1, _BLOCK_CELLS // max(d, 1))
     for a in range(0, n, rows):
         b = min(n, a + rows)
         keep = np.ones((b - a, n), dtype=bool) if co is None else co[a:b] >= min_overlap
         li, cj = np.nonzero(np.triu(keep, a + 1))
-        for s in range(0, li.size, per_block):
-            yield li[s : s + per_block] + a, cj[s : s + per_block]
+        if not li.size:
+            continue
+        li += a
+        need = np.broadcast_to(cells(li, cj), li.shape)
+        block = (np.cumsum(need) - need) // _BLOCK_CELLS
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), li.size]
+        for s, e in zip(cuts, cuts[1:]):
+            yield li[s:e], cj[s:e]
 
 
-def _row_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each row of a ragged array stored row after row in `flat`;
-    `counts`, the row lengths, must be ascending.
+def _rated_cells(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """(k, cols): the rated columns of each of `rows` (CSR `indptr`,
+    `indices`), ascending, those of rows[k] after those of rows[k - 1]."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    k = np.repeat(np.arange(rows.size), lengths)
+    at = np.arange(k.size)
+    at += np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+    return k, indices[at]
 
-    Rows of equal length are summed together as one C-contiguous
-    (rows, length) block. numpy's row-wise sum of such a block gives the same
+
+def _groups(counts: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, rows, length) of each run of equal `counts`, which must be
+    ascending: the cells of those rows lie at [start, start + rows * length)
+    of a ragged array stored row after row."""
+    lengths, rows = np.unique(counts, return_counts=True)
+    starts = np.cumsum(lengths * rows) - lengths * rows
+    return list(zip(starts.tolist(), rows.tolist(), lengths.tolist()))
+
+
+def _row_sums(flat: np.ndarray, groups) -> np.ndarray:
+    """Sum of each row of a ragged array stored row after row along the last
+    axis of `flat` (which may stack several such arrays), grouped by _groups.
+
+    Rows of equal length are summed together as one (..., rows, length) view
+    whose last axis is contiguous. numpy's sum along that axis gives the same
     bits as summing each row on its own as a 1-D array, so the result equals
     a per-row loop exactly, rounding included.
     """
-    lengths, rows = np.unique(counts, return_counts=True)
-    ends = np.cumsum(lengths * rows)
-    blocks = [flat[e - c * r : e].reshape(r, c) for c, r, e in zip(lengths, rows, ends)]
-    return np.concatenate([b.sum(axis=1) for b in blocks])
+    lead = flat.shape[:-1]
+    return np.concatenate(
+        [flat[..., s : s + r * c].reshape(*lead, r, c).sum(axis=-1) for s, r, c in groups], axis=-1
+    )
 
 
 def _pearson_pairs(x, y, w, counts):
@@ -165,15 +194,15 @@ def _pearson_pairs(x, y, w, counts):
     `x`, `y`, `w` hold the co-rated cells of every pair, pair after pair, and
     `counts` the cells per pair, ascending. Each operation is the one a
     scalar per-pair computation would do, in the same order, so the result
-    is bit-identical to it.
+    is bit-identical to it; the three sums of each pass are taken together.
     """
-    sw = _row_sums(w, counts)
-    xm = _row_sums(w * x, counts) / sw
-    ym = _row_sums(w * y, counts) / sw
+    groups = _groups(counts)
+    sw, sx, sy = _row_sums(np.stack((w, w * x, w * y)), groups)
+    xm, ym = sx / sw, sy / sw
     dx, dy = x - np.repeat(xm, counts), y - np.repeat(ym, counts)
-    vx = _row_sums(w * dx * dx, counts)
-    vy = _row_sums(w * dy * dy, counts)
-    s = _row_sums(w * dx * dy, counts) / np.sqrt(vx * vy)
+    wdx = w * dx
+    vx, vy, cov = _row_sums(np.stack((wdx * dx, w * dy * dy, wdx * dy)), groups)
+    s = cov / np.sqrt(vx * vy)
     s[(sw <= 0.0) | (vx <= 1e-15) | (vy <= 1e-15)] = 0.0
     return s
 
@@ -215,30 +244,48 @@ def similarity_matrix(
     mask = ~np.isnan(vals)
     m = mask.astype(float)
     co = (m @ m.T).astype(np.int64)  # exact: sums of 0/1 products
+    # each row's rated columns as CSR; a pair's co-rated cells are those of
+    # its sparser row that the other row rated too, ascending
+    rated = np.count_nonzero(mask, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(rated)))
+    indices = np.nonzero(mask)[1]
+
+    def cells(i, j):  # gathered per pair: the sparser row's, both rows' for a union
+        need = np.minimum(rated[i], rated[j])
+        return need + rated[i] + rated[j] if metric == "jaccard" else need
 
     sims = np.zeros((n, n))
     if metric == "cosine":
         # norms over each entity's own rated set
         norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, j in _pair_blocks(n, d, co, min_overlap):
+        for i, j in _pair_blocks(n, cells, co, min_overlap):
             by_count = np.argsort(co[i, j], kind="stable")
             i, j = i[by_count], j[by_count]
             counts = co[i, j]
-            pair, cols = np.nonzero(mask[i] & mask[j])
+            src = np.where(rated[i] <= rated[j], i, j)
+            pair, cols = _rated_cells(indptr, indices, src)
+            hit = mask[(i + j - src)[pair], cols]
+            pair, cols = pair[hit], cols[hit]
             x, y, wc = vals[i[pair], cols], vals[j[pair], cols], w[cols]
             if metric == "pearson":
                 s = _pearson_pairs(x, y, wc, counts)
             elif metric == "cosine":
                 denom = norms[i] * norms[j]
-                s = np.where(denom > 0, _row_sums(wc * x * y, counts) / denom, 0.0)
+                s = np.where(denom > 0, _row_sums(wc * x * y, _groups(counts)) / denom, 0.0)
             else:  # jaccard on rated sets, values ignored
-                union = mask[i] | mask[j]
-                sizes = union.sum(axis=1)
+                # the union: i's cells and those of j that i did not rate,
+                # pairs in ascending union size, columns ascending
+                sizes = rated[i] + rated[j] - counts
                 by_size = np.argsort(sizes, kind="stable")
+                iu, ju = i[by_size], j[by_size]
+                pi, ci = _rated_cells(indptr, indices, iu)
+                pj, cj = _rated_cells(indptr, indices, ju)
+                extra = ~mask[iu[pj], cj]
+                upair, ucols = np.concatenate((pi, pj[extra])), np.concatenate((ci, cj[extra]))
                 wu = np.empty(sizes.size)
-                wu[by_size] = _row_sums(w[np.nonzero(union[by_size])[1]], sizes[by_size])
-                s = np.where(wu > 0, _row_sums(wc, counts) / wu, 0.0)
+                wu[by_size] = _row_sums(w[ucols[np.lexsort((ucols, upair))]], _groups(sizes[by_size]))
+                s = np.where(wu > 0, _row_sums(wc, _groups(counts)) / wu, 0.0)
             sims[i, j] = sims[j, i] = s
     np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, 1.0)
@@ -300,7 +347,7 @@ def predict_many(
     Every pair gets the bits of a scalar loop over its neighbors: num and den
     are accumulated one neighbor rank at a time, left to right, and the
     clamp keeps Python's min/max semantics (a NaN mean clamps to scale.min).
-    Pairs run in blocks of at most _PREDICT_CELLS pair-by-neighbor cells.
+    Pairs run in blocks of at most _BLOCK_CELLS pair-by-neighbor cells.
     """
     require_positive("k", k)
     ui = _positions(matrix.user_index, user_ids, "user")
@@ -331,7 +378,7 @@ def predict_many(
 
     sums = np.zeros((pos.size, 2))  # num, den
     used = np.zeros(pos.size, dtype=np.intp)
-    step = max(1, _PREDICT_CELLS // max(width, 1))
+    step = max(1, _BLOCK_CELLS // max(width, 1))
     for a in range(0, pos.size if width else 0, step):
         b = min(pos.size, a + step)
         r = row_of[a:b]

@@ -267,24 +267,23 @@ def fuzzy_similarity(a: FuzzyProfile, b: FuzzyProfile, weights) -> float:
     return min(1.0, max(0.0, num / den))
 
 
-def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> SimilarityMatrix:
-    """User-user similarity from fuzzy profiles: fuzzy_similarity for every
-    pair, computed a block of pairs at a time with the same bits.
-
-    Co-counts here are shared-support sizes (genres where both memberships
-    are positive), which is what neighbor eligibility keys on.
-    """
+def _fuzzy_degrees(profiles: dict[int, FuzzyProfile]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The sorted profile ids and their (profiles, genres) degree matrix."""
     ids = tuple(sorted(profiles))
-    n = len(ids)
     genres = profiles[ids[0]].genres() if ids else ()
     if any(profiles[u].genres() != genres for u in ids):
         raise CinefuseError("profiles do not share a genre universe")
-    w = _fuzzy_weights(weights, len(genres))
-    degs = np.array([profiles[u].degrees() for u in ids]).reshape(n, len(genres))
+    return ids, np.array([profiles[u].degrees() for u in ids]).reshape(len(ids), len(genres))
+
+
+def _fuzzy_similarity(ids: tuple[int, ...], degs: np.ndarray, weights) -> SimilarityMatrix:
+    """fuzzy_similarity_matrix over the output of _fuzzy_degrees."""
+    n, n_genres = degs.shape
+    w = _fuzzy_weights(weights, n_genres)
     values = np.eye(n)
     co = np.diag(np.count_nonzero(degs, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, j in _pair_blocks(n, len(genres)):
+        for i, j in _pair_blocks(n, lambda i, j: n_genres):
             a, b = degs[i], degs[j]
             lo = np.minimum(a, b)
             num = (w * lo).sum(axis=1)
@@ -292,6 +291,16 @@ def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> Simil
             values[i, j] = values[j, i] = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
             co[i, j] = co[j, i] = np.count_nonzero(lo, axis=1)
     return SimilarityMatrix("user", "fuzzy", ids, values, co, min_overlap=0)
+
+
+def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> SimilarityMatrix:
+    """User-user similarity from fuzzy profiles: fuzzy_similarity for every
+    pair, computed a block of pairs at a time with the same bits.
+
+    Co-counts here are shared-support sizes (genres where both memberships
+    are positive), which is what neighbor eligibility keys on.
+    """
+    return _fuzzy_similarity(*_fuzzy_degrees(profiles), weights)
 
 
 def _subsample(validation: list[Rating], cap: int, seed: int) -> list[Rating]:
@@ -357,9 +366,10 @@ def fuzzy_mae_objective(
     if not validation_ratings:
         raise CinefuseError("empty validation set")
     sample = _subsample(validation_ratings, validation_cap, cap_seed)
+    ids, degs = _fuzzy_degrees(profiles)  # the profiles stay the same between evaluations
 
     def objective(weights) -> float:
-        return _sample_mae(train_matrix, fuzzy_similarity_matrix(profiles, weights), sample, k)
+        return _sample_mae(train_matrix, _fuzzy_similarity(ids, degs, weights), sample, k)
 
     return objective
 

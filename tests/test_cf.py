@@ -7,6 +7,7 @@ numpy loops the vectorised kernels replaced.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ def half_step_matrix(rng, n_users, n_items, density):
     return make_matrix(values)
 
 
+class TestRatingMatrixMeans:
+    def test_empty_row_and_column_mean_nan(self):
+        # np.nanmean's bits elsewhere, NaN (and no warning) where empty
+        rng = np.random.default_rng(3)
+        values = half_step_matrix(rng, 9, 11, 0.6).values
+        values[4] = np.nan
+        values[:, 7] = np.nan
+        values[values == 2.5] += rng.uniform(0.0, 0.1, size=int((values == 2.5).sum()))  # inexact sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = make_matrix(values)
+        for got, axis in ((matrix.user_means, 1), (matrix.item_means, 0)):
+            empty = np.isnan(values).all(axis=axis)
+            assert empty.sum() == 1 and np.isnan(got[empty]).all()
+            with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+                want = np.nanmean(values, axis=axis)
+            assert np.array_equal(got[~empty], want[~empty])
+
+
 class TestSimilarityOracle:
     def test_random_matrices_all_metrics(self):
         rng = np.random.default_rng(1234)
@@ -280,7 +300,6 @@ class TestSimilarityOracle:
         assert sim.values[0, 1] == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 class TestSimilarityBitwise:
     """The vectorised kernel against the per-pair loop, compared with
     np.array_equal: any change in the last bit of a similarity can reorder
@@ -333,6 +352,80 @@ class TestSimilarityBitwise:
                 self.assert_matches_loop(matrix, axis, metric)
 
 
+    @pytest.mark.parametrize("cells", [1, 5, 23])
+    def test_cell_budgets_below_one_row(self, monkeypatch, cells):
+        # one cell, a few cells, fewer cells than one row rates: every block
+        # ends early, most hold a single pair
+        rng = np.random.default_rng(cells)
+        matrix = half_step_matrix(rng, 14, 40, 0.7)
+        assert np.count_nonzero(~np.isnan(matrix.values), axis=1).min() > cells
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+        for axis, d in (("user", 40), ("item", 14)):
+            weights = rng.uniform(0.0, 2.0, size=d)
+            for metric in ("pearson", "cosine", "jaccard"):
+                for w in (None, weights):
+                    self.assert_matches_loop(matrix, axis, metric, w, int(rng.integers(0, 3)))
+
+    def test_sparser_row_is_either_one(self, monkeypatch):
+        # rows thin out down the matrix and thicken again, so some pairs
+        # gather their co-rated cells from row i and others from row j
+        rng = np.random.default_rng(17)
+        density = np.concatenate((np.linspace(0.95, 0.1, 10), np.linspace(0.1, 0.95, 10)))
+        rated = rng.uniform(size=(20, 50)) < density[:, None]
+        matrix = make_matrix(np.where(rated, rng.integers(1, 11, size=(20, 50)) / 2.0, np.nan))
+        counts = rated.sum(axis=1)
+        i, j = np.triu_indices(20, 1)
+        assert (counts[j] < counts[i]).any() and (counts[i] < counts[j]).any()
+        weights = rng.uniform(0.0, 2.0, size=50)
+        for cells in (7, 1 << 16):
+            monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+            for metric in ("pearson", "cosine", "jaccard"):
+                for w in (None, weights):
+                    self.assert_matches_loop(matrix, "user", metric, w, 1)
+
+    def test_empty_rows_and_pairs_sharing_nothing(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        values = half_step_matrix(rng, 12, 15, 0.3).values
+        values[[0, 5, 11]] = np.nan
+        values[:, [2, 9]] = np.nan
+        matrix = make_matrix(values)
+        co = similarity_matrix(matrix, "user", "jaccard", min_overlap=0).co_counts
+        assert (co[np.triu_indices(12, 1)] == 0).sum() > 12  # the empty rows' pairs and more
+        for cells in (1, 1 << 16):
+            monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+            for axis, d in (("user", 15), ("item", 12)):
+                weights = rng.uniform(0.0, 2.0, size=d)
+                for metric in ("pearson", "cosine", "jaccard"):
+                    for w in (None, weights):
+                        for min_overlap in (0, 1):
+                            self.assert_matches_loop(matrix, axis, metric, w, min_overlap)
+
+    def test_jaccard_union_is_every_cell_either_row_rated(self):
+        # row 1 rates columns 0, 2, 3 and row 2 rates 1, 2, 4: the union is
+        # columns 0-4, the co-rated set column 2; column 5 is unrated
+        nan = np.nan
+        matrix = make_matrix([[4.0, nan, 3.0, 2.0, nan, nan], [nan, 1.0, 5.0, nan, 2.5, nan]])
+        w = np.array([0.5, 1.0, 2.0, 0.25, 0.125, 8.0])
+        sim = similarity_matrix(matrix, "user", "jaccard", weights=w, min_overlap=1)
+        assert sim.values[0, 1] == 2.0 / (0.5 + 1.0 + 2.0 + 0.25 + 0.125)
+        self.assert_matches_loop(matrix, "user", "jaccard", w, 1)
+
+    def test_stacked_row_sums_equal_one_dimensional_sums(self):
+        # rows of fewer than 8, of 8 to 128 and of more than 128 cells, in
+        # groups of one row and of many: every row of every stacked array
+        # sums to the bits of its own 1-D sum
+        rng = np.random.default_rng(31)
+        counts = np.sort(
+            np.concatenate((rng.integers(0, 8, 40), rng.integers(8, 129, 40), rng.integers(129, 400, 10), [1000]))
+        )
+        flat = rng.normal(size=(3, int(counts.sum())))
+        got = cf._row_sums(flat, cf._groups(counts))
+        ends = np.cumsum(counts)
+        for row, (e, c) in enumerate(zip(ends.tolist(), counts.tolist())):
+            for k in range(3):
+                assert got[k, row] == flat[k, e - c : e].sum()
+
+
 class TestNeighborOrder:
     def tied_sim(self):
         ids = (42, 7, 19, 3, 88, 11, 5, 60)
@@ -373,7 +466,6 @@ class TestNeighborOrder:
             assert knn_neighbors(sim, uid, k=10).neighbors == loop_eligible_sorted(sim, sim.index[uid])
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice")
 class TestPredictionBitwise:
     def test_random_matrices_both_axes(self):
         rng = np.random.default_rng(8642)
@@ -481,11 +573,11 @@ class TestPredictManyBitwise:
             sim = similarity_matrix(matrix, axis, "pearson", min_overlap=1)
             pairs = every_pair(matrix)
             want = predict_many(matrix, sim, *pairs, 6)
-            monkeypatch.setattr(cf, "_PREDICT_CELLS", cells)
+            monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
             got = predict_many(matrix, sim, *pairs, 6)
             monkeypatch.undo()
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            monkeypatch.setattr(cf, "_PREDICT_CELLS", cells)
+            monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
             assert_many_matches_loop(matrix, sim, *pairs, 6)
             monkeypatch.undo()
 
@@ -643,7 +735,6 @@ class TestImplicitAugmentation:
         with pytest.raises(CinefuseError, match="sum to 1"):
             augment_implicit(matrix, [], blend)
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
     def test_matches_cell_by_cell_copy(self):
         rng = np.random.default_rng(12)
         for _ in range(10):

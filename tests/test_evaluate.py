@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cinefuse.catalog import Rating, train_test_split
-from cinefuse.cf import augment_implicit, build_rating_matrix, predict_rating, similarity_matrix
+from cinefuse.cf import DEFAULT_K, augment_implicit, build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError
 from cinefuse.evaluate import (
     MIN_EVAL_RATINGS,
@@ -59,28 +59,26 @@ class TestPrecisionAtK:
             precision_at_k(matrix, sim, test, k=0)
 
     def test_single_user_hand_check(self, fixture_catalog):
+        # the oracle predicts as precision_at_k does, with DEFAULT_K
+        # neighbors (its k is only the cut-off), and averages the users in
+        # ascending id order, so the two agree bit for bit
         train, test = train_test_split(fixture_catalog, 0.2, seed=42)
         matrix = build_rating_matrix(train)
         sim = similarity_matrix(matrix, "user", "pearson", min_overlap=2)
-        from cinefuse.cf import predict_rating
 
         by_user = {}
         for r in test:
             by_user.setdefault(r.user_id, []).append(r)
         per_user = []
-        for user_id, held in by_user.items():
+        for user_id, held in sorted(by_user.items()):
             scored = sorted(
                 held,
-                key=lambda r: (-predict_rating(matrix, sim, user_id, r.movie_id, 10).value, r.movie_id),
+                key=lambda r: (-predict_rating(matrix, sim, user_id, r.movie_id, DEFAULT_K).value, r.movie_id),
             )
             top = scored[: min(10, len(scored))]
             hits = sum(1 for r in top if r.value >= 3.5)
             per_user.append(hits / min(10, len(held)))
-        assert p_equal(precision_at_k(matrix, sim, test, k=10, like_threshold=3.5), per_user)
-
-
-def p_equal(value, per_user):
-    return value == pytest.approx(sum(per_user) / len(per_user), abs=1e-9)
+        assert precision_at_k(matrix, sim, test, k=10, like_threshold=3.5) == sum(per_user) / len(per_user)
 
 
 def loop_score(matrix, sim, test, k):

@@ -367,6 +367,21 @@ class TestObjectives:
         value = objective(np.ones(len(genres)))
         assert value >= 0.0
 
+    def test_fuzzy_objective_checks_profiles_once_and_weights_each_call(self, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.2, seed=42)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        n_genres = len(train.genre_universe())
+        objective = fuzzy_mae_objective(matrix, profiles, test, k=20)
+        with pytest.raises(CinefuseError, match="length"):
+            objective(np.ones(n_genres + 1))
+        with pytest.raises(CinefuseError, match="negative"):
+            objective(-np.ones(n_genres))
+        uid = next(iter(profiles))
+        profiles[uid] = FuzzyProfile(uid, (("other", 0.5),) + profiles[uid].memberships[1:])
+        with pytest.raises(CinefuseError, match="genre universe"):
+            fuzzy_mae_objective(matrix, profiles, test, k=20)
+
     def test_validation_cap_subsamples_deterministically(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.4, seed=1)
         matrix = build_rating_matrix(train)
