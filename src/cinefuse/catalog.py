@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -354,23 +355,26 @@ def train_test_split(
     order = rng.permutation(len(catalog.ratings))
     target = int(holdout_fraction * len(catalog.ratings))
 
-    user_counts: dict[int, int] = {}
-    movie_counts: dict[int, int] = {}
-    for r in catalog.ratings:
-        user_counts[r.user_id] = user_counts.get(r.user_id, 0) + 1
-        movie_counts[r.movie_id] = movie_counts.get(r.movie_id, 0) + 1
+    # each rating's user and movie as an index into their counts
+    ratings = catalog.ratings
+    _, user = np.unique(np.array([r.user_id for r in ratings], dtype=np.int64), return_inverse=True)
+    _, movie = np.unique(np.array([r.movie_id for r in ratings], dtype=np.int64), return_inverse=True)
+    user_counts, movie_counts = np.bincount(user).tolist(), np.bincount(movie).tolist()
+    user, movie = user.tolist(), movie.tolist()
 
-    test_idx = set()
-    for i in order:
-        if len(test_idx) >= target:
+    picked = []
+    for i in order.tolist():
+        if len(picked) >= target:
             break
-        r = catalog.ratings[int(i)]
-        if user_counts[r.user_id] >= 2 and movie_counts[r.movie_id] >= 2:
-            test_idx.add(int(i))
-            user_counts[r.user_id] -= 1
-            movie_counts[r.movie_id] -= 1
+        u, m = user[i], movie[i]
+        if user_counts[u] >= 2 and movie_counts[m] >= 2:
+            picked.append(i)
+            user_counts[u] -= 1
+            movie_counts[m] -= 1
 
-    train_ratings = [r for i, r in enumerate(catalog.ratings) if i not in test_idx]
-    test_ratings = [catalog.ratings[i] for i in sorted(test_idx)]
+    in_train = np.ones(len(ratings), dtype=bool)
+    in_train[picked] = False
+    train_ratings = list(compress(ratings, in_train.tolist()))
+    test_ratings = list(compress(ratings, (~in_train).tolist()))
     train = replace(catalog, ratings=train_ratings)
     return train, test_ratings

@@ -24,6 +24,7 @@ Conventions, fixed here because the similarity literature leaves them open:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,21 +110,28 @@ class SimilarityMatrix:
     def neighbor_order(self, pos: int) -> np.ndarray:
         """Positions of the co-counted neighbors of row `pos`, similarity
         desc then id asc. Sorted once per row."""
-        return self.neighbor_orders([pos])[0]
+        if pos not in self._orders:  # a copy, not a view into the sort's n-wide buffer
+            self._orders[pos] = self._padded_orders(np.array([pos]))[0].copy()
+        return self._orders[pos]
 
-    def neighbor_orders(self, rows) -> list[np.ndarray]:
-        """neighbor_order of each of `rows`; the rows not sorted yet are
-        sorted together, a block of at most _BLOCK_CELLS cells at a time."""
-        missing = np.array([p for p in rows if p not in self._orders], dtype=np.intp)
+    def _padded_orders(self, rows: np.ndarray) -> np.ndarray:
+        """Row r holds neighbor_order(rows[r]) then -1 pads, as wide as the
+        longest of them; nothing is cached. Rows are sorted a block of at
+        most _BLOCK_CELLS cells at a time, with the ineligible cells (the
+        row itself, no co-count) as the first key, so they sort last."""
         ids = np.asarray(self.ids)
         step = max(1, _BLOCK_CELLS // max(ids.size, 1))
-        for a in range(0, missing.size, step):
-            block = missing[a : a + step]
-            order = np.lexsort((np.broadcast_to(ids, (block.size, ids.size)), -self.values[block]))
-            keep = (order != block[:, None]) & (np.take_along_axis(self.co_counts[block], order, axis=1) > 0)
-            for p, o, kept in zip(block.tolist(), order, keep):
-                self._orders[p] = o[kept]
-        return [self._orders[p] for p in rows]
+        padded = np.full((rows.size, ids.size), -1, dtype=np.intp)
+        width = 0
+        for a in range(0, rows.size, step):
+            block = rows[a : a + step]
+            ineligible = self.co_counts[block] <= 0
+            ineligible[np.arange(block.size), block] = True
+            order = np.lexsort((np.broadcast_to(ids, ineligible.shape), -self.values[block], ineligible))
+            counts = ids.size - np.count_nonzero(ineligible, axis=1)
+            padded[a : a + step] = np.where(np.arange(ids.size) < counts[:, None], order, -1)
+            width = max(width, int(counts.max()))
+        return padded[:, :width]
 
 
 # Cells one block may hold in its temporaries, whatever the matrix size: the
@@ -188,15 +196,15 @@ def _row_sums(flat: np.ndarray, groups) -> np.ndarray:
     )
 
 
-def _pearson_pairs(x, y, w, counts):
+def _pearson_pairs(x, y, w, counts, groups):
     """Weighted pearson of each pair over its co-rated cells.
 
-    `x`, `y`, `w` hold the co-rated cells of every pair, pair after pair, and
-    `counts` the cells per pair, ascending. Each operation is the one a
-    scalar per-pair computation would do, in the same order, so the result
-    is bit-identical to it; the three sums of each pass are taken together.
+    `x`, `y`, `w` hold the co-rated cells of every pair, pair after pair,
+    `counts` the cells per pair, ascending, and `groups` their _groups. Each
+    operation is the one a scalar per-pair computation would do, in the same
+    order, so the result is bit-identical to it; the three sums of each pass
+    are taken together.
     """
-    groups = _groups(counts)
     sw, sx, sy = _row_sums(np.stack((w, w * x, w * y)), groups)
     xm, ym = sx / sw, sy / sw
     dx, dy = x - np.repeat(xm, counts), y - np.repeat(ym, counts)
@@ -205,6 +213,113 @@ def _pearson_pairs(x, y, w, counts):
     s = cov / np.sqrt(vx * vy)
     s[(sw <= 0.0) | (vx <= 1e-15) | (vy <= 1e-15)] = 0.0
     return s
+
+
+class _Block(NamedTuple):
+    """What no weight changes in the similarities of one block of pairs
+    i < j: the pairs in ascending co-count, their co-counts and _groups, and
+    their co-rated cells pair after pair, columns ascending, as row i's
+    values `x`, row j's values `y` and the int32 columns. `union`, for
+    jaccard only, holds (by_size, columns, groups): the pairs' order by
+    ascending union size and the columns of each union, in that order."""
+
+    i: np.ndarray
+    j: np.ndarray
+    counts: np.ndarray
+    groups: list
+    x: np.ndarray
+    y: np.ndarray
+    cols: np.ndarray
+    union: tuple | None
+
+
+def _axis_values(matrix: RatingMatrix, axis: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The rows to compare along `axis` (NaN where unrated) and their ids."""
+    if axis not in ("user", "item"):
+        raise CinefuseError(f"axis must be 'user' or 'item', got {axis!r}")
+    return (matrix.values, matrix.user_ids) if axis == "user" else (matrix.values.T, matrix.item_ids)
+
+
+def _weight_vector(weights, d: int) -> np.ndarray:
+    if weights is None:
+        return np.ones(d)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (d,):
+        raise CinefuseError(f"weight vector of length {w.size}, expected {d}")
+    if np.any(w < 0):
+        raise CinefuseError("negative weight")
+    return w
+
+
+def _co_counts(mask: np.ndarray) -> np.ndarray:
+    """Co-rated counts of every pair of rows; exact, as sums of 0/1
+    products. The float copy and product are freed on return."""
+    m = mask.astype(float)
+    return (m @ m.T).astype(np.int64)
+
+
+def _corated_blocks(vals, mask, co, min_overlap: int, union: bool = False):
+    """The _Block of each block of pairs with co >= min_overlap, made as the
+    blocks are consumed.
+
+    Each row's rated columns are kept as CSR; a pair's co-rated cells are
+    those of its sparser row that the other row rated too, ascending. A
+    block holds about _BLOCK_CELLS gathered cells (both rows' cells too,
+    for a union).
+    """
+    rated = np.count_nonzero(mask, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(rated)))
+    indices = np.nonzero(mask)[1]
+
+    def cells(i, j):
+        need = np.minimum(rated[i], rated[j])
+        return need + rated[i] + rated[j] if union else need
+
+    for i, j in _pair_blocks(len(vals), cells, co, min_overlap):
+        by_count = np.argsort(co[i, j], kind="stable")
+        i, j = i[by_count], j[by_count]
+        counts = co[i, j]
+        src = np.where(rated[i] <= rated[j], i, j)
+        pair, cols = _rated_cells(indptr, indices, src)
+        hit = mask[(i + j - src)[pair], cols]
+        pair, cols = pair[hit], cols[hit]
+        merged = None
+        if union:
+            # i's cells and those of j that i did not rate, pairs in
+            # ascending union size, columns ascending
+            sizes = rated[i] + rated[j] - counts
+            by_size = np.argsort(sizes, kind="stable")
+            iu, ju = i[by_size], j[by_size]
+            pi, ci = _rated_cells(indptr, indices, iu)
+            pj, cj = _rated_cells(indptr, indices, ju)
+            extra = ~mask[iu[pj], cj]
+            upair, ucols = np.concatenate((pi, pj[extra])), np.concatenate((ci, cj[extra]))
+            merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
+        x, y = vals[i[pair], cols], vals[j[pair], cols]
+        yield _Block(i, j, counts, _groups(counts), x, y, cols.astype(np.int32), merged)
+
+
+def _similarities(blocks, n: int, metric: str, w: np.ndarray, norms=None) -> np.ndarray:
+    """The (n, n) similarity values from `blocks` (_corated_blocks) under
+    weights `w`; cosine takes the rows' weighted norms."""
+    sims = np.zeros((n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in blocks:
+            wc = w[b.cols]
+            if metric == "pearson":
+                s = _pearson_pairs(b.x, b.y, wc, b.counts, b.groups)
+            elif metric == "cosine":
+                denom = norms[b.i] * norms[b.j]
+                s = np.where(denom > 0, _row_sums(wc * b.x * b.y, b.groups) / denom, 0.0)
+            else:  # jaccard on rated sets, values ignored
+                by_size, ucols, ugroups = b.union
+                wu = np.empty(by_size.size)
+                wu[by_size] = _row_sums(w[ucols], ugroups)
+                s = np.where(wu > 0, _row_sums(wc, b.groups) / wu, 0.0)
+            sims[b.i, b.j] = sims[b.j, b.i] = s
+    np.clip(sims, -1.0, 1.0, out=sims)
+    np.fill_diagonal(sims, 1.0)
+    return sims
 
 
 def similarity_matrix(
@@ -221,75 +336,36 @@ def similarity_matrix(
     contribution to the metric is scaled by its weight. All-ones weights
     reproduce the unweighted metric exactly.
     """
-    if axis not in ("user", "item"):
-        raise CinefuseError(f"axis must be 'user' or 'item', got {axis!r}")
+    vals, ids = _axis_values(matrix, axis)
     if metric not in ("pearson", "cosine", "jaccard"):
         raise CinefuseError(f"unknown metric {metric!r}")
-
-    if axis == "user":
-        vals, ids = matrix.values, matrix.user_ids
-    else:
-        vals, ids = matrix.values.T, matrix.item_ids
-    n, d = vals.shape
-
-    if weights is None:
-        w = np.ones(d)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (d,):
-            raise CinefuseError(f"weight vector of length {w.size}, expected {d}")
-        if np.any(w < 0):
-            raise CinefuseError("negative weight")
-
+    w = _weight_vector(weights, vals.shape[1])
     mask = ~np.isnan(vals)
-    m = mask.astype(float)
-    co = (m @ m.T).astype(np.int64)  # exact: sums of 0/1 products
-    # each row's rated columns as CSR; a pair's co-rated cells are those of
-    # its sparser row that the other row rated too, ascending
-    rated = np.count_nonzero(mask, axis=1)
-    indptr = np.concatenate(([0], np.cumsum(rated)))
-    indices = np.nonzero(mask)[1]
-
-    def cells(i, j):  # gathered per pair: the sparser row's, both rows' for a union
-        need = np.minimum(rated[i], rated[j])
-        return need + rated[i] + rated[j] if metric == "jaccard" else need
-
-    sims = np.zeros((n, n))
+    co = _co_counts(mask)
+    norms = None
     if metric == "cosine":
         # norms over each entity's own rated set
         norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, j in _pair_blocks(n, cells, co, min_overlap):
-            by_count = np.argsort(co[i, j], kind="stable")
-            i, j = i[by_count], j[by_count]
-            counts = co[i, j]
-            src = np.where(rated[i] <= rated[j], i, j)
-            pair, cols = _rated_cells(indptr, indices, src)
-            hit = mask[(i + j - src)[pair], cols]
-            pair, cols = pair[hit], cols[hit]
-            x, y, wc = vals[i[pair], cols], vals[j[pair], cols], w[cols]
-            if metric == "pearson":
-                s = _pearson_pairs(x, y, wc, counts)
-            elif metric == "cosine":
-                denom = norms[i] * norms[j]
-                s = np.where(denom > 0, _row_sums(wc * x * y, _groups(counts)) / denom, 0.0)
-            else:  # jaccard on rated sets, values ignored
-                # the union: i's cells and those of j that i did not rate,
-                # pairs in ascending union size, columns ascending
-                sizes = rated[i] + rated[j] - counts
-                by_size = np.argsort(sizes, kind="stable")
-                iu, ju = i[by_size], j[by_size]
-                pi, ci = _rated_cells(indptr, indices, iu)
-                pj, cj = _rated_cells(indptr, indices, ju)
-                extra = ~mask[iu[pj], cj]
-                upair, ucols = np.concatenate((pi, pj[extra])), np.concatenate((ci, cj[extra]))
-                wu = np.empty(sizes.size)
-                wu[by_size] = _row_sums(w[ucols[np.lexsort((ucols, upair))]], _groups(sizes[by_size]))
-                s = np.where(wu > 0, _row_sums(wc, _groups(counts)) / wu, 0.0)
-            sims[i, j] = sims[j, i] = s
-    np.clip(sims, -1.0, 1.0, out=sims)
-    np.fill_diagonal(sims, 1.0)
-    return SimilarityMatrix(axis, metric, ids, sims, co, min_overlap)
+    blocks = _corated_blocks(vals, mask, co, min_overlap, union=metric == "jaccard")
+    return SimilarityMatrix(axis, metric, ids, _similarities(blocks, len(ids), metric, w, norms), co, min_overlap)
+
+
+def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
+    """`weights -> similarity_matrix(matrix, axis, "pearson", weights,
+    min_overlap)`, the same bits, for tuning the weights: the co-counts and
+    every block's co-rated cells are gathered once, here, and held (20 B
+    per co-rated cell, 24 B per pair), so a call runs only the weighted
+    kernel."""
+    vals, ids = _axis_values(matrix, axis)
+    mask = ~np.isnan(vals)
+    co = _co_counts(mask)
+    blocks = list(_corated_blocks(vals, mask, co, min_overlap))
+
+    def run(weights) -> SimilarityMatrix:
+        w = _weight_vector(weights, vals.shape[1])
+        return SimilarityMatrix(axis, "pearson", ids, _similarities(blocks, len(ids), "pearson", w), co, min_overlap)
+
+    return run
 
 
 @dataclass
@@ -327,6 +403,82 @@ def _positions(index: dict, ids, what: str) -> np.ndarray:
         raise UnknownEntityError(f"unknown {what} id {exc.args[0]}") from None
 
 
+class _Targets(NamedTuple):
+    """Where the (user, movie) pairs of a prediction sit, for similarities
+    on one axis over fixed ids: each pair's target (its user on the user
+    axis, its movie on the item axis) as a similarity position `pos` and its
+    mean `base`, the matrix position `other` of the pair's other entity, the
+    distinct targets `rows` with `row_of` mapping each pair to its row, and
+    the matrix position of each similarity id (None when the ids are the
+    matrix's own)."""
+
+    pos: np.ndarray
+    base: np.ndarray
+    other: np.ndarray
+    rows: np.ndarray
+    row_of: np.ndarray
+    matrix_of: np.ndarray | None
+
+
+def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_ids) -> _Targets:
+    """The _Targets of (user, movie) pairs for similarities on `axis` whose
+    ids are `ids`, with `index` mapping each id to its position."""
+    ui = _positions(matrix.user_index, user_ids, "user")
+    mj = _positions(matrix.item_index, movie_ids, "movie")
+    if ui.size != mj.size:
+        raise CinefuseError(f"{ui.size} user ids but {mj.size} movie ids")
+    if axis == "user":
+        target_ids, targets, other, means = user_ids, ui, mj, matrix.user_means
+        axis_index, axis_ids = matrix.user_index, matrix.user_ids
+    else:
+        target_ids, targets, other, means = movie_ids, mj, ui, matrix.item_means
+        axis_index, axis_ids = matrix.item_index, matrix.item_ids
+    pos = _positions(index, target_ids, f"similarity {axis}")
+    rows, row_of = np.unique(pos, return_inverse=True)
+    matrix_of = None if ids == axis_ids else _positions(axis_index, ids, f"matrix {axis}")
+    return _Targets(pos, means[targets], other, rows, row_of, matrix_of)
+
+
+def _predict(matrix: RatingMatrix, sim: SimilarityMatrix, t: _Targets, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """predict_many over the pairs `t` describes for `sim`."""
+    grid, means = (matrix.values.T, matrix.user_means) if sim.axis == "user" else (matrix.values, matrix.item_means)
+    # rating of neighbor o for pair p: grid[other[p], o]; each distinct
+    # target's neighbor order, -1 padded, as similarity positions (order)
+    # and as matrix rows or columns (where; its pads hold any valid index
+    # and are masked by order >= 0)
+    order = sim._padded_orders(t.rows)
+    where = order if t.matrix_of is None else t.matrix_of[order]
+    width = order.shape[1]
+
+    n = t.pos.size
+    sums = np.zeros((n, 2))  # num, den
+    used = np.zeros(n, dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    for a in range(0, n if width else 0, step):
+        b = min(n, a + step)
+        r = t.row_of[a:b]
+        rated = (order[r] >= 0) & ~np.isnan(grid[t.other[a:b, None], where[r]])
+        rank = np.cumsum(rated, axis=1)
+        used[a:b] = np.minimum(rank[:, -1], k)
+        p, c = np.nonzero(rated & (rank <= k))
+        s = sim.values[t.pos[a + p], order[r[p], c]]
+        o = where[r[p], c]
+        # rank j's terms in row j, after a row of zeros: accumulating down
+        # the rows adds them left to right from 0.0, as the scalar sum does;
+        # the +0.0 pads are exact
+        terms = np.zeros((int(used[a:b].max()) + 1, b - a, 2))
+        terms[rank[p, c], p] = np.stack((s * (grid[t.other[a + p], o] - means[o]), np.abs(s)), axis=1)
+        sums[a:b] = np.add.accumulate(terms)[-1]
+
+    num, den = sums.T
+    fallback = (used == 0) | (den == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(fallback, t.base, t.base + num / den)
+    lo, hi = matrix.scale.min, matrix.scale.max
+    values = np.where(values > lo, values, lo)  # RatingScale.clamp: max(lo, v), then min(hi, .)
+    return np.where(values < hi, values, hi), fallback
+
+
 def predict_many(
     matrix: RatingMatrix,
     sim: SimilarityMatrix,
@@ -350,57 +502,7 @@ def predict_many(
     Pairs run in blocks of at most _BLOCK_CELLS pair-by-neighbor cells.
     """
     require_positive("k", k)
-    ui = _positions(matrix.user_index, user_ids, "user")
-    mj = _positions(matrix.item_index, movie_ids, "movie")
-    if ui.size != mj.size:
-        raise CinefuseError(f"{ui.size} user ids but {mj.size} movie ids")
-
-    # rating of neighbor o for pair p: grid[other[p], o]
-    if sim.axis == "user":
-        target_ids, targets, other = user_ids, ui, mj
-        grid, means, index, axis_ids = matrix.values.T, matrix.user_means, matrix.user_index, matrix.user_ids
-    else:
-        target_ids, targets, other = movie_ids, mj, ui
-        grid, means, index, axis_ids = matrix.values, matrix.item_means, matrix.item_index, matrix.item_ids
-    pos = _positions(sim.index, target_ids, f"similarity {sim.axis}")
-    base = means[targets]
-
-    # each distinct target's neighbor order, -1 padded, as similarity
-    # positions (order) and as matrix rows or columns (where; its pads hold
-    # any valid index and are masked by order >= 0)
-    rows, row_of = np.unique(pos, return_inverse=True)
-    orders = sim.neighbor_orders(rows.tolist())
-    width = max((o.size for o in orders), default=0)
-    order = np.full((rows.size, width), -1, dtype=np.intp)
-    for r, o in enumerate(orders):
-        order[r, : o.size] = o
-    where = order if sim.ids == axis_ids else _positions(index, sim.ids, f"matrix {sim.axis}")[order]
-
-    sums = np.zeros((pos.size, 2))  # num, den
-    used = np.zeros(pos.size, dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // max(width, 1))
-    for a in range(0, pos.size if width else 0, step):
-        b = min(pos.size, a + step)
-        r = row_of[a:b]
-        rated = (order[r] >= 0) & ~np.isnan(grid[other[a:b, None], where[r]])
-        rank = np.cumsum(rated, axis=1)
-        used[a:b] = np.minimum(rank[:, -1], k)
-        p, c = np.nonzero(rated & (rank <= k))
-        s = sim.values[pos[a + p], order[r[p], c]]
-        o = where[r[p], c]
-        cols = int(used[a:b].max())
-        terms = np.zeros((b - a, cols, 2))
-        terms[p, rank[p, c] - 1] = np.stack((s * (grid[other[a + p], o] - means[o]), np.abs(s)), axis=1)
-        for j in range(cols):  # left to right, as the scalar sum; +0.0 pads are exact
-            sums[a:b] += terms[:, j]
-
-    num, den = sums.T
-    fallback = (used == 0) | (den == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(fallback, base, base + num / den)
-    lo, hi = matrix.scale.min, matrix.scale.max
-    values = np.where(values > lo, values, lo)  # RatingScale.clamp: max(lo, v), then min(hi, .)
-    return np.where(values < hi, values, hi), fallback
+    return _predict(matrix, sim, _targets(matrix, sim.axis, sim.ids, sim.index, user_ids, movie_ids), k)
 
 
 def predict_rating(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, Rating
-from .cf import RatingMatrix, SimilarityMatrix, _pair_blocks, predict_many, similarity_matrix
+from .cf import RatingMatrix, SimilarityMatrix, _axis_values, _pair_blocks, _pearson_plan, _predict, _targets
 from .errors import CinefuseError, require_positive
 
 
@@ -221,23 +221,30 @@ def build_fuzzy_profiles(catalog: Catalog) -> dict[int, FuzzyProfile]:
     """membership(user, genre) = mean rating on that genre / scale max.
 
     Every profile spans the catalog's whole genre universe (sorted); genres
-    a user never rated sit at 0.
+    a user never rated sit at 0. A (user, genre) sum adds its ratings in
+    catalog order, as np.bincount does.
     """
     genres = catalog.genre_universe()
-    sums: dict[int, dict[str, list[float]]] = {}
-    for r in catalog.ratings:
-        per_user = sums.setdefault(r.user_id, {})
-        for g in catalog.movies[r.movie_id].genres:
-            per_user.setdefault(g, []).append(r.value)
-    profiles = {}
-    for uid in sorted(sums):
-        memberships = []
-        for g in genres:
-            vals = sums[uid].get(g)
-            degree = (sum(vals) / len(vals)) / catalog.scale.max if vals else 0.0
-            memberships.append((g, degree))
-        profiles[uid] = FuzzyProfile(uid, tuple(memberships))
-    return profiles
+    column = {g: t for t, g in enumerate(genres)}
+    row = {mid: t for t, mid in enumerate(catalog.movies)}
+    of_movie = np.zeros((len(row), len(genres)), dtype=bool)
+    for mid, t in row.items():
+        of_movie[t, [column[g] for g in catalog.movies[mid].genres]] = True
+    user_ids, user = np.unique(np.array([r.user_id for r in catalog.ratings], dtype=np.int64), return_inverse=True)
+    movie = np.array([row[r.movie_id] for r in catalog.ratings], dtype=np.intp)
+    values = np.array([r.value for r in catalog.ratings], dtype=float)
+    # one (rating, genre) entry per genre of each rated movie, ratings in order
+    rating, genre = np.nonzero(of_movie[movie])
+    cell = user[rating] * len(genres) + genre
+    size = user_ids.size * len(genres)
+    sums = np.bincount(cell, weights=values[rating], minlength=size)
+    counts = np.bincount(cell, minlength=size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        degrees = np.where(counts > 0, sums / counts / catalog.scale.max, 0.0).reshape(user_ids.size, len(genres))
+    return {
+        uid: FuzzyProfile(uid, tuple(zip(genres, row)))
+        for uid, row in zip(user_ids.tolist(), degrees.tolist())
+    }
 
 
 def _fuzzy_weights(weights, n_genres: int) -> np.ndarray:
@@ -276,20 +283,28 @@ def _fuzzy_degrees(profiles: dict[int, FuzzyProfile]) -> tuple[tuple[int, ...], 
     return ids, np.array([profiles[u].degrees() for u in ids]).reshape(len(ids), len(genres))
 
 
-def _fuzzy_similarity(ids: tuple[int, ...], degs: np.ndarray, weights) -> SimilarityMatrix:
-    """fuzzy_similarity_matrix over the output of _fuzzy_degrees."""
+def _fuzzy_plan(degs: np.ndarray) -> tuple[list, np.ndarray]:
+    """What no weight changes in the fuzzy kernel over _fuzzy_degrees'
+    `degs`: its pair blocks and their shared-support co-counts (genres where
+    both memberships are positive, which neighbor eligibility keys on)."""
     n, n_genres = degs.shape
-    w = _fuzzy_weights(weights, n_genres)
-    values = np.eye(n)
+    blocks = list(_pair_blocks(n, lambda i, j: n_genres))
     co = np.diag(np.count_nonzero(degs, axis=1))
+    for i, j in blocks:
+        co[i, j] = co[j, i] = np.count_nonzero(np.minimum(degs[i], degs[j]), axis=1)
+    return blocks, co
+
+
+def _fuzzy_similarity(ids: tuple[int, ...], degs: np.ndarray, blocks, co, weights) -> SimilarityMatrix:
+    """fuzzy_similarity_matrix over _fuzzy_degrees and _fuzzy_plan."""
+    w = _fuzzy_weights(weights, degs.shape[1])
+    values = np.eye(len(ids))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, j in _pair_blocks(n, lambda i, j: n_genres):
+        for i, j in blocks:
             a, b = degs[i], degs[j]
-            lo = np.minimum(a, b)
-            num = (w * lo).sum(axis=1)
+            num = (w * np.minimum(a, b)).sum(axis=1)
             den = (w * np.maximum(a, b)).sum(axis=1)
             values[i, j] = values[j, i] = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
-            co[i, j] = co[j, i] = np.count_nonzero(lo, axis=1)
     return SimilarityMatrix("user", "fuzzy", ids, values, co, min_overlap=0)
 
 
@@ -300,7 +315,8 @@ def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> Simil
     Co-counts here are shared-support sizes (genres where both memberships
     are positive), which is what neighbor eligibility keys on.
     """
-    return _fuzzy_similarity(*_fuzzy_degrees(profiles), weights)
+    ids, degs = _fuzzy_degrees(profiles)
+    return _fuzzy_similarity(ids, degs, *_fuzzy_plan(degs), weights)
 
 
 def _subsample(validation: list[Rating], cap: int, seed: int) -> list[Rating]:
@@ -311,13 +327,22 @@ def _subsample(validation: list[Rating], cap: int, seed: int) -> list[Rating]:
     return [validation[i] for i in idx]
 
 
-def _sample_mae(matrix: RatingMatrix, sim: SimilarityMatrix, sample: list[Rating], k: int) -> float:
-    """MAE of predict_many over `sample`, fallback predictions included."""
-    values, _ = predict_many(matrix, sim, [r.user_id for r in sample], [r.movie_id for r in sample], k)
-    err = 0.0
-    for v, r in zip(values.tolist(), sample):
-        err += abs(v - r.value)
-    return err / len(sample)
+def _sample_scorer(matrix: RatingMatrix, axis: str, ids: tuple[int, ...], sample: list[Rating], k: int):
+    """`sim -> MAE of predict_many over sample`, fallback predictions
+    included, for similarities on `axis` over `ids`; the sample's positions
+    are found once, here."""
+    targets = _targets(
+        matrix, axis, ids, {e: p for p, e in enumerate(ids)}, [r.user_id for r in sample], [r.movie_id for r in sample]
+    )
+    actual = np.array([r.value for r in sample], dtype=float)
+
+    def score(sim: SimilarityMatrix) -> float:
+        values, _ = _predict(matrix, sim, targets, k)
+        # left to right from the first error, as a scalar loop from 0.0
+        # adds them: every error is >= +0.0
+        return float(np.add.accumulate(np.abs(values - actual))[-1]) / len(sample)
+
+    return score
 
 
 def cf_mae_objective(
@@ -331,10 +356,12 @@ def cf_mae_objective(
 ):
     """Objective: weights over the co-rated dimension -> validation MAE.
 
-    Each candidate rebuilds a weighted pearson similarity matrix on `axis`
-    and scores every held-out rating with predict_many (fallback
-    predictions included). The validation set is subsampled once, at
-    construction, when it exceeds `validation_cap`.
+    A call computes the weighted pearson similarity on `axis` and scores
+    every held-out rating with predict_many (fallback predictions
+    included). What no weight changes is done once, at construction: the
+    validation set is subsampled when it exceeds `validation_cap`, the
+    co-counts and co-rated cells are gathered (_pearson_plan) and the
+    sample's positions found.
     """
     require_positive("k", k)
     if not validation_ratings:
@@ -345,10 +372,11 @@ def cf_mae_objective(
                 f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
             )
     sample = _subsample(validation_ratings, validation_cap, cap_seed)
+    similarity = _pearson_plan(train_matrix, axis, min_overlap)
+    score = _sample_scorer(train_matrix, axis, _axis_values(train_matrix, axis)[1], sample, k)
 
     def objective(weights) -> float:
-        sim = similarity_matrix(train_matrix, axis, "pearson", weights=weights, min_overlap=min_overlap)
-        return _sample_mae(train_matrix, sim, sample, k)
+        return score(similarity(weights))
 
     return objective
 
@@ -361,15 +389,22 @@ def fuzzy_mae_objective(
     validation_cap: int | None = 2000,
     cap_seed: int = 0,
 ):
-    """Objective: genre weights -> validation MAE under fuzzy user similarity."""
+    """Objective: genre weights -> validation MAE under fuzzy user similarity.
+
+    The profiles' degree matrix, pair blocks and co-counts and the sample's
+    positions are found once, at construction; a call runs the weighted
+    kernel and the predictor.
+    """
     require_positive("k", k)
     if not validation_ratings:
         raise CinefuseError("empty validation set")
     sample = _subsample(validation_ratings, validation_cap, cap_seed)
-    ids, degs = _fuzzy_degrees(profiles)  # the profiles stay the same between evaluations
+    ids, degs = _fuzzy_degrees(profiles)
+    blocks, co = _fuzzy_plan(degs)
+    score = _sample_scorer(train_matrix, "user", ids, sample, k)
 
     def objective(weights) -> float:
-        return _sample_mae(train_matrix, _fuzzy_similarity(ids, degs, weights), sample, k)
+        return score(_fuzzy_similarity(ids, degs, blocks, co, weights))
 
     return objective
 

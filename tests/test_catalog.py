@@ -1,11 +1,12 @@
 """Catalog loading, validation, title resolution, stats, and splitting."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from cinefuse.catalog import (
+    Rating,
     RatingScale,
     closest_titles,
     load_catalog,
@@ -188,7 +189,46 @@ class TestSummaryStats:
             assert stats.rating_histogram[value] == count
 
 
+def loop_train_test_split(catalog, holdout_fraction, seed):
+    """train_test_split as it was before index arrays: per-id count dicts
+    and a membership pass. The split must equal it exactly."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(catalog.ratings))
+    target = int(holdout_fraction * len(catalog.ratings))
+    user_counts, movie_counts = {}, {}
+    for r in catalog.ratings:
+        user_counts[r.user_id] = user_counts.get(r.user_id, 0) + 1
+        movie_counts[r.movie_id] = movie_counts.get(r.movie_id, 0) + 1
+    test_idx = set()
+    for i in order:
+        if len(test_idx) >= target:
+            break
+        r = catalog.ratings[int(i)]
+        if user_counts[r.user_id] >= 2 and movie_counts[r.movie_id] >= 2:
+            test_idx.add(int(i))
+            user_counts[r.user_id] -= 1
+            movie_counts[r.movie_id] -= 1
+    train = [r for i, r in enumerate(catalog.ratings) if i not in test_idx]
+    return train, [catalog.ratings[i] for i in sorted(test_idx)]
+
+
 class TestTrainTestSplit:
+    def test_equals_count_dict_loop(self, fixture_catalog):
+        # the fixture, and denser random catalogs over its movies in which
+        # many users and movies have a single rating, ratings in no order
+        rng = np.random.default_rng(19)
+        movie_ids = sorted(fixture_catalog.movies)
+        catalogs = [fixture_catalog, tiny_catalog()]
+        for n_users in (3, 12, 40):
+            cells = {(int(u), int(m)) for u, m in zip(rng.integers(1, n_users + 1, 150), rng.choice(movie_ids, 150))}
+            ratings = [Rating(u, m, float(rng.integers(1, 11)) / 2.0) for u, m in cells]
+            catalogs.append(replace(fixture_catalog, ratings=[ratings[i] for i in rng.permutation(len(ratings))]))
+        for catalog in catalogs:
+            for fraction in (0.05, 0.2, 0.5, 0.9):
+                for seed in range(6):
+                    train, test = train_test_split(catalog, fraction, seed)
+                    assert (train.ratings, test) == loop_train_test_split(catalog, fraction, seed)
+
     def test_deterministic(self, fixture_catalog):
         a_train, a_test = train_test_split(fixture_catalog, 0.2, seed=42)
         b_train, b_test = train_test_split(fixture_catalog, 0.2, seed=42)

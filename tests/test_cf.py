@@ -466,6 +466,29 @@ class TestNeighborOrder:
             assert knn_neighbors(sim, uid, k=10).neighbors == loop_eligible_sorted(sim, sim.index[uid])
 
 
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+    def test_padded_orders_equal_each_row_order(self, monkeypatch, cells):
+        # hand ties, rows with and without co-counts, and rows asked for
+        # twice and in no order, in blocks of one row and of many
+        rng = np.random.default_rng(cells)
+        sims = [self.tied_sim()]
+        for _ in range(6):
+            matrix = half_step_matrix(rng, int(rng.integers(1, 14)), int(rng.integers(1, 14)), rng.uniform(0.1, 0.9))
+            for axis in ("user", "item"):
+                sims.append(similarity_matrix(matrix, axis, "pearson", min_overlap=int(rng.integers(0, 4))))
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+        for sim in sims:
+            n = len(sim.ids)
+            rows = np.concatenate((rng.permutation(n), rng.integers(0, n, size=3)))
+            want = [[sim.index[o] for o, _ in loop_eligible_sorted(sim, p)] for p in rows.tolist()]
+            padded = sim._padded_orders(rows)
+            assert padded.shape == (rows.size, max(map(len, want)))
+            for got, order, p in zip(padded.tolist(), want, rows.tolist()):
+                assert got == order + [-1] * (padded.shape[1] - len(order))
+                assert sim.neighbor_order(p).tolist() == order
+        assert sims[1]._padded_orders(np.array([], dtype=np.intp)).shape == (0, 0)
+
+
 class TestPredictionBitwise:
     def test_random_matrices_both_axes(self):
         rng = np.random.default_rng(8642)

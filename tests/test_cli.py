@@ -246,6 +246,20 @@ class TestOptimizeWeights:
         wv, _, _ = load_weights(out_path)
         assert wv.provenance == "pso"
 
+    @pytest.mark.parametrize(
+        "method, budget",
+        [("ga", ["--population", "6", "--generations", "4"]), ("pso", ["--particles", "5", "--iterations", "4"])],
+    )
+    def test_matches_golden_weight_file(self, capsys, tmp_path, method, budget):
+        # recorded before the objectives held their weight-independent
+        # work; any change in the last bit of an objective value can change
+        # which candidate wins, so the files are compared byte for byte
+        out_path = tmp_path / f"{method}.txt"
+        code, _, _ = run_cli(capsys, "optimize-weights", "--method", method, *budget, "--out", str(out_path))
+        assert code == 0
+        golden = Path(__file__).parent / "data" / f"golden_weights_{method}.txt"
+        assert out_path.read_bytes() == golden.read_bytes()
+
     def test_pso_rejects_item_axis(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "optimize-weights", "--method", "pso", "--axis", "item",

@@ -1,10 +1,12 @@
 """PSO/GA weight optimization, fuzzy profiles, and MAE objectives."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cinefuse import cf
-from cinefuse.catalog import train_test_split
+from cinefuse import cf, optimize
+from cinefuse.catalog import Movie, Rating, train_test_split
 from cinefuse.cf import build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError
 from cinefuse.optimize import (
@@ -12,7 +14,7 @@ from cinefuse.optimize import (
     GAConfig,
     SwarmConfig,
     WeightVector,
-    _sample_mae,
+    _sample_scorer,
     build_fuzzy_profiles,
     cf_mae_objective,
     fuzzy_mae_objective,
@@ -24,7 +26,7 @@ from cinefuse.optimize import (
     save_weights,
 )
 
-from conftest import tiny_catalog
+from conftest import make_matrix, tiny_catalog
 
 
 def sphere(x):
@@ -239,7 +241,49 @@ class TestFuzzySimilarityBitwise:
             fuzzy_similarity_matrix(profiles, [1.0, 1.0, 1.0])
 
 
+def loop_build_fuzzy_profiles(catalog):
+    """build_fuzzy_profiles as it was before np.bincount: one list of
+    ratings per (user, genre), summed in catalog order. The profiles must
+    equal it exactly."""
+    genres = catalog.genre_universe()
+    sums = {}
+    for r in catalog.ratings:
+        per_user = sums.setdefault(r.user_id, {})
+        for g in catalog.movies[r.movie_id].genres:
+            per_user.setdefault(g, []).append(r.value)
+    profiles = {}
+    for uid in sorted(sums):
+        memberships = []
+        for g in genres:
+            vals = sums[uid].get(g)
+            degree = (sum(vals) / len(vals)) / catalog.scale.max if vals else 0.0
+            memberships.append((g, degree))
+        profiles[uid] = FuzzyProfile(uid, tuple(memberships))
+    return profiles
+
+
 class TestFuzzyProfiles:
+    def test_equals_per_genre_list_loop(self, fixture_catalog):
+        # a movie with no genres, rated alone by user 9 and with others by
+        # user 1; random catalogs whose sums round differently in another
+        # order
+        cat = tiny_catalog()
+        movies = dict(cat.movies)
+        movies[5] = Movie(5, "Epsilon", frozenset(), summary="no genre at all")
+        genreless = replace(cat, movies=movies, ratings=cat.ratings + [Rating(9, 5, 2.5), Rating(1, 5, 1.0)])
+        catalogs = [fixture_catalog, cat, genreless]
+        rng = np.random.default_rng(41)
+        movie_ids = sorted(fixture_catalog.movies)
+        for _ in range(4):
+            cells = {(int(u), int(m)) for u, m in zip(rng.integers(1, 30, 400), rng.choice(movie_ids, 400))}
+            ratings = [Rating(u, m, float(rng.integers(1, 11)) / 2.0 + rng.uniform(0, 1e-3)) for u, m in cells]
+            catalogs.append(replace(fixture_catalog, ratings=[ratings[i] for i in rng.permutation(len(ratings))]))
+        for catalog in catalogs:
+            got = build_fuzzy_profiles(catalog)
+            assert got == loop_build_fuzzy_profiles(catalog)
+            assert all(type(d) is float for p in got.values() for _, d in p.memberships)
+        assert set(build_fuzzy_profiles(genreless)[9].degrees()) == {0.0}
+
     def test_membership_is_scaled_genre_mean(self):
         cat = tiny_catalog()
         profiles = build_fuzzy_profiles(cat)
@@ -293,8 +337,9 @@ class TestFuzzyProfiles:
 
 
 def loop_sample_mae(matrix, sim, sample, k):
-    """_sample_mae as it was before predict_many: one predict_rating per
-    rating, summed left to right. _sample_mae must match it bit for bit."""
+    """The objectives' MAE as it was before predict_many: one predict_rating
+    per rating, summed left to right. _sample_scorer must match it bit for
+    bit."""
     err = 0.0
     for r in sample:
         err += abs(predict_rating(matrix, sim, r.user_id, r.movie_id, k).value - r.value)
@@ -315,7 +360,8 @@ class TestObjectivesBitwise:
             ]
             for sim in sims:
                 for k in (1, 4, 20):
-                    assert _sample_mae(matrix, sim, test, k) == loop_sample_mae(matrix, sim, test, k)
+                    score = _sample_scorer(matrix, sim.axis, sim.ids, test, k)
+                    assert score(sim) == loop_sample_mae(matrix, sim, test, k)
 
     def test_objectives_equal_per_pair_loop(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.3, seed=2)
@@ -329,6 +375,98 @@ class TestObjectivesBitwise:
         w = rng.uniform(0.0, 2.0, len(train.genre_universe()))
         want = loop_sample_mae(matrix, fuzzy_similarity_matrix(profiles, w), test, 5)
         assert fuzzy_mae_objective(matrix, profiles, test, k=5)(w) == want
+
+
+def random_split(rng, n_users, n_items, density):
+    """A random half-step train matrix, rows or columns possibly empty, and
+    held-out ratings on its cells, rated and unrated."""
+    rated = rng.uniform(size=(n_users, n_items)) < density
+    matrix = make_matrix(np.where(rated, rng.integers(1, 11, (n_users, n_items)) / 2.0, np.nan))
+    cells = rng.integers(0, [n_users, n_items], size=(int(rng.integers(1, 40)), 2))
+    held = [Rating(matrix.user_ids[u], matrix.item_ids[m], float(rng.integers(1, 11)) / 2.0) for u, m in cells.tolist()]
+    return matrix, held
+
+
+def random_weights(rng, d):
+    """Weights in [0, 2) with a share of exact zeros."""
+    return rng.uniform(0.0, 2.0, size=d) * (rng.uniform(size=d) < 0.7)
+
+
+class TestObjectivesHeldPlan:
+    """Each objective holds what no weight changes; its values must equal a
+    fresh similarity and the per-rating loop, with ==."""
+
+    def test_cf_objective_equals_fresh_similarity(self):
+        rng = np.random.default_rng(1207)
+        for _ in range(10):
+            n_users, n_items = (int(v) for v in rng.integers(2, 16, size=2))
+            matrix, held = random_split(rng, n_users, n_items, rng.uniform(0.2, 0.9))
+            for axis, d in (("user", len(matrix.item_ids)), ("item", len(matrix.user_ids))):
+                for min_overlap in range(4):
+                    k = int(rng.integers(1, 21))
+                    objective = cf_mae_objective(matrix, held, axis=axis, k=k, min_overlap=min_overlap)
+                    for w in (np.ones(d), random_weights(rng, d), np.zeros(d)):
+                        sim = similarity_matrix(matrix, axis, "pearson", weights=w, min_overlap=min_overlap)
+                        assert objective(w) == loop_sample_mae(matrix, sim, held, k)
+
+    def test_fuzzy_objective_equals_fresh_similarity(self):
+        rng = np.random.default_rng(1208)
+        for n_genres in (1, 4, 9):
+            for _ in range(4):
+                n_users, n_items = (int(v) for v in rng.integers(2, 16, size=2))
+                matrix, held = random_split(rng, n_users, n_items, rng.uniform(0.2, 0.9))
+                genres = [f"g{t}" for t in range(n_genres)]
+                profiles = {
+                    u: FuzzyProfile(u, tuple(zip(genres, random_weights(rng, n_genres).tolist())))
+                    for u in matrix.user_ids
+                }
+                for k in (1, 3, 20):
+                    objective = fuzzy_mae_objective(matrix, profiles, held, k=k)
+                    for w in (np.ones(n_genres), random_weights(rng, n_genres), np.zeros(n_genres)):
+                        assert objective(w) == loop_sample_mae(matrix, fuzzy_similarity_matrix(profiles, w), held, k)
+
+    def test_repeated_calls_in_shuffled_order_do_not_change_the_plan(self, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=4)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        rng = np.random.default_rng(12)
+        cases = [
+            (cf_mae_objective(matrix, test, axis="user", k=4), len(matrix.item_ids),
+             lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
+            (cf_mae_objective(matrix, test, axis="item", k=4, min_overlap=1), len(matrix.user_ids),
+             lambda w: similarity_matrix(matrix, "item", "pearson", weights=w, min_overlap=1)),
+            (fuzzy_mae_objective(matrix, profiles, test, k=4), len(train.genre_universe()),
+             lambda w: fuzzy_similarity_matrix(profiles, w)),
+        ]
+        for objective, d, fresh in cases:
+            weights = [random_weights(rng, d) for _ in range(5)]
+            want = [loop_sample_mae(matrix, fresh(w), test, 4) for w in weights]
+            for i in np.concatenate([rng.permutation(5) for _ in range(3)]).tolist():
+                assert objective(weights[i]) == want[i]
+
+    def test_gather_and_positions_run_once_per_objective(self, monkeypatch, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=4)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        calls = {"gather": 0, "pairs": 0, "positions": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cf, "_corated_blocks", counted("gather", cf._corated_blocks))
+        monkeypatch.setattr(optimize, "_pair_blocks", counted("pairs", optimize._pair_blocks))
+        monkeypatch.setattr(optimize, "_targets", counted("positions", optimize._targets))
+        objective = cf_mae_objective(matrix, test, axis="user")
+        for _ in range(4):
+            objective(random_weights(np.random.default_rng(0), len(matrix.item_ids)))
+        assert calls == {"gather": 1, "pairs": 0, "positions": 1}
+        objective = fuzzy_mae_objective(matrix, profiles, test)
+        for _ in range(4):
+            objective(np.ones(len(train.genre_universe())))
+        assert calls == {"gather": 1, "pairs": 1, "positions": 2}
 
 
 class TestObjectives:
