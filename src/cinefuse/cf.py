@@ -71,20 +71,26 @@ class RatingMatrix:
         return int(np.count_nonzero(~np.isnan(self.values)))
 
 
+def _last_of_each(cells: np.ndarray) -> np.ndarray:
+    """Index of the last occurrence of each distinct value of `cells`,
+    ascending by value: where a later write to a cell replaces an earlier."""
+    _, last = np.unique(cells[::-1], return_index=True)
+    return cells.size - 1 - last
+
+
 def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
-    """One matrix entry per explicit rating; means computed per axis."""
+    """One matrix entry per explicit rating (the last, should a cell be
+    rated twice); means computed per axis."""
     if not catalog.ratings:
         raise CinefuseError("no ratings")
-    user_ids = tuple(sorted({r.user_id for r in catalog.ratings}))
-    item_ids = tuple(sorted({r.movie_id for r in catalog.ratings}))
-    uix = {u: i for i, u in enumerate(user_ids)}
-    mix = {m: j for j, m in enumerate(item_ids)}
-    values = np.full((len(user_ids), len(item_ids)), np.nan)
-    sources = np.zeros((len(user_ids), len(item_ids)), dtype=np.uint8)
-    for r in catalog.ratings:
-        values[uix[r.user_id], mix[r.movie_id]] = r.value
-        sources[uix[r.user_id], mix[r.movie_id]] = SOURCE_EXPLICIT
-    return RatingMatrix(user_ids, item_ids, values, sources, catalog.scale)
+    user_ids, ui = np.unique(np.array([r.user_id for r in catalog.ratings], dtype=np.int64), return_inverse=True)
+    item_ids, mj = np.unique(np.array([r.movie_id for r in catalog.ratings], dtype=np.int64), return_inverse=True)
+    last = _last_of_each(ui * item_ids.size + mj)
+    values = np.full((user_ids.size, item_ids.size), np.nan)
+    sources = np.zeros((user_ids.size, item_ids.size), dtype=np.uint8)
+    values[ui[last], mj[last]] = np.array([r.value for r in catalog.ratings], dtype=float)[last]
+    sources[ui[last], mj[last]] = SOURCE_EXPLICIT
+    return RatingMatrix(tuple(user_ids.tolist()), tuple(item_ids.tolist()), values, sources, catalog.scale)
 
 
 @dataclass
@@ -110,43 +116,34 @@ class SimilarityMatrix:
     def neighbor_order(self, pos: int) -> np.ndarray:
         """Positions of the co-counted neighbors of row `pos`, similarity
         desc then id asc. Sorted once per row."""
-        if pos not in self._orders:  # a copy, not a view into the sort's n-wide buffer
-            self._orders[pos] = self._padded_orders(np.array([pos]))[0].copy()
+        if pos not in self._orders:
+            cand = np.flatnonzero(self.co_counts[pos] > 0)
+            cand = cand[cand != pos]
+            self._orders[pos] = cand[np.lexsort((np.asarray(self.ids)[cand], -self.values[pos, cand]))]
         return self._orders[pos]
-
-    def _padded_orders(self, rows: np.ndarray) -> np.ndarray:
-        """Row r holds neighbor_order(rows[r]) then -1 pads, as wide as the
-        longest of them; nothing is cached. Rows are sorted a block of at
-        most _BLOCK_CELLS cells at a time, with the ineligible cells (the
-        row itself, no co-count) as the first key, so they sort last."""
-        ids = np.asarray(self.ids)
-        step = max(1, _BLOCK_CELLS // max(ids.size, 1))
-        padded = np.full((rows.size, ids.size), -1, dtype=np.intp)
-        width = 0
-        for a in range(0, rows.size, step):
-            block = rows[a : a + step]
-            ineligible = self.co_counts[block] <= 0
-            ineligible[np.arange(block.size), block] = True
-            order = np.lexsort((np.broadcast_to(ids, ineligible.shape), -self.values[block], ineligible))
-            counts = ids.size - np.count_nonzero(ineligible, axis=1)
-            padded[a : a + step] = np.where(np.arange(ids.size) < counts[:, None], order, -1)
-            width = max(width, int(counts.max()))
-        return padded[:, :width]
 
 
 # Cells one block may hold in its temporaries, whatever the matrix size: the
 # gathered rated cells of the similarity kernel, the pair-by-genre cells of
-# the fuzzy kernel, the row-by-neighbor cells of neighbor sorts and of
-# predict_many.
+# the fuzzy kernel, the row-by-neighbor cells of neighbor ranks, the rater
+# cells of the predictor.
 _BLOCK_CELLS = 1 << 16
+
+
+def _runs(need: np.ndarray) -> list[tuple[int, int]]:
+    """[start, end) of consecutive runs of items, cut where the running
+    total of `need`, the cells each item needs, crosses a multiple of
+    _BLOCK_CELLS: a run holds at most _BLOCK_CELLS cells plus those of its
+    last item."""
+    block = (np.cumsum(need) - need) // _BLOCK_CELLS
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), need.size]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _pair_blocks(n: int, cells, co=None, min_overlap: int = 0):
     """(I, J) index arrays of the pairs i < j with co[i, j] >= min_overlap
-    (every pair when `co` is None), in row-major order, in blocks cut where
-    the running total of `cells(I, J)`, the cells each pair needs, crosses a
-    multiple of _BLOCK_CELLS: a block holds at most _BLOCK_CELLS cells plus
-    those of its last pair."""
+    (every pair when `co` is None), in row-major order, in _runs of
+    `cells(I, J)`, the cells each pair needs."""
     rows = max(1, _BLOCK_CELLS // max(n, 1))
     for a in range(0, n, rows):
         b = min(n, a + rows)
@@ -155,21 +152,18 @@ def _pair_blocks(n: int, cells, co=None, min_overlap: int = 0):
         if not li.size:
             continue
         li += a
-        need = np.broadcast_to(cells(li, cj), li.shape)
-        block = (np.cumsum(need) - need) // _BLOCK_CELLS
-        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), li.size]
-        for s, e in zip(cuts, cuts[1:]):
+        for s, e in _runs(np.broadcast_to(cells(li, cj), li.shape)):
             yield li[s:e], cj[s:e]
 
 
-def _rated_cells(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
-    """(k, cols): the rated columns of each of `rows` (CSR `indptr`,
-    `indices`), ascending, those of rows[k] after those of rows[k - 1]."""
+def _rated_cells(indptr: np.ndarray, rows: np.ndarray):
+    """(k, at): where in a CSR array with row pointers `indptr` the cells of
+    each of `rows` lie, those of rows[k] after those of rows[k - 1]."""
     lengths = indptr[rows + 1] - indptr[rows]
     k = np.repeat(np.arange(rows.size), lengths)
     at = np.arange(k.size)
     at += np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
-    return k, indices[at]
+    return k, at
 
 
 def _groups(counts: np.ndarray) -> list[tuple[int, int, int]]:
@@ -280,7 +274,8 @@ def _corated_blocks(vals, mask, co, min_overlap: int, union: bool = False):
         i, j = i[by_count], j[by_count]
         counts = co[i, j]
         src = np.where(rated[i] <= rated[j], i, j)
-        pair, cols = _rated_cells(indptr, indices, src)
+        pair, at = _rated_cells(indptr, src)
+        cols = indices[at]
         hit = mask[(i + j - src)[pair], cols]
         pair, cols = pair[hit], cols[hit]
         merged = None
@@ -290,8 +285,8 @@ def _corated_blocks(vals, mask, co, min_overlap: int, union: bool = False):
             sizes = rated[i] + rated[j] - counts
             by_size = np.argsort(sizes, kind="stable")
             iu, ju = i[by_size], j[by_size]
-            pi, ci = _rated_cells(indptr, indices, iu)
-            pj, cj = _rated_cells(indptr, indices, ju)
+            (pi, ai), (pj, aj) = _rated_cells(indptr, iu), _rated_cells(indptr, ju)
+            ci, cj = indices[ai], indices[aj]
             extra = ~mask[iu[pj], cj]
             upair, ucols = np.concatenate((pi, pj[extra])), np.concatenate((ci, cj[extra]))
             merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
@@ -351,9 +346,10 @@ def similarity_matrix(
 
 
 def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
-    """`weights -> similarity_matrix(matrix, axis, "pearson", weights,
-    min_overlap)`, the same bits, for tuning the weights: the co-counts and
-    every block's co-rated cells are gathered once, here, and held (20 B
+    """(run, co): `run` is `weights -> similarity_matrix(matrix, axis,
+    "pearson", weights, min_overlap)`, the same bits, for tuning the
+    weights, and `co` the co-counts every similarity it returns holds. They
+    and every block's co-rated cells are gathered once, here, and held (20 B
     per co-rated cell, 24 B per pair), so a call runs only the weighted
     kernel."""
     vals, ids = _axis_values(matrix, axis)
@@ -365,7 +361,7 @@ def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
         w = _weight_vector(weights, vals.shape[1])
         return SimilarityMatrix(axis, "pearson", ids, _similarities(blocks, len(ids), "pearson", w), co, min_overlap)
 
-    return run
+    return run, co
 
 
 @dataclass
@@ -404,20 +400,25 @@ def _positions(index: dict, ids, what: str) -> np.ndarray:
 
 
 class _Targets(NamedTuple):
-    """Where the (user, movie) pairs of a prediction sit, for similarities
-    on one axis over fixed ids: each pair's target (its user on the user
-    axis, its movie on the item axis) as a similarity position `pos` and its
-    mean `base`, the matrix position `other` of the pair's other entity, the
-    distinct targets `rows` with `row_of` mapping each pair to its row, and
-    the matrix position of each similarity id (None when the ids are the
-    matrix's own)."""
+    """The (user, movie) pairs of a prediction, for similarities on one axis
+    over fixed ids. Each pair's target (its user on the user axis, its movie
+    on the item axis) is a similarity position `pos` with its mean `base`;
+    `rows` are the distinct targets and `row_of` maps each pair to its row.
+    The raters of each pair's other entity (the movie's users on the user
+    axis, the user's movies on the item axis) are held as CSR over the
+    distinct other entities: pair p's raters lie at [indptr[other[p]],
+    indptr[other[p] + 1]) of `cols`, their similarity positions in matrix
+    order (int32, -1 for an id the similarity lacks), and of `dev`, their
+    rating minus their mean."""
 
     pos: np.ndarray
     base: np.ndarray
-    other: np.ndarray
     rows: np.ndarray
     row_of: np.ndarray
-    matrix_of: np.ndarray | None
+    other: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    dev: np.ndarray
 
 
 def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_ids) -> _Targets:
@@ -429,52 +430,104 @@ def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_
         raise CinefuseError(f"{ui.size} user ids but {mj.size} movie ids")
     if axis == "user":
         target_ids, targets, other, means = user_ids, ui, mj, matrix.user_means
-        axis_index, axis_ids = matrix.user_index, matrix.user_ids
+        axis_index, axis_ids, grid = matrix.user_index, matrix.user_ids, matrix.values.T
     else:
         target_ids, targets, other, means = movie_ids, mj, ui, matrix.item_means
-        axis_index, axis_ids = matrix.item_index, matrix.item_ids
+        axis_index, axis_ids, grid = matrix.item_index, matrix.item_ids, matrix.values
     pos = _positions(index, target_ids, f"similarity {axis}")
     rows, row_of = np.unique(pos, return_inverse=True)
-    matrix_of = None if ids == axis_ids else _positions(axis_index, ids, f"matrix {axis}")
-    return _Targets(pos, means[targets], other, rows, row_of, matrix_of)
+    others, other = np.unique(other, return_inverse=True)
+    # the rated cells of the other entities' rows, a block of at most
+    # _BLOCK_CELLS cells at a time, so one pair reads one row
+    step = max(1, _BLOCK_CELLS // max(grid.shape[1], 1))
+    rated = [~np.isnan(grid[others[a : a + step]]) for a in range(0, max(others.size, 1), step)]
+    o, m = np.nonzero(np.concatenate(rated))
+    dev = grid[others[o], m] - means[m]
+    if ids != axis_ids:
+        sim_of = np.full(len(axis_ids), -1)
+        sim_of[_positions(axis_index, ids, f"matrix {axis}")] = np.arange(len(ids))
+        m = sim_of[m]
+    indptr = np.searchsorted(o, np.arange(others.size + 1))
+    return _Targets(pos, means[targets], rows, row_of, other, indptr, m.astype(np.int32), dev)
 
 
-def _predict(matrix: RatingMatrix, sim: SimilarityMatrix, t: _Targets, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """predict_many over the pairs `t` describes for `sim`."""
-    grid, means = (matrix.values.T, matrix.user_means) if sim.axis == "user" else (matrix.values, matrix.item_means)
-    # rating of neighbor o for pair p: grid[other[p], o]; each distinct
-    # target's neighbor order, -1 padded, as similarity positions (order)
-    # and as matrix rows or columns (where; its pads hold any valid index
-    # and are masked by order >= 0)
-    order = sim._padded_orders(t.rows)
-    where = order if t.matrix_of is None else t.matrix_of[order]
-    width = order.shape[1]
+class _Raters(NamedTuple):
+    """What no similarity value changes in the predictions of a run of
+    pairs: each pair's target position `pos`, mean `base`, row `row_of`
+    (_Targets) and number `counts` of eligible raters, and those raters
+    pair after pair, as int32 similarity positions `cols` and deviations
+    `dev` (rating minus mean). Once each pair's raters are sorted by
+    neighbor rank, `first` (int32) are the positions of each pair's first
+    k and `first_pair` their pair."""
 
-    n = t.pos.size
-    sums = np.zeros((n, 2))  # num, den
-    used = np.zeros(n, dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // max(width, 1))
-    for a in range(0, n if width else 0, step):
-        b = min(n, a + step)
-        r = t.row_of[a:b]
-        rated = (order[r] >= 0) & ~np.isnan(grid[t.other[a:b, None], where[r]])
-        rank = np.cumsum(rated, axis=1)
-        used[a:b] = np.minimum(rank[:, -1], k)
-        p, c = np.nonzero(rated & (rank <= k))
-        s = sim.values[t.pos[a + p], order[r[p], c]]
-        o = where[r[p], c]
-        # rank j's terms in row j, after a row of zeros: accumulating down
-        # the rows adds them left to right from 0.0, as the scalar sum does;
-        # the +0.0 pads are exact
-        terms = np.zeros((int(used[a:b].max()) + 1, b - a, 2))
-        terms[rank[p, c], p] = np.stack((s * (grid[t.other[a + p], o] - means[o]), np.abs(s)), axis=1)
-        sums[a:b] = np.add.accumulate(terms)[-1]
+    pos: np.ndarray
+    base: np.ndarray
+    row_of: np.ndarray
+    counts: np.ndarray
+    cols: np.ndarray
+    dev: np.ndarray
+    first: np.ndarray
+    first_pair: np.ndarray
 
-    num, den = sums.T
-    fallback = (used == 0) | (den == 0.0)
+
+def _raters(t: _Targets, co: np.ndarray, k: int):
+    """(start, end, _Raters) of the pairs of `t`, for similarities with
+    co-counts `co` and k neighbors, in _runs of the pairs' rater cells. A
+    rater is eligible when the similarity holds it, shares a co-count with
+    the target and is not the target."""
+    for a, b in _runs(np.diff(t.indptr)[t.other]):
+        pos = t.pos[a:b]
+        pair, at = _rated_cells(t.indptr, t.other[a:b])
+        cols, target = t.cols[at], pos[pair]
+        keep = (cols >= 0) & (cols != target) & (co[target, cols] > 0)
+        pair, cols, at = pair[keep], cols[keep], at[keep]
+        counts = np.bincount(pair, minlength=b - a)
+        slot = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        first = np.flatnonzero(slot < k)
+        yield a, b, _Raters(pos, t.base[a:b], t.row_of[a:b], counts, cols, t.dev[at], first.astype(np.int32), pair[first])
+
+
+def _rank_rows(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(rows, n) int32: the rank of every column of `values` in the neighbor
+    order of each of `rows`, similarity desc then id asc (`by_id`: the
+    columns in ascending id), sorted a block of at most _BLOCK_CELLS cells
+    at a time. Ineligible neighbors are ranked too; the predictor never
+    looks them up."""
+    n = by_id.size
+    ranks = np.empty((rows.size, n), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for a in range(0, rows.size, step):
+        block = values[rows[a : a + step]][:, by_id]
+        # stable over the columns in id order: equal similarities rank by id
+        order = by_id[np.argsort(-block, axis=1, kind="stable")]
+        ranks[a + np.arange(block.shape[0])[:, None], order] = np.arange(n, dtype=np.int32)
+    return ranks
+
+
+def _predict(scale: RatingScale, sims: np.ndarray, ranks: np.ndarray, g: _Raters) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and fallback flags of the pairs of `g` under similarity
+    values `sims`, whose _rank_rows over the targets' rows are `ranks`: each
+    pair's raters are sorted by rank with one sort of int64 keys and its
+    first k summed."""
+    n, cells = ranks.shape[1], g.cols.size
+    # a cell's key is (its pair's first cell * n + its rank), with the cell's
+    # own position in the low bits: unique, below 2 * cells**2 * n, and in
+    # pair order, then rank order within each pair
+    bits = cells.bit_length()
+    key = np.repeat((np.cumsum(g.counts) - g.counts) * n, g.counts)
+    key += ranks[np.repeat(g.row_of, g.counts), g.cols]
+    key <<= bits
+    key |= np.arange(cells)
+    pick = np.sort(key)[g.first] & ((1 << bits) - 1)
+    s = sims[g.pos[g.first_pair], g.cols[pick]]
+    # np.bincount adds each pair's terms in input order, nearest first, from
+    # 0.0, as the scalar sum does
+    num = np.bincount(g.first_pair, weights=s * g.dev[pick], minlength=g.counts.size)
+    den = np.bincount(g.first_pair, weights=np.abs(s), minlength=g.counts.size)
+    fallback = (g.counts == 0) | (den == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(fallback, t.base, t.base + num / den)
-    lo, hi = matrix.scale.min, matrix.scale.max
+        values = np.where(fallback, g.base, g.base + num / den)
+    lo, hi = scale.min, scale.max
     values = np.where(values > lo, values, lo)  # RatingScale.clamp: max(lo, v), then min(hi, .)
     return np.where(values < hi, values, hi), fallback
 
@@ -499,10 +552,16 @@ def predict_many(
     Every pair gets the bits of a scalar loop over its neighbors: num and den
     are accumulated one neighbor rank at a time, left to right, and the
     clamp keeps Python's min/max semantics (a NaN mean clamps to scale.min).
-    Pairs run in blocks of at most _BLOCK_CELLS pair-by-neighbor cells.
+    Each distinct target's neighbors are ranked once; the pairs' raters are
+    gathered and summed a block of at most _BLOCK_CELLS cells at a time.
     """
     require_positive("k", k)
-    return _predict(matrix, sim, _targets(matrix, sim.axis, sim.ids, sim.index, user_ids, movie_ids), k)
+    t = _targets(matrix, sim.axis, sim.ids, sim.index, user_ids, movie_ids)
+    ranks = _rank_rows(sim.values, np.argsort(sim.ids), t.rows)
+    values, fallback = np.empty(t.pos.size), np.empty(t.pos.size, dtype=bool)
+    for a, b, g in _raters(t, sim.co_counts, k):
+        values[a:b], fallback[a:b] = _predict(matrix.scale, sim.values, ranks, g)
+    return values, fallback
 
 
 def predict_rating(
@@ -552,32 +611,35 @@ def augment_implicit(
     if params.freq_cap < 1:
         raise CinefuseError(f"freq_cap must be >= 1, got {params.freq_cap}")
 
-    pseudo: dict[tuple[int, int], float] = {}
-    for ev in events:
-        raw = (
-            params.alpha_watch * (1.0 if ev.watched else 0.0)
-            + params.alpha_fraction * ev.watch_fraction
-            + params.alpha_freq * min(ev.watch_count, params.freq_cap) / params.freq_cap
-        )
-        pseudo[(ev.user_id, ev.movie_id)] = matrix.scale.clamp(matrix.scale.max * raw)
+    eu = np.array([ev.user_id for ev in events], dtype=np.int64)
+    em = np.array([ev.movie_id for ev in events], dtype=np.int64)
+    watched = np.array([1.0 if ev.watched else 0.0 for ev in events])
+    fraction = np.array([ev.watch_fraction for ev in events], dtype=float)
+    count = np.array([ev.watch_count for ev in events], dtype=np.int64)
+    # the scalar formula's operations in its order, then RatingScale.clamp:
+    # max(lo, v), then min(hi, .)
+    raw = params.alpha_watch * watched + params.alpha_fraction * fraction
+    raw += params.alpha_freq * np.minimum(count, params.freq_cap) / params.freq_cap
+    pseudo = matrix.scale.max * raw
+    pseudo = np.where(pseudo > matrix.scale.min, pseudo, matrix.scale.min)
+    pseudo = np.where(pseudo < matrix.scale.max, pseudo, matrix.scale.max)
 
-    user_ids = tuple(sorted(set(matrix.user_ids) | {u for u, _ in pseudo}))
-    item_ids = tuple(sorted(set(matrix.item_ids) | {m for _, m in pseudo}))
-    uix = {u: i for i, u in enumerate(user_ids)}
-    mix = {m: j for j, m in enumerate(item_ids)}
-    values = np.full((len(user_ids), len(item_ids)), np.nan)
-    sources = np.zeros((len(user_ids), len(item_ids)), dtype=np.uint8)
-    old = np.ix_([uix[u] for u in matrix.user_ids], [mix[m] for m in matrix.item_ids])
+    # the old ids, then the events' ids, each at its place on the new axes
+    user_ids, ui = np.unique(np.concatenate((np.array(matrix.user_ids, dtype=np.int64), eu)), return_inverse=True)
+    item_ids, mj = np.unique(np.concatenate((np.array(matrix.item_ids, dtype=np.int64), em)), return_inverse=True)
+    values = np.full((user_ids.size, item_ids.size), np.nan)
+    sources = np.zeros((user_ids.size, item_ids.size), dtype=np.uint8)
+    old = np.ix_(ui[: len(matrix.user_ids)], mj[: len(matrix.item_ids)])
     values[old] = matrix.values
     sources[old] = matrix.sources  # SOURCE_NONE wherever values is NaN
 
-    for (u, m), v in pseudo.items():
-        if sources[uix[u], mix[m]] == SOURCE_EXPLICIT:
-            continue
-        values[uix[u], mix[m]] = v
-        sources[uix[u], mix[m]] = SOURCE_IMPLICIT
-
-    return RatingMatrix(user_ids, item_ids, values, sources, matrix.scale)
+    ui, mj = ui[len(matrix.user_ids) :], mj[len(matrix.item_ids) :]
+    last = _last_of_each(ui * item_ids.size + mj)
+    ui, mj, pseudo = ui[last], mj[last], pseudo[last]
+    fill = sources[ui, mj] != SOURCE_EXPLICIT
+    values[ui[fill], mj[fill]] = pseudo[fill]
+    sources[ui[fill], mj[fill]] = SOURCE_IMPLICIT
+    return RatingMatrix(tuple(user_ids.tolist()), tuple(item_ids.tolist()), values, sources, matrix.scale)
 
 
 def save_similarity(sim: SimilarityMatrix, path) -> None:

@@ -103,7 +103,9 @@ def precision_at_k(
 def _score(matrix: RatingMatrix, sim, test: list[Rating], k: int) -> tuple[float, float]:
     values, fallback = predict_many(matrix, sim, [r.user_id for r in test], [r.movie_id for r in test], k)
     covered = len(test) - int(np.count_nonzero(fallback))
-    return mae(zip(values.tolist(), (r.value for r in test))), covered / len(test)
+    # mae's sum: left to right from the first error, as adding from 0 does
+    errors = np.abs(values - np.array([r.value for r in test], dtype=float))
+    return float(np.add.accumulate(errors)[-1]) / len(test), covered / len(test)
 
 
 def evaluate_variants(

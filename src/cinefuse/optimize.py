@@ -21,7 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, Rating
-from .cf import RatingMatrix, SimilarityMatrix, _axis_values, _pair_blocks, _pearson_plan, _predict, _targets
+from .cf import (
+    RatingMatrix,
+    SimilarityMatrix,
+    _axis_values,
+    _pair_blocks,
+    _pearson_plan,
+    _predict,
+    _rank_rows,
+    _raters,
+    _targets,
+)
 from .errors import CinefuseError, require_positive
 
 
@@ -327,17 +337,21 @@ def _subsample(validation: list[Rating], cap: int, seed: int) -> list[Rating]:
     return [validation[i] for i in idx]
 
 
-def _sample_scorer(matrix: RatingMatrix, axis: str, ids: tuple[int, ...], sample: list[Rating], k: int):
+def _sample_scorer(matrix: RatingMatrix, axis: str, ids: tuple[int, ...], co: np.ndarray, sample: list[Rating], k: int):
     """`sim -> MAE of predict_many over sample`, fallback predictions
-    included, for similarities on `axis` over `ids`; the sample's positions
-    are found once, here."""
+    included, for similarities on `axis` over `ids` whose co-counts are
+    `co`; the sample's positions and the raters of each rating are gathered
+    once, here, so a call ranks the targets' neighbors, sorts and sums."""
     targets = _targets(
         matrix, axis, ids, {e: p for p, e in enumerate(ids)}, [r.user_id for r in sample], [r.movie_id for r in sample]
     )
+    rows, blocks = targets.rows, [g for _, _, g in _raters(targets, co, k)]
+    by_id = np.argsort(ids)
     actual = np.array([r.value for r in sample], dtype=float)
 
     def score(sim: SimilarityMatrix) -> float:
-        values, _ = _predict(matrix, sim, targets, k)
+        ranks = _rank_rows(sim.values, by_id, rows)
+        values = np.concatenate([_predict(matrix.scale, sim.values, ranks, g)[0] for g in blocks])
         # left to right from the first error, as a scalar loop from 0.0
         # adds them: every error is >= +0.0
         return float(np.add.accumulate(np.abs(values - actual))[-1]) / len(sample)
@@ -360,8 +374,9 @@ def cf_mae_objective(
     every held-out rating with predict_many (fallback predictions
     included). What no weight changes is done once, at construction: the
     validation set is subsampled when it exceeds `validation_cap`, the
-    co-counts and co-rated cells are gathered (_pearson_plan) and the
-    sample's positions found.
+    co-counts and co-rated cells are gathered (_pearson_plan), and so are
+    the sample's positions and, from those co-counts, each rating's
+    eligible raters (_sample_scorer).
     """
     require_positive("k", k)
     if not validation_ratings:
@@ -372,8 +387,8 @@ def cf_mae_objective(
                 f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
             )
     sample = _subsample(validation_ratings, validation_cap, cap_seed)
-    similarity = _pearson_plan(train_matrix, axis, min_overlap)
-    score = _sample_scorer(train_matrix, axis, _axis_values(train_matrix, axis)[1], sample, k)
+    similarity, co = _pearson_plan(train_matrix, axis, min_overlap)
+    score = _sample_scorer(train_matrix, axis, _axis_values(train_matrix, axis)[1], co, sample, k)
 
     def objective(weights) -> float:
         return score(similarity(weights))
@@ -391,9 +406,9 @@ def fuzzy_mae_objective(
 ):
     """Objective: genre weights -> validation MAE under fuzzy user similarity.
 
-    The profiles' degree matrix, pair blocks and co-counts and the sample's
-    positions are found once, at construction; a call runs the weighted
-    kernel and the predictor.
+    The profiles' degree matrix, pair blocks and co-counts, the sample's
+    positions and each rating's eligible raters are found once, at
+    construction; a call runs the weighted kernel and the predictor.
     """
     require_positive("k", k)
     if not validation_ratings:
@@ -401,7 +416,7 @@ def fuzzy_mae_objective(
     sample = _subsample(validation_ratings, validation_cap, cap_seed)
     ids, degs = _fuzzy_degrees(profiles)
     blocks, co = _fuzzy_plan(degs)
-    score = _sample_scorer(train_matrix, "user", ids, sample, k)
+    score = _sample_scorer(train_matrix, "user", ids, co, sample, k)
 
     def objective(weights) -> float:
         return score(_fuzzy_similarity(ids, degs, blocks, co, weights))

@@ -8,16 +8,18 @@ numpy loops the vectorised kernels replaced.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cinefuse import cf
-from cinefuse.catalog import ImplicitEvent, RatingScale
+from cinefuse.catalog import ImplicitEvent, Rating, RatingScale
 from cinefuse.cf import (
     SOURCE_EXPLICIT,
     SOURCE_IMPLICIT,
     ImplicitBlend,
+    RatingMatrix,
     SimilarityMatrix,
     augment_implicit,
     build_rating_matrix,
@@ -194,6 +196,50 @@ def loop_predict(matrix, sim, user_id, movie_id, k):
     if not candidates or den == 0.0:
         return matrix.scale.clamp(base), True
     return matrix.scale.clamp(base + num / den), False
+
+
+def loop_build_rating_matrix(catalog):
+    """build_rating_matrix as it was before it was vectorised: one cell write
+    per rating, in catalog order. It must match it bit for bit."""
+    user_ids = tuple(sorted({r.user_id for r in catalog.ratings}))
+    item_ids = tuple(sorted({r.movie_id for r in catalog.ratings}))
+    uix = {u: i for i, u in enumerate(user_ids)}
+    mix = {m: j for j, m in enumerate(item_ids)}
+    values = np.full((len(user_ids), len(item_ids)), np.nan)
+    sources = np.zeros((len(user_ids), len(item_ids)), dtype=np.uint8)
+    for r in catalog.ratings:
+        values[uix[r.user_id], mix[r.movie_id]] = r.value
+        sources[uix[r.user_id], mix[r.movie_id]] = SOURCE_EXPLICIT
+    return user_ids, item_ids, values, sources
+
+
+def loop_augment_implicit(matrix, events, params):
+    """augment_implicit as it was before it was vectorised: one scalar
+    pseudo-rating per event, the last per cell kept, then written cell by
+    cell. It must match it bit for bit."""
+    pseudo = {}
+    for ev in events:
+        raw = (
+            params.alpha_watch * (1.0 if ev.watched else 0.0)
+            + params.alpha_fraction * ev.watch_fraction
+            + params.alpha_freq * min(ev.watch_count, params.freq_cap) / params.freq_cap
+        )
+        pseudo[(ev.user_id, ev.movie_id)] = matrix.scale.clamp(matrix.scale.max * raw)
+    user_ids = tuple(sorted(set(matrix.user_ids) | {u for u, _ in pseudo}))
+    item_ids = tuple(sorted(set(matrix.item_ids) | {m for _, m in pseudo}))
+    uix = {u: i for i, u in enumerate(user_ids)}
+    mix = {m: j for j, m in enumerate(item_ids)}
+    values = np.full((len(user_ids), len(item_ids)), np.nan)
+    sources = np.zeros((len(user_ids), len(item_ids)), dtype=np.uint8)
+    old = np.ix_([uix[u] for u in matrix.user_ids], [mix[m] for m in matrix.item_ids])
+    values[old] = matrix.values
+    sources[old] = matrix.sources
+    for (u, m), v in pseudo.items():
+        if sources[uix[u], mix[m]] == SOURCE_EXPLICIT:
+            continue
+        values[uix[u], mix[m]] = v
+        sources[uix[u], mix[m]] = SOURCE_IMPLICIT
+    return user_ids, item_ids, values, sources
 
 
 def half_step_matrix(rng, n_users, n_items, density):
@@ -466,27 +512,25 @@ class TestNeighborOrder:
             assert knn_neighbors(sim, uid, k=10).neighbors == loop_eligible_sorted(sim, sim.index[uid])
 
 
-    @pytest.mark.parametrize("cells", [1, 7, 1 << 16])
-    def test_padded_orders_equal_each_row_order(self, monkeypatch, cells):
-        # hand ties, rows with and without co-counts, and rows asked for
-        # twice and in no order, in blocks of one row and of many
-        rng = np.random.default_rng(cells)
+    def test_neighbor_order_equals_loop_for_every_row(self):
+        # hand ties, rows with and without co-counts, ids out of order, and
+        # rows asked for twice and in no order
+        rng = np.random.default_rng(7)
         sims = [self.tied_sim()]
-        for _ in range(6):
+        for _ in range(18):
             matrix = half_step_matrix(rng, int(rng.integers(1, 14)), int(rng.integers(1, 14)), rng.uniform(0.1, 0.9))
             for axis in ("user", "item"):
                 sims.append(similarity_matrix(matrix, axis, "pearson", min_overlap=int(rng.integers(0, 4))))
-        monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+        perm = rng.permutation(len(sims[-1].ids))
+        sims.append(SimilarityMatrix(
+            "item", "pearson", tuple(sims[-1].ids[p] for p in perm),
+            sims[-1].values[np.ix_(perm, perm)], sims[-1].co_counts[np.ix_(perm, perm)], 0,
+        ))
         for sim in sims:
             n = len(sim.ids)
             rows = np.concatenate((rng.permutation(n), rng.integers(0, n, size=3)))
-            want = [[sim.index[o] for o, _ in loop_eligible_sorted(sim, p)] for p in rows.tolist()]
-            padded = sim._padded_orders(rows)
-            assert padded.shape == (rows.size, max(map(len, want)))
-            for got, order, p in zip(padded.tolist(), want, rows.tolist()):
-                assert got == order + [-1] * (padded.shape[1] - len(order))
-                assert sim.neighbor_order(p).tolist() == order
-        assert sims[1]._padded_orders(np.array([], dtype=np.intp)).shape == (0, 0)
+            for p in rows.tolist():
+                assert sim.neighbor_order(p).tolist() == [sim.index[o] for o, _ in loop_eligible_sorted(sim, p)]
 
 
 class TestPredictionBitwise:
@@ -587,6 +631,56 @@ class TestPredictManyBitwise:
         values, fallback = predict_many(matrix, sim, [], [], 3)
         assert values.shape == fallback.shape == (0,)
         assert values.dtype == np.float64 and fallback.dtype == np.bool_
+
+    def test_no_eligible_rater_and_all_zero_similarities_fall_back(self):
+        # user 1 alone rated movie 103; user 4 shares no movie with anyone
+        nan = float("nan")
+        matrix = make_matrix([
+            [4.0, 3.0, 5.0, nan],
+            [3.5, 2.0, nan, nan],
+            [2.0, 4.5, nan, nan],
+            [nan, nan, nan, 1.0],
+        ])
+        sim = similarity_matrix(matrix, "user", "pearson", min_overlap=1)
+        _, fallback = predict_many(matrix, sim, [1, 4, 4], [103, 101, 104], 3)
+        assert fallback.tolist() == [True, True, True]
+        for axis in ("user", "item"):
+            sim = similarity_matrix(matrix, axis, "pearson", min_overlap=1)
+            zero = SimilarityMatrix(axis, "pearson", sim.ids, np.zeros_like(sim.values), sim.co_counts, 1)
+            assert predict_many(matrix, zero, *every_pair(matrix), 3)[1].all()
+            for k in (1, 2, 5):
+                assert_many_matches_loop(matrix, sim, *every_pair(matrix), k)
+                assert_many_matches_loop(matrix, zero, *every_pair(matrix), k)
+
+    def test_exact_ties_rank_by_id_in_any_id_order(self):
+        # user 42's similarities tie exactly, and its similarity lists the
+        # ids out of order: users 5 and 19 tie at -1.0 in the opposite
+        # order to their positions
+        sim = TestNeighborOrder().tied_sim()
+        rng = np.random.default_rng(8)
+        values = rng.integers(1, 11, size=(len(sim.ids), 5)) / 2.0
+        matrix = RatingMatrix(
+            tuple(sorted(sim.ids)), tuple(range(101, 106)), values, np.ones(values.shape, dtype=np.uint8), RatingScale()
+        )
+        for k in range(1, 9):
+            assert_many_matches_loop(matrix, sim, *every_pair(matrix), k)
+
+    def test_narrower_similarity_in_another_id_order(self):
+        # raters the similarity lacks are skipped; its ids need not be the
+        # matrix's nor in its order
+        rng = np.random.default_rng(55)
+        for _ in range(6):
+            matrix = half_step_matrix(rng, 10, 9, rng.uniform(0.3, 0.8))
+            for axis in ("user", "item"):
+                full = similarity_matrix(matrix, axis, "cosine", min_overlap=1)
+                sub = rng.permutation(len(full.ids))[: len(full.ids) - 3]
+                narrower = SimilarityMatrix(
+                    axis, "cosine", tuple(full.ids[p] for p in sub),
+                    full.values[np.ix_(sub, sub)], full.co_counts[np.ix_(sub, sub)], 1,
+                )
+                pairs = [(u, m) for u, m in zip(*every_pair(matrix)) if (u if axis == "user" else m) in narrower.index]
+                for k in (1, 3, 20):
+                    assert_many_matches_loop(matrix, narrower, [u for u, _ in pairs], [m for _, m in pairs], k)
 
     @pytest.mark.parametrize("cells", [1, 5, 23])
     def test_blocking_does_not_change_bits(self, monkeypatch, cells):
@@ -716,7 +810,55 @@ class TestRecommendCF:
             recommend_cf(sim_item, 999, 5)
 
 
+def assert_matrix_equals(got, want):
+    user_ids, item_ids, values, sources = want
+    assert (got.user_ids, got.item_ids) == (user_ids, item_ids)
+    assert all(type(i) is int for i in got.user_ids + got.item_ids)
+    assert np.array_equal(got.values, values, equal_nan=True)
+    assert np.array_equal(got.sources, sources)
+
+
+class TestRatingMatrixBuild:
+    def test_equals_per_rating_loop(self, fixture_catalog):
+        assert_matrix_equals(build_rating_matrix(fixture_catalog), loop_build_rating_matrix(fixture_catalog))
+        rng = np.random.default_rng(91)
+        for _ in range(10):
+            # ids in no order, gaps between them, and cells rated twice: the last wins
+            n = int(rng.integers(1, 60))
+            users, movies = rng.integers(1, 30, size=n) * 7, rng.integers(1, 40, size=n) * 3 + 1000
+            ratings = [
+                Rating(int(u), int(m), float(rng.integers(1, 11)) / 2.0, t)
+                for t, (u, m) in enumerate(zip(users, movies))
+            ]
+            catalog = replace(tiny_catalog(), ratings=ratings)
+            assert_matrix_equals(build_rating_matrix(catalog), loop_build_rating_matrix(catalog))
+
+
 class TestImplicitAugmentation:
+    def test_equals_per_event_loop(self):
+        rng = np.random.default_rng(92)
+        blends = [
+            ImplicitBlend(),
+            ImplicitBlend(alpha_watch=0.1, alpha_fraction=0.6, alpha_freq=0.3, freq_cap=3),
+            ImplicitBlend(alpha_watch=0.7, alpha_fraction=0.0, alpha_freq=0.3, freq_cap=1),
+        ]
+        for _ in range(12):
+            matrix = half_step_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng.uniform(0.2, 0.9))
+            n = int(rng.integers(0, 40))
+            # users 1-11 and movies 101-111 cover rated, unrated and unseen
+            # cells: repeats, explicit cells, and ids seen only in events;
+            # fractions past 1 clamp to the top of the scale
+            events = [
+                ImplicitEvent(int(u), int(m), bool(w), float(f), int(c))
+                for u, m, w, f, c in zip(
+                    rng.integers(1, 12, n), rng.integers(101, 112, n), rng.uniform(size=n) < 0.6,
+                    rng.uniform(0.0, 1.5, n), rng.integers(0, 15, n),
+                )
+            ]
+            events += events[: n // 3]  # the same events again, after others on their cells
+            for blend in blends:
+                assert_matrix_equals(augment_implicit(matrix, events, blend), loop_augment_implicit(matrix, events, blend))
+
     def test_pseudo_rating_formula(self):
         matrix = make_matrix([[4.0, np.nan], [3.0, 2.0]])
         events = [ImplicitEvent(1, 102, True, 0.8, 4)]

@@ -360,7 +360,7 @@ class TestObjectivesBitwise:
             ]
             for sim in sims:
                 for k in (1, 4, 20):
-                    score = _sample_scorer(matrix, sim.axis, sim.ids, test, k)
+                    score = _sample_scorer(matrix, sim.axis, sim.ids, sim.co_counts, test, k)
                     assert score(sim) == loop_sample_mae(matrix, sim, test, k)
 
     def test_objectives_equal_per_pair_loop(self, fixture_catalog):
@@ -467,6 +467,71 @@ class TestObjectivesHeldPlan:
         for _ in range(4):
             objective(np.ones(len(train.genre_universe())))
         assert calls == {"gather": 1, "pairs": 1, "positions": 2}
+
+
+class TestRaterPlans:
+    """Each objective gathers the raters of its sample once, from its own
+    co-counts; every call must equal the per-rating loop, with ==."""
+
+    def test_every_k_and_min_overlap_on_both_axes_and_fuzzy(self, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=6)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        n_genres = len(train.genre_universe())
+        rng = np.random.default_rng(14)
+        for k in (1, 4, 20):
+            for axis, d in (("user", len(matrix.item_ids)), ("item", len(matrix.user_ids))):
+                for min_overlap in range(4):
+                    objective = cf_mae_objective(matrix, test, axis=axis, k=k, min_overlap=min_overlap)
+                    w = random_weights(rng, d)
+                    sim = similarity_matrix(matrix, axis, "pearson", weights=w, min_overlap=min_overlap)
+                    assert objective(w) == loop_sample_mae(matrix, sim, test, k)
+            w = random_weights(rng, n_genres)
+            want = loop_sample_mae(matrix, fuzzy_similarity_matrix(profiles, w), test, k)
+            assert fuzzy_mae_objective(matrix, profiles, test, k=k)(w) == want
+
+    @pytest.mark.parametrize("cells", [1, 5, 23])
+    def test_blocks_of_raters_do_not_change_bits(self, monkeypatch, cells, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=3)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        rng = np.random.default_rng(cells)
+        w, g = random_weights(rng, len(matrix.item_ids)), random_weights(rng, len(train.genre_universe()))
+        want = loop_sample_mae(matrix, similarity_matrix(matrix, "user", "pearson", weights=w), test, 6)
+        want_fuzzy = loop_sample_mae(matrix, fuzzy_similarity_matrix(profiles, g), test, 6)
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+        assert cf_mae_objective(matrix, test, axis="user", k=6)(w) == want
+        assert fuzzy_mae_objective(matrix, profiles, test, k=6)(g) == want_fuzzy
+
+    def test_gather_runs_once_and_is_not_mutated(self, monkeypatch, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=4)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        gathered = []
+
+        def counted(*args, **kwargs):
+            blocks = list(cf._raters(*args, **kwargs))
+            gathered.append([(g, [np.copy(f) for f in g]) for _, _, g in blocks])
+            return blocks
+
+        monkeypatch.setattr(optimize, "_raters", counted)
+        rng = np.random.default_rng(21)
+        cases = [
+            (cf_mae_objective(matrix, test, axis="user", k=4), len(matrix.item_ids),
+             lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
+            (fuzzy_mae_objective(matrix, profiles, test, k=4), len(train.genre_universe()),
+             lambda w: fuzzy_similarity_matrix(profiles, w)),
+        ]
+        assert len(gathered) == 2
+        for objective, d, fresh in cases:
+            weights = [random_weights(rng, d) for _ in range(4)]
+            want = [loop_sample_mae(matrix, fresh(w), test, 4) for w in weights]
+            for i in np.concatenate([rng.permutation(4) for _ in range(3)]).tolist():
+                assert objective(weights[i]) == want[i]
+        assert len(gathered) == 2
+        for blocks in gathered:
+            for held, copies in blocks:
+                assert all(np.array_equal(f, c) for f, c in zip(held, copies))
 
 
 class TestObjectives:
