@@ -512,12 +512,15 @@ class TestNeighborOrder:
             assert knn_neighbors(sim, uid, k=10).neighbors == loop_eligible_sorted(sim, sim.index[uid])
 
 
-    def test_neighbor_order_equals_loop_for_every_row(self):
-        # hand ties, rows with and without co-counts, ids out of order, and
-        # rows asked for twice and in no order
-        rng = np.random.default_rng(7)
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+    def test_padded_orders_equal_each_row_order(self, monkeypatch, cells):
+        # the many-row neighbor sort (_rank_rows, in blocks of one row and of
+        # many) and neighbor_order both give each row's loop order: hand
+        # ties, rows with and without co-counts, ids out of order, and rows
+        # asked for twice and in no order
+        rng = np.random.default_rng(cells)
         sims = [self.tied_sim()]
-        for _ in range(18):
+        for _ in range(6):
             matrix = half_step_matrix(rng, int(rng.integers(1, 14)), int(rng.integers(1, 14)), rng.uniform(0.1, 0.9))
             for axis in ("user", "item"):
                 sims.append(similarity_matrix(matrix, axis, "pearson", min_overlap=int(rng.integers(0, 4))))
@@ -526,11 +529,18 @@ class TestNeighborOrder:
             "item", "pearson", tuple(sims[-1].ids[p] for p in perm),
             sims[-1].values[np.ix_(perm, perm)], sims[-1].co_counts[np.ix_(perm, perm)], 0,
         ))
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
         for sim in sims:
             n = len(sim.ids)
             rows = np.concatenate((rng.permutation(n), rng.integers(0, n, size=3)))
-            for p in rows.tolist():
-                assert sim.neighbor_order(p).tolist() == [sim.index[o] for o, _ in loop_eligible_sorted(sim, p)]
+            ranks = cf._rank_rows(sim.values, np.argsort(sim.ids), rows)
+            assert ranks.shape == (rows.size, n)
+            for rank, p in zip(ranks, rows.tolist()):
+                order = [sim.index[o] for o, _ in loop_eligible_sorted(sim, p)]
+                assert sorted(rank.tolist()) == list(range(n))
+                assert sorted(order, key=lambda j: rank[j]) == order
+                assert sim.neighbor_order(p).tolist() == order
+        assert cf._rank_rows(sims[1].values, np.argsort(sims[1].ids), np.array([], dtype=np.intp)).shape == (0, len(sims[1].ids))
 
 
 class TestPredictionBitwise:
