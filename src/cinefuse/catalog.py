@@ -99,9 +99,12 @@ class Catalog:
         return sorted(genres)
 
 
+_NON_ALNUM = re.compile(r"[^0-9a-z]+")
+
+
 def normalize_title(title: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace."""
-    return re.sub(r"[^0-9a-z]+", " ", title.lower()).strip()
+    return _NON_ALNUM.sub(" ", title.lower()).strip()
 
 
 _YEAR_SUFFIX = re.compile(r"^(?P<base>.*?)\s*\((?P<year>\d{4})\)\s*$")
@@ -137,11 +140,9 @@ def closest_titles(catalog: Catalog, query: str, n: int = 5) -> list[str]:
     """Closest catalog titles to a query, for error messages."""
     import difflib
 
-    norm = normalize_title(query)
-    by_norm = {}
-    for mid in sorted(catalog.movies):
-        by_norm.setdefault(normalize_title(catalog.movies[mid].title), catalog.movies[mid].title)
-    matches = difflib.get_close_matches(norm, list(by_norm), n=n, cutoff=0.3)
+    # each normalized title stands for its lowest-id movie's title
+    by_norm = {norm: catalog.movies[ids[0]].title for norm, ids in catalog.title_groups.items()}
+    matches = difflib.get_close_matches(normalize_title(query), list(by_norm), n=n, cutoff=0.3)
     return [by_norm[m] for m in matches]
 
 
@@ -162,14 +163,10 @@ def _read_rows(path, expected_header):
                 f"bad header {header!r}, expected {expected_header!r}", path=path, line=1
             )
         rows = []
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            if not row:
-                continue
+        for row in reader:
             if len(row) != len(expected_header):
+                if not row:
+                    continue
                 raise DataFormatError(
                     f"expected {len(expected_header)} fields, got {len(row)}",
                     path=path,
@@ -198,13 +195,14 @@ def _parse_float(value, path, line, fld):
         raise DataFormatError(f"not a number: {value!r}", path=path, line=line, field=fld) from None
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_bool(value, path, line, fld):
-    v = value.strip().lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise DataFormatError(f"not a boolean: {value!r}", path=path, line=line, field=fld)
+    v = _BOOLS.get(value.strip().lower())
+    if v is None:
+        raise DataFormatError(f"not a boolean: {value!r}", path=path, line=line, field=fld)
+    return v
 
 
 def load_catalog(
@@ -219,52 +217,78 @@ def load_catalog(
     Reviews whose (movie id, normalized title) pair fails to match a catalog
     movie are dropped; the count lands in `Catalog.dropped_reviews`. Any other
     referential or schema problem raises DataFormatError.
+
+    Each row's fields are converted inline with int()/float() and the exact
+    boolean words. A row where that fails goes through the _parse_*
+    functions in field order instead: they also accept padding that strip()
+    removes and int()/float() reject (U+001C-U+001F, or any case of a
+    boolean word), and raise the error naming the field.
     """
     scale = scale or RatingScale()
 
     movies: dict[int, Movie] = {}
+    norms: dict[int, str] = {}  # normalized title per movie id
     for line, row in _read_rows(movies_path, ["movieId", "title", "genres", "year", "summary"]):
-        mid = _parse_int(row[0], movies_path, line, "movieId")
+        try:
+            mid = int(row[0])
+        except ValueError:
+            mid = _parse_int(row[0], movies_path, line, "movieId")
         title = row[1].strip()
         if not title:
             raise DataFormatError("empty title", path=movies_path, line=line, field="title")
         if mid in movies:
             raise DataFormatError(f"duplicate movieId {mid}", path=movies_path, line=line, field="movieId")
-        genres = frozenset(g.strip() for g in row[2].split("|") if g.strip())
-        year = _parse_int(row[3], movies_path, line, "year", optional=True)
+        genres = frozenset(filter(None, map(str.strip, row[2].split("|"))))
+        try:
+            year = int(row[3]) if row[3] else None
+        except ValueError:
+            year = _parse_int(row[3], movies_path, line, "year", optional=True)
         movies[mid] = Movie(mid, title, genres, summary=row[4], release_year=year)
+        norms[mid] = normalize_title(title)
 
+    # the grid values contains() accepts; any other value (off the grid by
+    # under its tolerance, out of range, NaN) is left to contains()
+    on_grid = {v for v in scale.values() if scale.contains(v)}
     ratings: list[Rating] = []
     seen_pairs = set()
     for line, row in _read_rows(ratings_path, ["userId", "movieId", "rating", "timestamp"]):
-        uid = _parse_int(row[0], ratings_path, line, "userId")
-        mid = _parse_int(row[1], ratings_path, line, "movieId")
-        value = _parse_float(row[2], ratings_path, line, "rating")
-        ts = _parse_int(row[3], ratings_path, line, "timestamp", optional=True)
+        try:
+            uid, mid, value = int(row[0]), int(row[1]), float(row[2])
+            ts = int(row[3]) if row[3] else None
+        except ValueError:
+            uid = _parse_int(row[0], ratings_path, line, "userId")
+            mid = _parse_int(row[1], ratings_path, line, "movieId")
+            value = _parse_float(row[2], ratings_path, line, "rating")
+            ts = _parse_int(row[3], ratings_path, line, "timestamp", optional=True)
         if mid not in movies:
             raise DataFormatError(f"unknown movieId {mid}", path=ratings_path, line=line, field="movieId")
-        if not scale.contains(value):
+        if value not in on_grid and not scale.contains(value):
             raise DataFormatError(
                 f"value out of scale at line {line}: {value}", path=ratings_path, line=line, field="rating"
             )
-        if (uid, mid) in seen_pairs:
+        pair = (uid, mid)
+        if pair in seen_pairs:
             raise DataFormatError(
                 f"duplicate rating for user {uid}, movie {mid}", path=ratings_path, line=line
             )
-        seen_pairs.add((uid, mid))
+        seen_pairs.add(pair)
         ratings.append(Rating(uid, mid, value, ts))
 
     reviews: list[CriticReview] = []
     dropped = 0
     for line, row in _read_rows(reviews_path, ["movieId", "title", "source", "rawScore", "reviewText"]):
-        mid = _parse_int(row[0], reviews_path, line, "movieId")
-        raw = _parse_float(row[3], reviews_path, line, "rawScore")
+        try:
+            mid, raw = int(row[0]), float(row[3])
+        except ValueError:
+            mid = _parse_int(row[0], reviews_path, line, "movieId")
+            raw = _parse_float(row[3], reviews_path, line, "rawScore")
         if not (0.0 <= raw <= 5.0):
             raise DataFormatError(
                 f"rawScore {raw} outside [0, 5]", path=reviews_path, line=line, field="rawScore"
             )
         movie = movies.get(mid)
-        if movie is None or normalize_title(row[1]) != normalize_title(movie.title):
+        # a title equal to the movie's needs no normalizing to match it
+        if movie is None or (row[1] != movie.title and normalize_title(row[1]) != norms[mid]):
             dropped += 1
             continue
         reviews.append(CriticReview(mid, source=row[2], review_text=row[4], raw_score=raw))
@@ -273,11 +297,15 @@ def load_catalog(
     if implicit_path is not None:
         header = ["userId", "movieId", "watched", "watchFraction", "watchCount"]
         for line, row in _read_rows(implicit_path, header):
-            uid = _parse_int(row[0], implicit_path, line, "userId")
-            mid = _parse_int(row[1], implicit_path, line, "movieId")
-            watched = _parse_bool(row[2], implicit_path, line, "watched")
-            frac = _parse_float(row[3], implicit_path, line, "watchFraction")
-            count = _parse_int(row[4], implicit_path, line, "watchCount")
+            try:
+                uid, mid, watched = int(row[0]), int(row[1]), _BOOLS[row[2]]
+                frac, count = float(row[3]), int(row[4])
+            except (KeyError, ValueError):
+                uid = _parse_int(row[0], implicit_path, line, "userId")
+                mid = _parse_int(row[1], implicit_path, line, "movieId")
+                watched = _parse_bool(row[2], implicit_path, line, "watched")
+                frac = _parse_float(row[3], implicit_path, line, "watchFraction")
+                count = _parse_int(row[4], implicit_path, line, "watchCount")
             if mid not in movies:
                 raise DataFormatError(f"unknown movieId {mid}", path=implicit_path, line=line, field="movieId")
             if not (0.0 <= frac <= 1.0):
@@ -297,7 +325,7 @@ def load_catalog(
 
     groups: dict[str, list[int]] = {}
     for mid in sorted(movies):
-        groups.setdefault(normalize_title(movies[mid].title), []).append(mid)
+        groups.setdefault(norms[mid], []).append(mid)
 
     return Catalog(
         movies=movies,

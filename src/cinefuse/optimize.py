@@ -238,8 +238,9 @@ def build_fuzzy_profiles(catalog: Catalog) -> dict[int, FuzzyProfile]:
     column = {g: t for t, g in enumerate(genres)}
     row = {mid: t for t, mid in enumerate(catalog.movies)}
     of_movie = np.zeros((len(row), len(genres)), dtype=bool)
-    for mid, t in row.items():
-        of_movie[t, [column[g] for g in catalog.movies[mid].genres]] = True
+    # every (movie, genre) cell at once, by its flat position
+    cells = [t * len(genres) + column[g] for t, m in enumerate(catalog.movies.values()) for g in m.genres]
+    of_movie.flat[cells] = True
     user_ids, user = np.unique(np.array([r.user_id for r in catalog.ratings], dtype=np.int64), return_inverse=True)
     movie = np.array([row[r.movie_id] for r in catalog.ratings], dtype=np.intp)
     values = np.array([r.value for r in catalog.ratings], dtype=float)
@@ -287,10 +288,11 @@ def fuzzy_similarity(a: FuzzyProfile, b: FuzzyProfile, weights) -> float:
 def _fuzzy_degrees(profiles: dict[int, FuzzyProfile]) -> tuple[tuple[int, ...], np.ndarray]:
     """The sorted profile ids and their (profiles, genres) degree matrix."""
     ids = tuple(sorted(profiles))
-    genres = profiles[ids[0]].genres() if ids else ()
-    if any(profiles[u].genres() != genres for u in ids):
+    universes = {profiles[u].genres() for u in ids}
+    if len(universes) > 1:
         raise CinefuseError("profiles do not share a genre universe")
-    return ids, np.array([profiles[u].degrees() for u in ids]).reshape(len(ids), len(genres))
+    n_genres = len(universes.pop()) if universes else 0
+    return ids, np.array([profiles[u].degrees() for u in ids]).reshape(len(ids), n_genres)
 
 
 def _fuzzy_plan(degs: np.ndarray) -> tuple[list, np.ndarray]:

@@ -169,6 +169,36 @@ class TestTitles:
         near = closest_titles(fixture_catalog, "Nothern Lights")
         assert "Northern Lights" in near
 
+    # recorded from closest_titles as it was when it normalized every catalog
+    # title per call instead of reading catalog.title_groups
+    @pytest.mark.parametrize("query, n, want", [
+        ("Nothern Lights", 5, ["Northern Lights", "The Last Reel", "Violet Morning", "Paper Lanterns", "Meridian Alpha"]),
+        ("ash fall", 5, ["Ashfall", "Glass Harbor", "The Last Reel", "Meridian Alpha"]),
+        ("CLOCKWORK", 2, ["Clockwork Harvest", "Second Orbit"]),
+        ("the cartographer (1999)", 5, ["The Cartographer", "The Last Reel", "The Tide Office", "Glass Harbor"]),
+        ("Meridian", 5, ["Red Meridian", "Meridian Beta", "Meridian Gamma", "Meridian Alpha", "Paper Lanterns"]),
+        ("salt and smoke", 2, ["Salt and Smoke", "Silent Canyon"]),
+        ("zzz", 5, []),
+        ("", 5, []),
+    ])
+    def test_closest_titles_unchanged(self, fixture_catalog, query, n, want):
+        assert closest_titles(fixture_catalog, query, n=n) == want
+
+    def test_closest_titles_name_the_lowest_id_of_a_shared_title(self, tmp_path):
+        movies = tmp_path / "m.csv"
+        ratings = tmp_path / "r.csv"
+        reviews = tmp_path / "v.csv"
+        movies.write_text(
+            "movieId,title,genres,year,summary\n3,The Last Reel!,Drama,2000,x\n"
+            "1,the last reel,Drama,1990,x\n2,Other Film,Drama,,x\n"
+        )
+        ratings.write_text("userId,movieId,rating,timestamp\n")
+        reviews.write_text("movieId,title,source,rawScore,reviewText\n")
+        catalog = load_catalog(movies, ratings, reviews)
+        # movie 1's title stands for both, as before
+        assert closest_titles(catalog, "last reels") == ["the last reel", "Other Film"]
+        assert closest_titles(catalog, "reel") == ["the last reel"]
+
 
 class TestSummaryStats:
     def test_fixture_tallies(self, fixture_catalog):
