@@ -26,7 +26,6 @@ from .cf import (
     SimilarityMatrix,
     augment_implicit,
     build_rating_matrix,
-    knn_neighbors,
     load_similarity,
     predict_many,
     predict_rating,
@@ -45,7 +44,6 @@ from .optimize import (
     build_fuzzy_profiles,
     cf_mae_objective,
     fuzzy_mae_objective,
-    fuzzy_similarity,
     fuzzy_similarity_matrix,
     ga_optimize,
     load_weights,

@@ -358,9 +358,12 @@ def summary_stats(catalog: Catalog) -> CatalogStats:
             unknown_year += 1
         else:
             per_year[movie.release_year] = per_year.get(movie.release_year, 0) + 1
-    histogram = {v: 0 for v in catalog.scale.values()}
+    # by grid index: the loader accepts a value within 1e-9 of the grid
+    scale, grid = catalog.scale, catalog.scale.values()
+    counts = [0] * len(grid)
     for r in catalog.ratings:
-        histogram[round(r.value, 10)] += 1
+        counts[round((r.value - scale.min) / scale.step)] += 1
+    histogram = dict(zip(grid, counts))
     return CatalogStats(
         per_year=dict(sorted(per_year.items())),
         unknown_year=unknown_year,

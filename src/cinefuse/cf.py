@@ -66,10 +66,6 @@ class RatingMatrix:
             self.user_means = filled.sum(axis=1) / rated.sum(axis=1)
             self.item_means = filled.sum(axis=0) / rated.sum(axis=0)
 
-    @property
-    def entry_count(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self.values)))
-
 
 def _last_of_each(cells: np.ndarray) -> np.ndarray:
     """Index of the last occurrence of each distinct value of `cells`,
@@ -95,11 +91,7 @@ def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
 
 @dataclass
 class SimilarityMatrix:
-    """Pairwise similarities along one axis; treated as read-only once built.
-
-    Each row's neighbor order is sorted on first use and cached, so the
-    values must not be changed afterwards.
-    """
+    """Pairwise similarities along one axis."""
 
     axis: str  # "user" or "item"
     metric: str  # pearson | cosine | jaccard | fuzzy
@@ -108,19 +100,9 @@ class SimilarityMatrix:
     co_counts: np.ndarray  # (n, n) int, co-rated dimension counts
     min_overlap: int
     index: dict[int, int] = field(repr=False, default_factory=dict)
-    _orders: dict[int, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.index = {e: i for i, e in enumerate(self.ids)}
-
-    def neighbor_order(self, pos: int) -> np.ndarray:
-        """Positions of the co-counted neighbors of row `pos`, similarity
-        desc then id asc. Sorted once per row."""
-        if pos not in self._orders:
-            cand = np.flatnonzero(self.co_counts[pos] > 0)
-            cand = cand[cand != pos]
-            self._orders[pos] = cand[np.lexsort((np.asarray(self.ids)[cand], -self.values[pos, cand]))]
-        return self._orders[pos]
 
 
 # Cells one block may hold in its temporaries, whatever the matrix size: the
@@ -365,27 +347,6 @@ def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
 
 
 @dataclass
-class NeighborSet:
-    target_id: int
-    neighbors: list[tuple[int, float]]  # (neighbor id, similarity), sim desc, id asc
-
-
-def _eligible_sorted(sim: SimilarityMatrix, pos: int, limit: int | None = None):
-    """The first `limit` (default all) co-counted neighbors of `pos`,
-    similarity desc then id asc."""
-    row = sim.values[pos]
-    return [(sim.ids[j], float(row[j])) for j in sim.neighbor_order(pos)[:limit]]
-
-
-def knn_neighbors(sim: SimilarityMatrix, target_id: int, k: int) -> NeighborSet:
-    """Top-k neighbors with nonzero co-count; may return fewer than k."""
-    require_positive("k", k)
-    if target_id not in sim.index:
-        raise UnknownEntityError(f"unknown {sim.axis} id {target_id}")
-    return NeighborSet(target_id, _eligible_sorted(sim, sim.index[target_id], k))
-
-
-@dataclass
 class Prediction:
     value: float
     fallback: bool  # True when no usable neighbor rated the movie
@@ -487,20 +448,25 @@ def _raters(t: _Targets, co: np.ndarray, k: int):
         yield a, b, _Raters(pos, t.base[a:b], t.row_of[a:b], counts, cols, t.dev[at], first.astype(np.int32), pair[first])
 
 
+def _by_rank(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(rows, n): every column of `values` in the neighbor order of each of
+    `rows`, similarity desc then id asc (`by_id`: the columns in ascending
+    id). The one ordering rule: the sort is stable over the columns in id
+    order, so equal similarities rank by id."""
+    return by_id[np.argsort(-values[rows][:, by_id], axis=1, kind="stable")]
+
+
 def _rank_rows(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(rows, n) int32: the rank of every column of `values` in the neighbor
-    order of each of `rows`, similarity desc then id asc (`by_id`: the
-    columns in ascending id), sorted a block of at most _BLOCK_CELLS cells
-    at a time. Ineligible neighbors are ranked too; the predictor never
-    looks them up."""
+    """(rows, n) int32: the rank of every column of `values` in the _by_rank
+    order of each of `rows`, sorted a block of at most _BLOCK_CELLS cells at
+    a time. Ineligible neighbors are ranked too; the predictor never looks
+    them up."""
     n = by_id.size
     ranks = np.empty((rows.size, n), dtype=np.int32)
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for a in range(0, rows.size, step):
-        block = values[rows[a : a + step]][:, by_id]
-        # stable over the columns in id order: equal similarities rank by id
-        order = by_id[np.argsort(-block, axis=1, kind="stable")]
-        ranks[a + np.arange(block.shape[0])[:, None], order] = np.arange(n, dtype=np.int32)
+        order = _by_rank(values, by_id, rows[a : a + step])
+        ranks[a + np.arange(order.shape[0])[:, None], order] = np.arange(n, dtype=np.int32)
     return ranks
 
 
@@ -578,10 +544,14 @@ def predict_rating(
 
 def recommend_cf(sim_item: SimilarityMatrix, seed_id: int, n: int) -> list[tuple[int, float]]:
     """The `n` movies most similar to a seed movie, as (movie id, similarity)
-    pairs: co-counted neighbors only, similarity desc then id asc."""
+    pairs: co-counted neighbors only, in _by_rank order."""
+    require_positive("n", n)
     if seed_id not in sim_item.index:
         raise UnknownEntityError(f"unknown movie id {seed_id}")
-    return _eligible_sorted(sim_item, sim_item.index[seed_id], n)
+    pos = sim_item.index[seed_id]
+    order = _by_rank(sim_item.values, np.argsort(sim_item.ids), np.array([pos]))[0]
+    order = order[(sim_item.co_counts[pos, order] > 0) & (order != pos)][:n]
+    return [(sim_item.ids[j], float(sim_item.values[pos, j])) for j in order.tolist()]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Critic consensus: per-movie review aggregation and bonus normalization.
 
 Raw review scores live on a 0-5 scale. The consensus is their arithmetic
-mean (median available as an option), linearly mapped into [0, 0.2] by
-x/25 so it can be added onto content scores as a small bonus. Movies with
+mean, linearly mapped into [0, 0.2] by x/25 so it can be added onto
+content scores as a small bonus. Movies with
 no reviews take a neutral default of 2.5 raw (0.1 normalized) rather than
 zero, so being unreviewed neither boosts nor punishes a movie.
 """
@@ -10,8 +10,6 @@ zero, so being unreviewed neither boosts nor punishes a movie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .catalog import Catalog, CriticReview
 from .errors import CinefuseError
@@ -36,38 +34,25 @@ def normalize(raw_mean: float) -> float:
     return raw_mean / 25.0
 
 
-def aggregate_reviews(
-    movie_id: int,
-    reviews: list[CriticReview],
-    method: str = "mean",
-    neutral: float = NEUTRAL_RAW,
-) -> CriticConsensus:
+def aggregate_reviews(movie_id: int, reviews: list[CriticReview]) -> CriticConsensus:
     """Fold one movie's reviews into a CriticConsensus.
 
     Zero reviews yield the neutral default with review_count 0.
     """
-    if method not in ("mean", "median"):
-        raise CinefuseError(f"unknown aggregation method {method!r}")
     for r in reviews:
         if not RAW_MIN <= r.raw_score <= RAW_MAX:
             raise CinefuseError(
                 f"review score {r.raw_score} for movie {movie_id} outside [{RAW_MIN}, {RAW_MAX}]"
             )
     if not reviews:
-        return CriticConsensus(movie_id, neutral, 0, normalize(neutral))
-    scores = [r.raw_score for r in reviews]
-    raw = float(np.median(scores)) if method == "median" else sum(scores) / len(scores)
+        return CriticConsensus(movie_id, NEUTRAL_RAW, 0, normalize(NEUTRAL_RAW))
+    raw = sum(r.raw_score for r in reviews) / len(reviews)
     return CriticConsensus(movie_id, raw, len(reviews), normalize(raw))
 
 
-def consensus_map(
-    catalog: Catalog, method: str = "mean", neutral: float = NEUTRAL_RAW
-) -> dict[int, CriticConsensus]:
+def consensus_map(catalog: Catalog) -> dict[int, CriticConsensus]:
     """CriticConsensus for every catalog movie, reviewed or not."""
     grouped: dict[int, list[CriticReview]] = {mid: [] for mid in catalog.movies}
     for review in catalog.reviews:
         grouped[review.movie_id].append(review)
-    return {
-        mid: aggregate_reviews(mid, grouped[mid], method=method, neutral=neutral)
-        for mid in catalog.movies
-    }
+    return {mid: aggregate_reviews(mid, grouped[mid]) for mid in catalog.movies}

@@ -22,6 +22,8 @@ import numpy as np
 
 from .catalog import Catalog, Rating
 from .cf import (
+    DEFAULT_K,
+    DEFAULT_MIN_OVERLAP,
     RatingMatrix,
     SimilarityMatrix,
     _axis_values,
@@ -31,8 +33,14 @@ from .cf import (
     _rank_rows,
     _raters,
     _targets,
+    _weight_vector,
 )
 from .errors import CinefuseError, require_positive
+
+# Objectives score at most this many validation ratings, a sample drawn with
+# this seed, so one evaluation's cost does not grow with the held-out set.
+VALIDATION_CAP = 2000
+VALIDATION_CAP_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -214,12 +222,6 @@ class FuzzyProfile:
     user_id: int
     memberships: tuple[tuple[str, float], ...]  # (genre, degree), sorted by genre
 
-    def degree(self, genre: str) -> float:
-        for g, d in self.memberships:
-            if g == genre:
-                return d
-        return 0.0
-
     def genres(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.memberships)
 
@@ -258,33 +260,6 @@ def build_fuzzy_profiles(catalog: Catalog) -> dict[int, FuzzyProfile]:
     }
 
 
-def _fuzzy_weights(weights, n_genres: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n_genres,):
-        raise CinefuseError(f"weight vector of length {w.size}, expected {n_genres}")
-    if np.any(w < 0):
-        raise CinefuseError("negative weight")
-    return w
-
-
-def fuzzy_similarity(a: FuzzyProfile, b: FuzzyProfile, weights) -> float:
-    """Weighted fuzzy Jaccard: sum(w*min) / sum(w*max), in [0, 1].
-
-    Weights align with the sorted genre order the profiles share. A zero
-    denominator (both profiles zero wherever weight is positive) counts as
-    identical, i.e. 1.
-    """
-    if a.genres() != b.genres():
-        raise CinefuseError("profiles do not share a genre universe")
-    w = _fuzzy_weights(weights, len(a.genres()))
-    da, db = a.degrees(), b.degrees()
-    num = float((w * np.minimum(da, db)).sum())
-    den = float((w * np.maximum(da, db)).sum())
-    if den == 0.0:
-        return 1.0
-    return min(1.0, max(0.0, num / den))
-
-
 def _fuzzy_degrees(profiles: dict[int, FuzzyProfile]) -> tuple[tuple[int, ...], np.ndarray]:
     """The sorted profile ids and their (profiles, genres) degree matrix."""
     ids = tuple(sorted(profiles))
@@ -309,7 +284,7 @@ def _fuzzy_plan(degs: np.ndarray) -> tuple[list, np.ndarray]:
 
 def _fuzzy_similarity(ids: tuple[int, ...], degs: np.ndarray, blocks, co, weights) -> SimilarityMatrix:
     """fuzzy_similarity_matrix over _fuzzy_degrees and _fuzzy_plan."""
-    w = _fuzzy_weights(weights, degs.shape[1])
+    w = _weight_vector(weights, degs.shape[1])
     values = np.eye(len(ids))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, j in blocks:
@@ -321,8 +296,11 @@ def _fuzzy_similarity(ids: tuple[int, ...], degs: np.ndarray, blocks, co, weight
 
 
 def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> SimilarityMatrix:
-    """User-user similarity from fuzzy profiles: fuzzy_similarity for every
-    pair, computed a block of pairs at a time with the same bits.
+    """User-user similarity from fuzzy profiles: the weighted fuzzy Jaccard
+    sum(w*min) / sum(w*max) of every pair, clipped into [0, 1], computed a
+    block of pairs at a time. Weights align with the sorted genre universe
+    the profiles share; a zero denominator (both profiles zero wherever
+    weight is positive) counts as identical, i.e. 1.
 
     Co-counts here are shared-support sizes (genres where both memberships
     are positive), which is what neighbor eligibility keys on.
@@ -331,11 +309,11 @@ def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> Simil
     return _fuzzy_similarity(ids, degs, *_fuzzy_plan(degs), weights)
 
 
-def _subsample(validation: list[Rating], cap: int, seed: int) -> list[Rating]:
-    if cap is None or len(validation) <= cap:
+def _subsample(validation: list[Rating]) -> list[Rating]:
+    if len(validation) <= VALIDATION_CAP:
         return list(validation)
-    rng = np.random.default_rng(seed)
-    idx = sorted(rng.choice(len(validation), size=cap, replace=False))
+    rng = np.random.default_rng(VALIDATION_CAP_SEED)
+    idx = sorted(rng.choice(len(validation), size=VALIDATION_CAP, replace=False))
     return [validation[i] for i in idx]
 
 
@@ -365,17 +343,15 @@ def cf_mae_objective(
     train_matrix: RatingMatrix,
     validation_ratings: list[Rating],
     axis: str = "user",
-    k: int = 20,
-    min_overlap: int = 2,
-    validation_cap: int | None = 2000,
-    cap_seed: int = 0,
+    k: int = DEFAULT_K,
+    min_overlap: int = DEFAULT_MIN_OVERLAP,
 ):
     """Objective: weights over the co-rated dimension -> validation MAE.
 
     A call computes the weighted pearson similarity on `axis` and scores
     every held-out rating with predict_many (fallback predictions
     included). What no weight changes is done once, at construction: the
-    validation set is subsampled when it exceeds `validation_cap`, the
+    validation set is subsampled when it exceeds VALIDATION_CAP, the
     co-counts and co-rated cells are gathered (_pearson_plan), and so are
     the sample's positions and, from those co-counts, each rating's
     eligible raters (_sample_scorer).
@@ -388,7 +364,7 @@ def cf_mae_objective(
             raise CinefuseError(
                 f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
             )
-    sample = _subsample(validation_ratings, validation_cap, cap_seed)
+    sample = _subsample(validation_ratings)
     similarity, co = _pearson_plan(train_matrix, axis, min_overlap)
     score = _sample_scorer(train_matrix, axis, _axis_values(train_matrix, axis)[1], co, sample, k)
 
@@ -402,20 +378,19 @@ def fuzzy_mae_objective(
     train_matrix: RatingMatrix,
     profiles: dict[int, FuzzyProfile],
     validation_ratings: list[Rating],
-    k: int = 20,
-    validation_cap: int | None = 2000,
-    cap_seed: int = 0,
+    k: int = DEFAULT_K,
 ):
     """Objective: genre weights -> validation MAE under fuzzy user similarity.
 
-    The profiles' degree matrix, pair blocks and co-counts, the sample's
-    positions and each rating's eligible raters are found once, at
-    construction; a call runs the weighted kernel and the predictor.
+    The validation set is subsampled as cf_mae_objective's. The profiles'
+    degree matrix, pair blocks and co-counts, the sample's positions and
+    each rating's eligible raters are found once, at construction; a call
+    runs the weighted kernel and the predictor.
     """
     require_positive("k", k)
     if not validation_ratings:
         raise CinefuseError("empty validation set")
-    sample = _subsample(validation_ratings, validation_cap, cap_seed)
+    sample = _subsample(validation_ratings)
     ids, degs = _fuzzy_degrees(profiles)
     blocks, co = _fuzzy_plan(degs)
     score = _sample_scorer(train_matrix, "user", ids, co, sample, k)

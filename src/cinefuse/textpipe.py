@@ -7,10 +7,10 @@ emoji table, stopword list, and irregular-form lemma dictionary are
 bundled as static data files, so the whole pipeline is deterministic and
 needs no model downloads.
 
-Embeddings come from one of two providers sharing a tiny interface
-(`dimension`, `vector(movie)`): a TF-IDF model fitted on the corpus, or
-vectors precomputed elsewhere and loaded from a text file. Neither runs
-any inference at query time.
+Embeddings come from one of two providers sharing a one-method interface,
+`vector(movie)`: a TF-IDF model fitted on the corpus, or vectors
+precomputed elsewhere and loaded from a text file. Neither runs any
+inference at query time.
 """
 
 from __future__ import annotations
@@ -133,12 +133,8 @@ class TfidfProvider:
     def __post_init__(self):
         self._index = {t: i for i, t in enumerate(self.vocabulary)}
 
-    @property
-    def dimension(self) -> int:
-        return len(self.vocabulary)
-
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension)
+        vec = np.zeros(len(self.vocabulary))
         for tok in preprocess(text, self.options).tokens:
             i = self._index.get(tok)
             if i is not None:
@@ -175,11 +171,6 @@ class PrecomputedProvider:
     """Embeddings computed offline and loaded from a text file."""
 
     vectors: dict[int, np.ndarray]
-    dim: int
-
-    @property
-    def dimension(self) -> int:
-        return self.dim
 
     def vector(self, movie: Movie) -> np.ndarray:
         vec = self.vectors.get(movie.movie_id)
@@ -220,7 +211,7 @@ def load_precomputed(path) -> PrecomputedProvider:
         vectors[movie_id] = values
     if not vectors:
         raise DataFormatError("no embedding rows", path=path, line=1)
-    return PrecomputedProvider(vectors, dim)
+    return PrecomputedProvider(vectors)
 
 
 def save_precomputed(path, vectors: dict[int, np.ndarray]) -> None:

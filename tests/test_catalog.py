@@ -218,6 +218,17 @@ class TestSummaryStats:
         for value, count in by_value.items():
             assert stats.rating_histogram[value] == count
 
+    def test_values_within_tolerance_count_on_the_grid(self):
+        # RatingScale.contains accepts a value within 1e-9 of a grid point,
+        # at either end of the scale too
+        cat = tiny_catalog()
+        values = [0.5 - 4e-10, 0.5 + 1e-10, 2.0 - 1e-10, 4.0000000001, 5.0 + 4e-10]
+        assert all(cat.scale.contains(v) for v in values)
+        ratings = [Rating(1, 1, v, 100 + t) for t, v in enumerate(values)]
+        histogram = summary_stats(replace(cat, ratings=ratings)).rating_histogram
+        assert list(histogram) == RatingScale().values()
+        assert {v: c for v, c in histogram.items() if c} == {0.5: 2, 2.0: 1, 4.0: 1, 5.0: 1}
+
 
 def loop_train_test_split(catalog, holdout_fraction, seed):
     """train_test_split as it was before index arrays: per-id count dicts

@@ -23,7 +23,6 @@ from cinefuse.cf import (
     SimilarityMatrix,
     augment_implicit,
     build_rating_matrix,
-    knn_neighbors,
     load_similarity,
     predict_many,
     predict_rating,
@@ -489,9 +488,9 @@ class TestNeighborOrder:
             ((sim.ids[j], float(sim.values[0, j])) for j in range(1, 8) if sim.co_counts[0, j] > 0),
             key=lambda t: (-t[1], t[0]),
         )
-        assert knn_neighbors(sim, 42, k=8).neighbors == want
+        assert recommend_cf(sim, 42, 8) == want
         assert [o for o, _ in want] == [7, 88, 3, 60, 5, 19]
-        assert knn_neighbors(sim, 42, k=3).neighbors == want[:3]
+        assert recommend_cf(sim, 42, 3) == want[:3]
 
     def test_ties_from_ratings_match_python_sort(self):
         # shifted, reversed and constant rows give similarities of exactly
@@ -509,13 +508,13 @@ class TestNeighborOrder:
         sim = similarity_matrix(matrix, "user", "pearson")
         assert sorted(set(sim.values[0, 1:].tolist())) == [-1.0, 0.0, 1.0]
         for uid in matrix.user_ids:
-            assert knn_neighbors(sim, uid, k=10).neighbors == loop_eligible_sorted(sim, sim.index[uid])
+            assert recommend_cf(sim, uid, 10) == loop_eligible_sorted(sim, sim.index[uid])
 
 
     @pytest.mark.parametrize("cells", [1, 7, 1 << 16])
     def test_padded_orders_equal_each_row_order(self, monkeypatch, cells):
         # the many-row neighbor sort (_rank_rows, in blocks of one row and of
-        # many) and neighbor_order both give each row's loop order: hand
+        # many) and recommend_cf both give each row's loop order: hand
         # ties, rows with and without co-counts, ids out of order, and rows
         # asked for twice and in no order
         rng = np.random.default_rng(cells)
@@ -536,10 +535,11 @@ class TestNeighborOrder:
             ranks = cf._rank_rows(sim.values, np.argsort(sim.ids), rows)
             assert ranks.shape == (rows.size, n)
             for rank, p in zip(ranks, rows.tolist()):
-                order = [sim.index[o] for o, _ in loop_eligible_sorted(sim, p)]
+                want = loop_eligible_sorted(sim, p)
+                order = [sim.index[o] for o, _ in want]
                 assert sorted(rank.tolist()) == list(range(n))
                 assert sorted(order, key=lambda j: rank[j]) == order
-                assert sim.neighbor_order(p).tolist() == order
+                assert recommend_cf(sim, sim.ids[p], n) == want
         assert cf._rank_rows(sims[1].values, np.argsort(sims[1].ids), np.array([], dtype=np.intp)).shape == (0, len(sims[1].ids))
 
 
@@ -771,7 +771,7 @@ class TestPredictionOracle:
             predict_rating(matrix, sim, 1, 101, k)
 
 
-class TestKnnNeighbors:
+class TestRecommendCF:
     def test_order_and_truncation(self):
         values = [
             [4.0, 3.0, 5.0, np.nan],
@@ -781,10 +781,11 @@ class TestKnnNeighbors:
         ]
         matrix = make_matrix(values)
         sim = similarity_matrix(matrix, "user", "pearson")
-        ns = knn_neighbors(sim, 1, k=2)
-        assert len(ns.neighbors) == 2
-        sims = [s for _, s in ns.neighbors]
+        out = recommend_cf(sim, 1, 2)
+        assert len(out) == 2
+        sims = [s for _, s in out]
         assert sims == sorted(sims, reverse=True)
+        assert out == loop_eligible_sorted(sim, sim.index[1])[:2]
 
     def test_no_overlap_never_eligible(self):
         values = [
@@ -793,17 +794,14 @@ class TestKnnNeighbors:
         ]
         matrix = make_matrix(values)
         sim = similarity_matrix(matrix, "user", "pearson")
-        ns = knn_neighbors(sim, 1, k=5)
-        assert ns.neighbors == []
+        assert recommend_cf(sim, 1, 5) == []
 
-    def test_k_validation(self):
-        matrix = make_matrix([[4.0, 3.0], [3.5, 2.0]])
-        sim = similarity_matrix(matrix, "user")
-        with pytest.raises(CinefuseError):
-            knn_neighbors(sim, 1, k=0)
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_validation(self, fixture_catalog, n):
+        sim_item = similarity_matrix(build_rating_matrix(fixture_catalog), "item", "pearson")
+        with pytest.raises(CinefuseError, match=f"n must be >= 1, got {n}"):
+            recommend_cf(sim_item, 1, n)
 
-
-class TestRecommendCF:
     def test_item_item_around_seed(self, fixture_catalog):
         matrix = build_rating_matrix(fixture_catalog)
         sim_item = similarity_matrix(matrix, "item", "pearson")
@@ -812,7 +810,7 @@ class TestRecommendCF:
         assert all(mid != 1 for mid, _ in out)
         keys = [(-s, mid) for mid, s in out]
         assert keys == sorted(keys)
-        assert out == knn_neighbors(sim_item, 1, 10).neighbors
+        assert out == loop_eligible_sorted(sim_item, sim_item.index[1])[:10]
 
     def test_unknown_seed_rejected(self, fixture_catalog):
         sim_item = similarity_matrix(build_rating_matrix(fixture_catalog), "item", "pearson")
@@ -902,7 +900,7 @@ class TestImplicitAugmentation:
         aug = augment_implicit(matrix, events)
         assert 9 in aug.user_index
         assert 555 in aug.item_index
-        assert matrix.entry_count + 1 == aug.entry_count
+        assert np.count_nonzero(~np.isnan(matrix.values)) + 1 == np.count_nonzero(~np.isnan(aug.values))
 
     def test_bad_blend_coefficients_rejected(self):
         matrix = make_matrix([[4.0, 3.0], [3.0, 2.0]])

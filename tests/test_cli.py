@@ -46,6 +46,16 @@ class TestStats:
         assert "  unknown: 1" in out
         assert "  4.0: 12" in out
 
+    def test_rating_just_off_the_grid_counts_on_it(self, capsys, tmp_path):
+        # the loader accepts a rating within 1e-9 of the grid
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("userId,movieId,rating,timestamp\n1,1,4.0000000001,846200301\n")
+        code, out, err = run_cli(capsys, "stats", "--ratings", str(ratings), "--implicit", "none")
+        assert (code, err) == (0, "")
+        assert "  4.0: 1\n" in out
+        histogram = out.split("rating histogram:\n")[1].splitlines()
+        assert sum(int(line.split(": ")[1]) for line in histogram) == 1
+
 
 class TestBuildIndex:
     def test_writes_loadable_cache(self, capsys, tmp_path):

@@ -43,20 +43,11 @@ class TestAggregate:
         assert c.raw_mean == pytest.approx(7.5 / 3)
         assert c.normalized == pytest.approx(7.5 / 3 / 25.0)
 
-    def test_median(self):
-        c = aggregate_reviews(7, [rv(7, 0.0), rv(7, 4.0), rv(7, 5.0)], method="median")
-        assert c.raw_mean == 4.0
-        assert c.normalized == pytest.approx(4.0 / 25.0)
-
     def test_zero_reviews_fall_back_to_neutral(self):
         c = aggregate_reviews(9, [])
         assert c.review_count == 0
         assert c.raw_mean == 2.5
         assert c.normalized == pytest.approx(0.1)
-
-    def test_custom_neutral(self):
-        c = aggregate_reviews(9, [], neutral=4.0)
-        assert c.normalized == pytest.approx(4.0 / 25.0)
 
     def test_order_invariant(self):
         rng = np.random.default_rng(3)
@@ -70,10 +61,6 @@ class TestAggregate:
     def test_out_of_range_review_rejected(self):
         with pytest.raises(CinefuseError):
             aggregate_reviews(1, [rv(1, 2.0), rv(1, 5.5)])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(CinefuseError):
-            aggregate_reviews(1, [rv(1, 2.0)], method="mode")
 
 
 class TestConsensusMap:

@@ -18,7 +18,6 @@ from cinefuse.optimize import (
     build_fuzzy_profiles,
     cf_mae_objective,
     fuzzy_mae_objective,
-    fuzzy_similarity,
     fuzzy_similarity_matrix,
     ga_optimize,
     load_weights,
@@ -177,6 +176,18 @@ class TestWeightVector:
             load_weights(path)
 
 
+def fuzzy_similarity(a, b, weights):
+    """Scalar weighted fuzzy Jaccard of two profiles: sum(w*min) / sum(w*max)
+    clamped into [0, 1], and 1 for a zero denominator."""
+    w = np.asarray(weights, dtype=float)
+    da, db = a.degrees(), b.degrees()
+    num = float((w * np.minimum(da, db)).sum())
+    den = float((w * np.maximum(da, db)).sum())
+    if den == 0.0:
+        return 1.0
+    return min(1.0, max(0.0, num / den))
+
+
 def loop_fuzzy_similarity_matrix(profiles, weights):
     """The per-pair loop fuzzy_similarity_matrix used before it was
     vectorised; the kernel must reproduce its values bit for bit."""
@@ -286,13 +297,13 @@ class TestFuzzyProfiles:
 
     def test_membership_is_scaled_genre_mean(self):
         cat = tiny_catalog()
-        profiles = build_fuzzy_profiles(cat)
+        degree = dict(build_fuzzy_profiles(cat)[1].memberships)
         # user 1 rated Drama movies 1 (4.0) and 2 (3.0): mean 3.5 -> 0.7
-        assert profiles[1].degree("Drama") == pytest.approx(3.5 / 5.0)
+        assert degree["Drama"] == pytest.approx(3.5 / 5.0)
         # user 1 rated the single Sci-Fi movie 3 at 5.0 -> 1.0
-        assert profiles[1].degree("Sci-Fi") == pytest.approx(1.0)
+        assert degree["Sci-Fi"] == pytest.approx(1.0)
         # user 1 never rated a Romance movie
-        assert profiles[1].degree("Romance") == 0.0
+        assert degree["Romance"] == 0.0
 
     def test_profiles_span_genre_universe(self):
         cat = tiny_catalog()
@@ -305,22 +316,22 @@ class TestFuzzyProfiles:
     def test_fuzzy_similarity_identity_and_bounds(self):
         a = FuzzyProfile(1, (("Action", 0.6), ("Drama", 0.2)))
         b = FuzzyProfile(2, (("Action", 0.3), ("Drama", 0.8)))
-        w = [1.0, 1.0]
-        s_ab = fuzzy_similarity(a, b, w)
+        values = fuzzy_similarity_matrix({1: a, 2: b}, [1.0, 1.0]).values
+        s_ab = values[0, 1]
         assert 0.0 <= s_ab <= 1.0
-        assert fuzzy_similarity(a, a, w) == pytest.approx(1.0)
+        assert values[0, 0] == values[1, 1] == 1.0
         expect = (min(0.6, 0.3) + min(0.2, 0.8)) / (max(0.6, 0.3) + max(0.2, 0.8))
         assert s_ab == pytest.approx(expect)
 
     def test_both_zero_profiles_count_identical(self):
         a = FuzzyProfile(1, (("Action", 0.0),))
         b = FuzzyProfile(2, (("Action", 0.0),))
-        assert fuzzy_similarity(a, b, [1.0]) == 1.0
+        assert fuzzy_similarity_matrix({1: a, 2: b}, [1.0]).values[0, 1] == 1.0
 
     def test_weight_length_mismatch_rejected(self):
         a = FuzzyProfile(1, (("Action", 0.5),))
         with pytest.raises(CinefuseError, match="length"):
-            fuzzy_similarity(a, a, [1.0, 2.0])
+            fuzzy_similarity_matrix({1: a}, [1.0, 2.0])
 
     def test_similarity_matrix_shape_and_co_counts(self):
         cat = tiny_catalog()
@@ -585,10 +596,14 @@ class TestObjectives:
         with pytest.raises(CinefuseError, match="genre universe"):
             fuzzy_mae_objective(matrix, profiles, test, k=20)
 
-    def test_validation_cap_subsamples_deterministically(self, fixture_catalog):
+    def test_validation_cap_subsamples_deterministically(self, fixture_catalog, monkeypatch):
         train, test = train_test_split(fixture_catalog, 0.4, seed=1)
         matrix = build_rating_matrix(train)
-        obj_a = cf_mae_objective(matrix, test, axis="user", validation_cap=5, cap_seed=3)
-        obj_b = cf_mae_objective(matrix, test, axis="user", validation_cap=5, cap_seed=3)
+        monkeypatch.setattr(optimize, "VALIDATION_CAP", 5)
+        monkeypatch.setattr(optimize, "VALIDATION_CAP_SEED", 3)
+        obj_a = cf_mae_objective(matrix, test, axis="user")
+        obj_b = cf_mae_objective(matrix, test, axis="user")
         w = np.ones(len(matrix.item_ids))
         assert obj_a(w) == obj_b(w)
+        sample = [test[i] for i in sorted(np.random.default_rng(3).choice(len(test), size=5, replace=False))]
+        assert obj_a(w) == loop_sample_mae(matrix, similarity_matrix(matrix, "user", "pearson", w), sample, 20)

@@ -246,9 +246,10 @@ class TestTfidf:
         movie = fixture_catalog.movies[1]
         np.testing.assert_array_equal(provider.vector(movie), provider.embed(movie.summary))
 
-    def test_dimension_property(self):
+    def test_vector_dimension_is_vocabulary_size(self):
         provider = fit_tfidf(self.DOCS, max_vocab=3)
-        assert provider.dimension == 3
+        assert len(provider.vocabulary) == 3
+        assert provider.embed(self.DOCS[0]).shape == (3,)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(CinefuseError):
@@ -261,7 +262,6 @@ class TestPrecomputed:
         path = tmp_path / "emb.tsv"
         save_precomputed(path, vectors)
         provider = load_precomputed(path)
-        assert provider.dimension == 3
         np.testing.assert_allclose(provider.vectors[1], vectors[1])
         np.testing.assert_allclose(provider.vectors[3], vectors[3])
 
