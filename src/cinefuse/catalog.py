@@ -8,10 +8,13 @@ events must resolve or the load fails.
 from __future__ import annotations
 
 import csv
+import gc
 import re
 from dataclasses import dataclass, field, replace
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +52,7 @@ class Movie:
     release_year: int | None = None
 
 
-@dataclass(frozen=True)
-class Rating:
+class Rating(NamedTuple):
     user_id: int
     movie_id: int
     value: float
@@ -65,8 +67,7 @@ class CriticReview:
     raw_score: float
 
 
-@dataclass(frozen=True)
-class ImplicitEvent:
+class ImplicitEvent(NamedTuple):
     user_id: int
     movie_id: int
     watched: bool
@@ -74,11 +75,39 @@ class ImplicitEvent:
     watch_count: int
 
 
+class RatingColumns(NamedTuple):
+    """Ratings as read-only arrays, one entry per rating, in list order."""
+
+    user: np.ndarray  # int64
+    movie: np.ndarray  # int64
+    value: np.ndarray  # float64
+
+    @classmethod
+    def of(cls, ratings: list[Rating]) -> RatingColumns:
+        n = len(ratings)
+        return cls._read_only(
+            np.fromiter(map(itemgetter(0), ratings), np.int64, n),
+            np.fromiter(map(itemgetter(1), ratings), np.int64, n),
+            np.fromiter(map(itemgetter(2), ratings), np.float64, n),
+        )
+
+    def where(self, keep: np.ndarray) -> RatingColumns:
+        """The columns of the ratings where the boolean mask `keep` is true."""
+        return self._read_only(*(column[keep] for column in self))
+
+    @classmethod
+    def _read_only(cls, *columns: np.ndarray) -> RatingColumns:
+        for column in columns:
+            column.flags.writeable = False
+        return cls(*columns)
+
+
 @dataclass(frozen=True)
 class Catalog:
     """Merged, validated store. Treat as immutable after load: the fields
     cannot be reassigned, and the lists and dicts must not be mutated, since
-    a fitted ranking model memoised on the catalog would go stale."""
+    a fitted ranking model or the column view memoised on the catalog would
+    go stale. The column view's arrays are read-only."""
 
     movies: dict[int, Movie]
     ratings: list[Rating]
@@ -91,6 +120,16 @@ class Catalog:
     # ranking models fitted on this catalog, keyed by the config fields the
     # fit reads (see ranker.recommend_hybrid); a `replace` copy starts empty
     _models: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # `ratings` as columns, built on the first read of `columns`; a `replace`
+    # copy starts empty
+    _columns: RatingColumns | None = field(init=False, repr=False, compare=False, default=None)
+
+    @property
+    def columns(self) -> RatingColumns:
+        """The ratings' user and movie ids and values as arrays, built once."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", RatingColumns.of(self.ratings))
+        return self._columns
 
     def genre_universe(self) -> list[str]:
         genres = set()
@@ -195,6 +234,14 @@ def _parse_float(value, path, line, fld):
         raise DataFormatError(f"not a number: {value!r}", path=path, line=line, field=fld) from None
 
 
+# the range of the ids and counts that numpy later holds as int64
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _outside_int64(value, path, line, fld):
+    raise DataFormatError(f"{fld} {value} does not fit in a 64-bit integer", path=path, line=line, field=fld)
+
+
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -223,9 +270,23 @@ def load_catalog(
     functions in field order instead: they also accept padding that strip()
     removes and int()/float() reject (U+001C-U+001F, or any case of a
     boolean word), and raise the error naming the field.
-    """
-    scale = scale or RatingScale()
 
+    The cyclic garbage collector is paused for the load: the records hold
+    no reference cycles, and each collection the allocations would trigger
+    rescans every record built so far. This is process-wide state, so other
+    threads collect nothing meanwhile either. The caller's setting (enabled
+    or disabled) is restored when the load returns or raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(movies_path, ratings_path, reviews_path, implicit_path, scale or RatingScale())
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingScale) -> Catalog:
     movies: dict[int, Movie] = {}
     norms: dict[int, str] = {}  # normalized title per movie id
     for line, row in _read_rows(movies_path, ["movieId", "title", "genres", "year", "summary"]):
@@ -233,6 +294,8 @@ def load_catalog(
             mid = int(row[0])
         except ValueError:
             mid = _parse_int(row[0], movies_path, line, "movieId")
+        if not _INT64_MIN <= mid <= _INT64_MAX:
+            _outside_int64(mid, movies_path, line, "movieId")
         title = row[1].strip()
         if not title:
             raise DataFormatError("empty title", path=movies_path, line=line, field="title")
@@ -260,6 +323,8 @@ def load_catalog(
             mid = _parse_int(row[1], ratings_path, line, "movieId")
             value = _parse_float(row[2], ratings_path, line, "rating")
             ts = _parse_int(row[3], ratings_path, line, "timestamp", optional=True)
+        if not _INT64_MIN <= uid <= _INT64_MAX:
+            _outside_int64(uid, ratings_path, line, "userId")
         if mid not in movies:
             raise DataFormatError(f"unknown movieId {mid}", path=ratings_path, line=line, field="movieId")
         if value not in on_grid and not scale.contains(value):
@@ -306,6 +371,8 @@ def load_catalog(
                 watched = _parse_bool(row[2], implicit_path, line, "watched")
                 frac = _parse_float(row[3], implicit_path, line, "watchFraction")
                 count = _parse_int(row[4], implicit_path, line, "watchCount")
+            if not _INT64_MIN <= uid <= _INT64_MAX:
+                _outside_int64(uid, implicit_path, line, "userId")
             if mid not in movies:
                 raise DataFormatError(f"unknown movieId {mid}", path=implicit_path, line=line, field="movieId")
             if not (0.0 <= frac <= 1.0):
@@ -314,6 +381,8 @@ def load_catalog(
                 )
             if count < 0:
                 raise DataFormatError("negative watchCount", path=implicit_path, line=line, field="watchCount")
+            if not _INT64_MIN <= count <= _INT64_MAX:
+                _outside_int64(count, implicit_path, line, "watchCount")
             if not watched and frac != 0.0:
                 raise DataFormatError(
                     "watchFraction must be 0 when watched is false",
@@ -360,10 +429,8 @@ def summary_stats(catalog: Catalog) -> CatalogStats:
             per_year[movie.release_year] = per_year.get(movie.release_year, 0) + 1
     # by grid index: the loader accepts a value within 1e-9 of the grid
     scale, grid = catalog.scale, catalog.scale.values()
-    counts = [0] * len(grid)
-    for r in catalog.ratings:
-        counts[round((r.value - scale.min) / scale.step)] += 1
-    histogram = dict(zip(grid, counts))
+    index = np.rint((catalog.columns.value - scale.min) / scale.step).astype(np.intp)
+    histogram = dict(zip(grid, np.bincount(index, minlength=len(grid)).tolist()))
     return CatalogStats(
         per_year=dict(sorted(per_year.items())),
         unknown_year=unknown_year,
@@ -387,9 +454,9 @@ def train_test_split(
     target = int(holdout_fraction * len(catalog.ratings))
 
     # each rating's user and movie as an index into their counts
-    ratings = catalog.ratings
-    _, user = np.unique(np.array([r.user_id for r in ratings], dtype=np.int64), return_inverse=True)
-    _, movie = np.unique(np.array([r.movie_id for r in ratings], dtype=np.int64), return_inverse=True)
+    ratings, columns = catalog.ratings, catalog.columns
+    _, user = np.unique(columns.user, return_inverse=True)
+    _, movie = np.unique(columns.movie, return_inverse=True)
     user_counts, movie_counts = np.bincount(user).tolist(), np.bincount(movie).tolist()
     user, movie = user.tolist(), movie.tolist()
 
@@ -408,4 +475,5 @@ def train_test_split(
     train_ratings = list(compress(ratings, in_train.tolist()))
     test_ratings = list(compress(ratings, (~in_train).tolist()))
     train = replace(catalog, ratings=train_ratings)
+    object.__setattr__(train, "_columns", columns.where(in_train))
     return train, test_ratings

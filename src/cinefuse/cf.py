@@ -79,12 +79,13 @@ def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
     rated twice); means computed per axis."""
     if not catalog.ratings:
         raise CinefuseError("no ratings")
-    user_ids, ui = np.unique(np.array([r.user_id for r in catalog.ratings], dtype=np.int64), return_inverse=True)
-    item_ids, mj = np.unique(np.array([r.movie_id for r in catalog.ratings], dtype=np.int64), return_inverse=True)
+    columns = catalog.columns
+    user_ids, ui = np.unique(columns.user, return_inverse=True)
+    item_ids, mj = np.unique(columns.movie, return_inverse=True)
     last = _last_of_each(ui * item_ids.size + mj)
     values = np.full((user_ids.size, item_ids.size), np.nan)
     sources = np.zeros((user_ids.size, item_ids.size), dtype=np.uint8)
-    values[ui[last], mj[last]] = np.array([r.value for r in catalog.ratings], dtype=float)[last]
+    values[ui[last], mj[last]] = columns.value[last]
     sources[ui[last], mj[last]] = SOURCE_EXPLICIT
     return RatingMatrix(tuple(user_ids.tolist()), tuple(item_ids.tolist()), values, sources, catalog.scale)
 

@@ -181,11 +181,14 @@ def _load(args):
     return load_catalog(args.movies, args.ratings, args.reviews, implicit_path=implicit)
 
 
+def _user_count(catalog) -> int:
+    return np.unique(catalog.columns.user).size
+
+
 def cmd_load_check(args) -> int:
     catalog = _load(args)
-    users = len({r.user_id for r in catalog.ratings})
     print(
-        f"movies={len(catalog.movies)} users={users} ratings={len(catalog.ratings)} "
+        f"movies={len(catalog.movies)} users={_user_count(catalog)} ratings={len(catalog.ratings)} "
         f"reviews={len(catalog.reviews)} implicit={len(catalog.implicit)} "
         f"dropped_reviews={catalog.dropped_reviews}"
     )
@@ -195,8 +198,7 @@ def cmd_load_check(args) -> int:
 def cmd_stats(args) -> int:
     catalog = _load(args)
     stats = summary_stats(catalog)
-    users = len({r.user_id for r in catalog.ratings})
-    print(f"movies={len(catalog.movies)} users={users} ratings={len(catalog.ratings)}")
+    print(f"movies={len(catalog.movies)} users={_user_count(catalog)} ratings={len(catalog.ratings)}")
     print("movies by year:")
     for year, count in stats.per_year.items():
         print(f"  {year}: {count}")

@@ -243,14 +243,16 @@ def build_fuzzy_profiles(catalog: Catalog) -> dict[int, FuzzyProfile]:
     # every (movie, genre) cell at once, by its flat position
     cells = [t * len(genres) + column[g] for t, m in enumerate(catalog.movies.values()) for g in m.genres]
     of_movie.flat[cells] = True
-    user_ids, user = np.unique(np.array([r.user_id for r in catalog.ratings], dtype=np.int64), return_inverse=True)
-    movie = np.array([row[r.movie_id] for r in catalog.ratings], dtype=np.intp)
-    values = np.array([r.value for r in catalog.ratings], dtype=float)
+    columns = catalog.columns
+    user_ids, user = np.unique(columns.user, return_inverse=True)
+    # each rating's movie row, looked up once per distinct movie
+    movie_ids, movie = np.unique(columns.movie, return_inverse=True)
+    movie = np.array([row[mid] for mid in movie_ids.tolist()], dtype=np.intp)[movie]
     # one (rating, genre) entry per genre of each rated movie, ratings in order
     rating, genre = np.nonzero(of_movie[movie])
     cell = user[rating] * len(genres) + genre
     size = user_ids.size * len(genres)
-    sums = np.bincount(cell, weights=values[rating], minlength=size)
+    sums = np.bincount(cell, weights=columns.value[rating], minlength=size)
     counts = np.bincount(cell, minlength=size)
     with np.errstate(divide="ignore", invalid="ignore"):
         degrees = np.where(counts > 0, sums / counts / catalog.scale.max, 0.0).reshape(user_ids.size, len(genres))

@@ -169,10 +169,17 @@ def recommend_hybrid(
 
 
 def _mean_ratings(catalog: Catalog) -> dict[int, tuple[float, int]]:
-    sums: dict[int, list[float]] = {}
-    for r in catalog.ratings:
-        sums.setdefault(r.movie_id, []).append(r.value)
-    return {mid: (sum(v) / len(v), len(v)) for mid, v in sums.items()}
+    """(mean rating, count) per rated movie, in order of each movie's first
+    rating; a sum adds its ratings in catalog order from 0, as np.bincount does."""
+    columns = catalog.columns
+    movie_ids, first, movie = np.unique(columns.movie, return_index=True, return_inverse=True)
+    sums = np.bincount(movie, weights=columns.value, minlength=movie_ids.size)
+    counts = np.bincount(movie, minlength=movie_ids.size)
+    order = np.argsort(first)
+    return {
+        mid: (total / count, count)
+        for mid, total, count in zip(movie_ids[order].tolist(), sums[order].tolist(), counts[order].tolist())
+    }
 
 
 def cold_start_user(

@@ -1,11 +1,15 @@
 """Catalog loading, validation, title resolution, stats, and splitting."""
 
+import gc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from cinefuse import catalog as catalog_module
 from cinefuse.catalog import (
+    Catalog,
+    ImplicitEvent,
     Rating,
     RatingScale,
     closest_titles,
@@ -41,6 +45,145 @@ class TestRatingScale:
         assert RatingScale().values()[0] == 0.5
         assert RatingScale().values()[-1] == 5.0
         assert len(RatingScale().values()) == 10
+
+
+class TestRecords:
+    # the fuzz oracle builds its records from these same classes, so only
+    # these pins see a change of record type or layout
+    def test_fields_and_defaults(self):
+        assert Rating._fields == ("user_id", "movie_id", "value", "timestamp")
+        assert ImplicitEvent._fields == ("user_id", "movie_id", "watched", "watch_fraction", "watch_count")
+        assert Rating(1, 2, 3.5).timestamp is None
+        assert Rating._field_defaults == {"timestamp": None}
+        assert ImplicitEvent._field_defaults == {}
+
+    def test_repr(self):
+        assert repr(Rating(1, 2, 3.5)) == "Rating(user_id=1, movie_id=2, value=3.5, timestamp=None)"
+        assert repr(Rating(7, 8, 4.0, 100)) == "Rating(user_id=7, movie_id=8, value=4.0, timestamp=100)"
+        assert (
+            repr(ImplicitEvent(1, 2, True, 0.5, 3))
+            == "ImplicitEvent(user_id=1, movie_id=2, watched=True, watch_fraction=0.5, watch_count=3)"
+        )
+
+    @pytest.mark.parametrize(
+        "record", [Rating(1, 2, 3.5, 9), ImplicitEvent(1, 2, True, 0.5, 3)], ids=["Rating", "ImplicitEvent"]
+    )
+    def test_fields_cannot_be_assigned(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
+def fixture_paths():
+    return FIXTURE_DIR / "movies.csv", FIXTURE_DIR / "ratings.csv", FIXTURE_DIR / "reviews.csv"
+
+
+@pytest.fixture
+def collector_state():
+    """Gives the collector back the setting it had before the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestLoadPausesCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_restored(self, collector_state, enabled):
+        gc.enable() if enabled else gc.disable()
+        load_catalog(*fixture_paths(), implicit_path=FIXTURE_DIR / "implicit.csv")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_restored_after_error_mid_file(self, collector_state, tmp_path, enabled):
+        movies, ratings, reviews = fixture_paths()
+        lines = ratings.read_text().splitlines(keepends=True)
+        lines[30] = "1,1,7.0,5\n"
+        bad = tmp_path / "ratings.csv"
+        bad.write_text("".join(lines))
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(DataFormatError, match="out of scale") as err:
+            load_catalog(movies, bad, reviews)
+        assert "line 31" in str(err.value)
+        assert gc.isenabled() is enabled
+
+    def test_collector_paused_while_reading(self, collector_state, monkeypatch):
+        read_rows, seen = catalog_module._read_rows, []
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return read_rows(*args)
+
+        monkeypatch.setattr(catalog_module, "_read_rows", spy)
+        gc.enable()
+        load_catalog(*fixture_paths(), implicit_path=FIXTURE_DIR / "implicit.csv")
+        assert seen == [False] * 4
+        assert gc.isenabled()
+
+
+def record_columns(ratings):
+    """The column view built field by field from the records."""
+    return (
+        np.array([r.user_id for r in ratings], dtype=np.int64),
+        np.array([r.movie_id for r in ratings], dtype=np.int64),
+        np.array([r.value for r in ratings], dtype=np.float64),
+    )
+
+
+def assert_columns_match(catalog):
+    columns = catalog.columns
+    assert columns._fields == ("user", "movie", "value")
+    for got, want in zip(columns, record_columns(catalog.ratings), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestColumns:
+    def test_equal_record_arrays(self, fixture_catalog):
+        empty = Catalog(movies={}, ratings=[], reviews=[], implicit=[])
+        for catalog in (fixture_catalog, tiny_catalog(), empty):
+            assert_columns_match(catalog)
+        assert len(empty.columns.user) == 0
+
+    def test_built_once_and_read_only(self):
+        catalog = tiny_catalog()
+        columns = catalog.columns
+        assert catalog.columns is columns
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_not_part_of_equality_or_repr(self):
+        a, b = tiny_catalog(), tiny_catalog()
+        text = repr(b)
+        a.columns  # builds and holds the view
+        assert a == b and repr(a) == text
+
+    def test_replace_copy_never_returns_parent_columns(self):
+        parent = tiny_catalog()
+        parent_columns = parent.columns
+        for ratings in (parent.ratings, parent.ratings[::2], parent.ratings[::-1], []):
+            copy = replace(parent, ratings=ratings)
+            assert copy.columns is not parent_columns
+            assert_columns_match(copy)
+        assert replace(parent).columns is not parent_columns
+
+    def test_split_train_columns_equal_its_own_ratings(self, fixture_catalog):
+        rng = np.random.default_rng(23)
+        movie_ids = sorted(fixture_catalog.movies)
+        cells = {(int(u), int(m)) for u, m in zip(rng.integers(1, 30, 200), rng.choice(movie_ids, 200))}
+        ratings = [Rating(u, m, float(rng.integers(1, 11)) / 2.0) for u, m in cells]
+        for catalog in (fixture_catalog, tiny_catalog(), replace(fixture_catalog, ratings=ratings)):
+            catalog.columns  # the parent's view is built before the split reads it
+            for fraction in (0.1, 0.5, 0.9):
+                for seed in range(4):
+                    train, _ = train_test_split(catalog, fraction, seed)
+                    assert_columns_match(train)
+                    assert_columns_match(catalog)
 
 
 class TestLoadCatalog:
@@ -93,6 +236,41 @@ class TestLoadCatalog:
         with pytest.raises(DataFormatError, match="out of scale") as err:
             load_catalog(movies, ratings, reviews)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "name, row, fld",
+        [
+            ("movies", "{},One,Drama,2000,x", "movieId"),
+            ("ratings", "{},1,4.0,5", "userId"),
+            ("implicit", "{},1,true,0.5,1", "userId"),
+            ("implicit", "1,1,true,0.5,{}", "watchCount"),
+        ],
+    )
+    def test_ids_and_counts_fit_in_int64(self, tmp_path, name, row, fld):
+        # rating matrices and implicit events hold them as int64
+        rows = {
+            "movies": "movieId,title,genres,year,summary\n1,One,Drama,2000,x\n",
+            "ratings": "userId,movieId,rating,timestamp\n1,1,4.0,5\n",
+            "reviews": "movieId,title,source,rawScore,reviewText\n",
+            "implicit": "userId,movieId,watched,watchFraction,watchCount\n1,1,true,0.5,1\n",
+        }
+        paths = {n: tmp_path / f"{n}.csv" for n in rows}
+        for value in (2**63 - 1, 2**63, -(2**63), -(2**63) - 1):
+            fits = -(2**63) <= value < 2**63
+            if fld == "watchCount" and value < 0:
+                continue  # the negative-count check comes first
+            for n, text in rows.items():
+                paths[n].write_text(text + (row.format(value) + "\n" if n == name else ""))
+            args = paths["movies"], paths["ratings"], paths["reviews"], paths["implicit"]
+            if fits:
+                catalog = load_catalog(*args)
+                assert len(catalog.movies) == 1 + (name == "movies")
+                assert catalog.columns.user.tolist()[-1] == (value if name == "ratings" else 1)
+            else:
+                with pytest.raises(DataFormatError, match="does not fit in a 64-bit integer") as err:
+                    load_catalog(*args)
+                assert (err.value.line, err.value.field) == (3, fld)
+                assert f"{name}.csv" in str(err.value)
 
     def test_duplicate_rating_rejected(self, tmp_path):
         movies = tmp_path / "m.csv"
@@ -217,6 +395,26 @@ class TestSummaryStats:
         stats = summary_stats(fixture_catalog)
         for value, count in by_value.items():
             assert stats.rating_histogram[value] == count
+
+    def test_equals_per_record_loop(self, fixture_catalog):
+        # the histogram as it was counted before the column view
+        def loop_histogram(catalog):
+            scale, grid = catalog.scale, catalog.scale.values()
+            counts = [0] * len(grid)
+            for r in catalog.ratings:
+                counts[round((r.value - scale.min) / scale.step)] += 1
+            return dict(zip(grid, counts))
+
+        rng = np.random.default_rng(29)
+        off = [0.0, 0.0, 1e-10, -1e-10, 4e-10, -4e-10]
+        for n in (0, 1, 40, 300):
+            values = rng.integers(1, 11, n) / 2.0 + rng.choice(off, n)
+            ratings = [Rating(1, t, float(v)) for t, v in enumerate(values)]
+            catalog = replace(fixture_catalog, ratings=ratings)
+            assert all(catalog.scale.contains(r.value) for r in ratings)
+            histogram = summary_stats(catalog).rating_histogram
+            assert list(histogram.items()) == list(loop_histogram(catalog).items())
+            assert all(type(c) is int for c in histogram.values())
 
     def test_values_within_tolerance_count_on_the_grid(self):
         # RatingScale.contains accepts a value within 1e-9 of a grid point,

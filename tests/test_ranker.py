@@ -1,10 +1,12 @@
 """Hybrid recommendation assembly, fusion arithmetic, and cold-start paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cinefuse import ranker, textpipe
-from cinefuse.catalog import train_test_split
+from cinefuse.catalog import Rating, train_test_split
 from cinefuse.cf import build_rating_matrix, similarity_matrix
 from cinefuse.errors import CinefuseError, UnknownEntityError
 from cinefuse.ranker import (
@@ -169,6 +171,47 @@ class TestModelMemo:
         recommend_hybrid(fixture_catalog, "Northern Lights", model=model)
         assert set(model._vectors) == set(model.candidates[1]) | {1}
         assert len(model._vectors) < len(fixture_catalog.movies)
+
+
+def loop_mean_ratings(catalog):
+    """ranker._mean_ratings as it was before the column view: one list of
+    values per movie, summed by Python's sum."""
+    sums = {}
+    for r in catalog.ratings:
+        sums.setdefault(r.movie_id, []).append(r.value)
+    return {mid: (sum(v) / len(v), len(v)) for mid, v in sums.items()}
+
+
+class TestMeanRatings:
+    @pytest.fixture(scope="class")
+    def catalogs(self, fixture_catalog):
+        # off-grid values make every sum depend on the order it adds in
+        rng = np.random.default_rng(31)
+        movie_ids = sorted(fixture_catalog.movies)
+        out = [fixture_catalog, tiny_catalog(), replace(fixture_catalog, ratings=[])]
+        for n_users, n in ((3, 20), (12, 150), (40, 400)):
+            cells = list({(int(u), int(m)) for u, m in zip(rng.integers(1, n_users + 1, n), rng.choice(movie_ids, n))})
+            on_grid = [float(v) for v in rng.integers(1, 11, len(cells)) / 2.0]
+            anywhere = [float(v) for v in rng.uniform(0.5, 5.0, len(cells))]
+            for values in (on_grid, anywhere):
+                ratings = [Rating(u, m, v) for (u, m), v in zip(cells, values)]
+                out.append(replace(fixture_catalog, ratings=[ratings[i] for i in rng.permutation(len(ratings))]))
+        return out
+
+    def test_equal_per_record_loop_in_order(self, catalogs):
+        for catalog in catalogs:
+            assert list(ranker._mean_ratings(catalog).items()) == list(loop_mean_ratings(catalog).items())
+
+    def test_cold_start_lists_unchanged(self, catalogs, monkeypatch):
+        def lists(catalog):
+            out = [cold_start_user(catalog, n=50, strategy=s, min_count=c) for s in ("top_rated", "blend") for c in (1, 3)]
+            return out + [cold_start_item(catalog, movie, n=50) for movie in list(catalog.movies.values())[:6]]
+
+        for catalog in catalogs:
+            got = lists(catalog)
+            with monkeypatch.context() as patched:
+                patched.setattr(ranker, "_mean_ratings", loop_mean_ratings)
+                assert got == lists(catalog)
 
 
 class TestColdStartUser:
