@@ -26,11 +26,9 @@ from .cf import (
     SimilarityMatrix,
     augment_implicit,
     build_rating_matrix,
-    load_similarity,
     predict_many,
     predict_rating,
     recommend_cf,
-    save_similarity,
     similarity_matrix,
 )
 from .critic import CriticConsensus, aggregate_reviews, consensus_map, normalize

@@ -123,20 +123,17 @@ def _runs(need: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _pair_blocks(n: int, cells, co=None, min_overlap: int = 0):
+def _pair_blocks(n: int, co=None, min_overlap: int = 0):
     """(I, J) index arrays of the pairs i < j with co[i, j] >= min_overlap
-    (every pair when `co` is None), in row-major order, in _runs of
-    `cells(I, J)`, the cells each pair needs."""
+    (every pair when `co` is None), in row-major order, those of at most
+    max(1, _BLOCK_CELLS // n) rows i at a time."""
     rows = max(1, _BLOCK_CELLS // max(n, 1))
     for a in range(0, n, rows):
         b = min(n, a + rows)
         keep = np.ones((b - a, n), dtype=bool) if co is None else co[a:b] >= min_overlap
         li, cj = np.nonzero(np.triu(keep, a + 1))
-        if not li.size:
-            continue
-        li += a
-        for s, e in _runs(np.broadcast_to(cells(li, cj), li.shape)):
-            yield li[s:e], cj[s:e]
+        if li.size:
+            yield li + a, cj
 
 
 def _rated_cells(indptr: np.ndarray, rows: np.ndarray):
@@ -210,22 +207,47 @@ class _Block(NamedTuple):
     union: tuple | None
 
 
-def _axis_values(matrix: RatingMatrix, axis: str) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The rows to compare along `axis` (NaN where unrated) and their ids."""
-    if axis not in ("user", "item"):
-        raise CinefuseError(f"axis must be 'user' or 'item', got {axis!r}")
-    return (matrix.values, matrix.user_ids) if axis == "user" else (matrix.values.T, matrix.item_ids)
-
-
 def _weight_vector(weights, d: int) -> np.ndarray:
     if weights is None:
         return np.ones(d)
     w = np.asarray(weights, dtype=float)
     if w.shape != (d,):
         raise CinefuseError(f"weight vector of length {w.size}, expected {d}")
+    if not np.all(np.isfinite(w)):
+        raise CinefuseError("non-finite weight")
     if np.any(w < 0):
         raise CinefuseError("negative weight")
     return w
+
+
+class _Axis(NamedTuple):
+    """One axis of a rating matrix as its similarities under one metric and
+    weight vector read it: ids and each id's row, the rows (NaN where
+    unrated) and their rated mask, the validated weights of the co-rated
+    dimension and, for cosine, each row's weighted norm over its rated set."""
+
+    ids: tuple[int, ...]
+    index: dict[int, int]
+    vals: np.ndarray
+    mask: np.ndarray
+    metric: str
+    w: np.ndarray
+    norms: np.ndarray | None
+
+
+def _axis(matrix: RatingMatrix, axis: str, metric: str = "pearson", weights=None) -> _Axis:
+    if axis not in ("user", "item"):
+        raise CinefuseError(f"axis must be 'user' or 'item', got {axis!r}")
+    if metric not in ("pearson", "cosine", "jaccard"):
+        raise CinefuseError(f"unknown metric {metric!r}")
+    if axis == "user":
+        vals, ids, index = matrix.values, matrix.user_ids, matrix.user_index
+    else:
+        vals, ids, index = matrix.values.T, matrix.item_ids, matrix.item_index
+    w = _weight_vector(weights, vals.shape[1])
+    mask = ~np.isnan(vals)
+    norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1)) if metric == "cosine" else None
+    return _Axis(ids, index, vals, mask, metric, w, norms)
 
 
 def _co_counts(mask: np.ndarray) -> np.ndarray:
@@ -235,66 +257,72 @@ def _co_counts(mask: np.ndarray) -> np.ndarray:
     return (m @ m.T).astype(np.int64)
 
 
-def _corated_blocks(vals, mask, co, min_overlap: int, union: bool = False):
-    """The _Block of each block of pairs with co >= min_overlap, made as the
-    blocks are consumed.
+def _overlapping(co: np.ndarray, min_overlap: int):
+    """(I, J, co[I, J]) of each block of _pair_blocks(len(co), co, min_overlap)."""
+    for i, j in _pair_blocks(len(co), co, min_overlap):
+        yield i, j, co[i, j]
 
-    Each row's rated columns are kept as CSR; a pair's co-rated cells are
-    those of its sparser row that the other row rated too, ascending. A
-    block holds about _BLOCK_CELLS gathered cells (both rows' cells too,
-    for a union).
+
+def _corated_blocks(vals, mask, pairs, union: bool = False):
+    """The _Block of each block of `pairs`, made as the blocks are consumed.
+
+    `pairs` yields (I, J, counts): index arrays of pairs i < j and their
+    co-counts. Each row's rated columns are kept as CSR; a pair's co-rated
+    cells are those of its sparser row that the other row rated too,
+    ascending. A block holds about _BLOCK_CELLS gathered cells (both rows'
+    cells too, for a union).
     """
     rated = np.count_nonzero(mask, axis=1)
     indptr = np.concatenate(([0], np.cumsum(rated)))
     indices = np.nonzero(mask)[1]
+    for pi, pj, pc in pairs:
+        need = np.minimum(rated[pi], rated[pj])
+        for s, e in _runs(need + rated[pi] + rated[pj] if union else need):
+            by_count = np.argsort(pc[s:e], kind="stable")
+            i, j, counts = pi[s:e][by_count], pj[s:e][by_count], pc[s:e][by_count]
+            src = np.where(rated[i] <= rated[j], i, j)
+            pair, at = _rated_cells(indptr, src)
+            cols = indices[at]
+            hit = mask[(i + j - src)[pair], cols]
+            pair, cols = pair[hit], cols[hit]
+            merged = None
+            if union:
+                # i's cells and those of j that i did not rate, pairs in
+                # ascending union size, columns ascending
+                sizes = rated[i] + rated[j] - counts
+                by_size = np.argsort(sizes, kind="stable")
+                iu, ju = i[by_size], j[by_size]
+                (ri, ai), (rj, aj) = _rated_cells(indptr, iu), _rated_cells(indptr, ju)
+                ci, cj = indices[ai], indices[aj]
+                extra = ~mask[iu[rj], cj]
+                upair, ucols = np.concatenate((ri, rj[extra])), np.concatenate((ci, cj[extra]))
+                merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
+            x, y = vals[i[pair], cols], vals[j[pair], cols]
+            yield _Block(i, j, counts, _groups(counts), x, y, cols.astype(np.int32), merged)
 
-    def cells(i, j):
-        need = np.minimum(rated[i], rated[j])
-        return need + rated[i] + rated[j] if union else need
 
-    for i, j in _pair_blocks(len(vals), cells, co, min_overlap):
-        by_count = np.argsort(co[i, j], kind="stable")
-        i, j = i[by_count], j[by_count]
-        counts = co[i, j]
-        src = np.where(rated[i] <= rated[j], i, j)
-        pair, at = _rated_cells(indptr, src)
-        cols = indices[at]
-        hit = mask[(i + j - src)[pair], cols]
-        pair, cols = pair[hit], cols[hit]
-        merged = None
-        if union:
-            # i's cells and those of j that i did not rate, pairs in
-            # ascending union size, columns ascending
-            sizes = rated[i] + rated[j] - counts
-            by_size = np.argsort(sizes, kind="stable")
-            iu, ju = i[by_size], j[by_size]
-            (pi, ai), (pj, aj) = _rated_cells(indptr, iu), _rated_cells(indptr, ju)
-            ci, cj = indices[ai], indices[aj]
-            extra = ~mask[iu[pj], cj]
-            upair, ucols = np.concatenate((pi, pj[extra])), np.concatenate((ci, cj[extra]))
-            merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
-        x, y = vals[i[pair], cols], vals[j[pair], cols]
-        yield _Block(i, j, counts, _groups(counts), x, y, cols.astype(np.int32), merged)
+def _kernel(b: _Block, metric: str, w: np.ndarray, norms=None) -> np.ndarray:
+    """The similarity of each pair of block `b` under weights `w`, before
+    clipping; cosine takes the rows' weighted norms."""
+    wc = w[b.cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if metric == "pearson":
+            return _pearson_pairs(b.x, b.y, wc, b.counts, b.groups)
+        if metric == "cosine":
+            denom = norms[b.i] * norms[b.j]
+            return np.where(denom > 0, _row_sums(wc * b.x * b.y, b.groups) / denom, 0.0)
+        # jaccard on rated sets, values ignored
+        by_size, ucols, ugroups = b.union
+        wu = np.empty(by_size.size)
+        wu[by_size] = _row_sums(w[ucols], ugroups)
+        return np.where(wu > 0, _row_sums(wc, b.groups) / wu, 0.0)
 
 
 def _similarities(blocks, n: int, metric: str, w: np.ndarray, norms=None) -> np.ndarray:
-    """The (n, n) similarity values from `blocks` (_corated_blocks) under
-    weights `w`; cosine takes the rows' weighted norms."""
+    """The (n, n) similarity values of `blocks` (_corated_blocks) under weights `w`."""
     sims = np.zeros((n, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for b in blocks:
-            wc = w[b.cols]
-            if metric == "pearson":
-                s = _pearson_pairs(b.x, b.y, wc, b.counts, b.groups)
-            elif metric == "cosine":
-                denom = norms[b.i] * norms[b.j]
-                s = np.where(denom > 0, _row_sums(wc * b.x * b.y, b.groups) / denom, 0.0)
-            else:  # jaccard on rated sets, values ignored
-                by_size, ucols, ugroups = b.union
-                wu = np.empty(by_size.size)
-                wu[by_size] = _row_sums(w[ucols], ugroups)
-                s = np.where(wu > 0, _row_sums(wc, b.groups) / wu, 0.0)
-            sims[b.i, b.j] = sims[b.j, b.i] = s
+    for b in blocks:
+        sims[b.i, b.j] = sims[b.j, b.i] = _kernel(b, metric, w, norms)
     np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, 1.0)
     return sims
@@ -310,22 +338,30 @@ def similarity_matrix(
     """Full pairwise similarity matrix along one axis.
 
     `weights`, when given, must index the co-rated dimension (items for the
-    user axis, users for the item axis) and be nonnegative; each dimension's
-    contribution to the metric is scaled by its weight. All-ones weights
-    reproduce the unweighted metric exactly.
+    user axis, users for the item axis) and be finite and nonnegative; each
+    dimension's contribution to the metric is scaled by its weight. All-ones
+    weights reproduce the unweighted metric exactly.
     """
-    vals, ids = _axis_values(matrix, axis)
-    if metric not in ("pearson", "cosine", "jaccard"):
-        raise CinefuseError(f"unknown metric {metric!r}")
-    w = _weight_vector(weights, vals.shape[1])
-    mask = ~np.isnan(vals)
-    co = _co_counts(mask)
-    norms = None
-    if metric == "cosine":
-        # norms over each entity's own rated set
-        norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1))
-    blocks = _corated_blocks(vals, mask, co, min_overlap, union=metric == "jaccard")
-    return SimilarityMatrix(axis, metric, ids, _similarities(blocks, len(ids), metric, w, norms), co, min_overlap)
+    a = _axis(matrix, axis, metric, weights)
+    co = _co_counts(a.mask)
+    blocks = _corated_blocks(a.vals, a.mask, _overlapping(co, min_overlap), union=metric == "jaccard")
+    return SimilarityMatrix(axis, metric, a.ids, _similarities(blocks, len(a.ids), metric, a.w, a.norms), co, min_overlap)
+
+
+def _similarity_row(a: _Axis, s: int, min_overlap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row `s` of similarity_matrix over axis `a`, and its co-counts, with
+    the same bits, from the pairs of s alone: each pair keeps its i < j
+    orientation, and the co-counts are counted, with no n x n co-count."""
+    co = np.count_nonzero(a.mask & a.mask[s], axis=1)
+    other = np.flatnonzero(co >= min_overlap)
+    other = other[other != s]
+    pairs = [(np.minimum(other, s), np.maximum(other, s), co[other])] if other.size else []
+    row = np.zeros(len(a.ids))
+    for b in _corated_blocks(a.vals, a.mask, pairs, union=a.metric == "jaccard"):
+        row[b.i + b.j - s] = _kernel(b, a.metric, a.w, a.norms)
+    np.clip(row, -1.0, 1.0, out=row)
+    row[s] = 1.0
+    return row, co
 
 
 def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
@@ -335,14 +371,13 @@ def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
     and every block's co-rated cells are gathered once, here, and held (20 B
     per co-rated cell, 24 B per pair), so a call runs only the weighted
     kernel."""
-    vals, ids = _axis_values(matrix, axis)
-    mask = ~np.isnan(vals)
-    co = _co_counts(mask)
-    blocks = list(_corated_blocks(vals, mask, co, min_overlap))
+    a = _axis(matrix, axis)
+    co = _co_counts(a.mask)
+    blocks = list(_corated_blocks(a.vals, a.mask, _overlapping(co, min_overlap)))
 
     def run(weights) -> SimilarityMatrix:
-        w = _weight_vector(weights, vals.shape[1])
-        return SimilarityMatrix(axis, "pearson", ids, _similarities(blocks, len(ids), "pearson", w), co, min_overlap)
+        w = _weight_vector(weights, a.vals.shape[1])
+        return SimilarityMatrix(axis, "pearson", a.ids, _similarities(blocks, len(a.ids), "pearson", w), co, min_overlap)
 
     return run, co
 
@@ -449,12 +484,19 @@ def _raters(t: _Targets, co: np.ndarray, k: int):
         yield a, b, _Raters(pos, t.base[a:b], t.row_of[a:b], counts, cols, t.dev[at], first.astype(np.int32), pair[first])
 
 
-def _by_rank(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(rows, n): every column of `values` in the neighbor order of each of
-    `rows`, similarity desc then id asc (`by_id`: the columns in ascending
-    id). The one ordering rule: the sort is stable over the columns in id
-    order, so equal similarities rank by id."""
-    return by_id[np.argsort(-values[rows][:, by_id], axis=1, kind="stable")]
+def _by_rank(rows: np.ndarray, by_id: np.ndarray) -> np.ndarray:
+    """(len(rows), n): every column of the similarity `rows` in each row's
+    neighbor order, similarity desc then id asc (`by_id`: the columns in
+    ascending id). The one ordering rule: the sort is stable over the
+    columns in id order, so equal similarities rank by id."""
+    return by_id[np.argsort(-rows[:, by_id], axis=1, kind="stable")]
+
+
+def _nearest(row: np.ndarray, co: np.ndarray, by_id: np.ndarray, s: int, n: int) -> np.ndarray:
+    """The first `n` co-counted neighbors of entity `s`, whose similarity
+    row is `row` and co-counts `co`, in _by_rank order."""
+    order = _by_rank(row[None], by_id)[0]
+    return order[(co[order] > 0) & (order != s)][:n]
 
 
 def _rank_rows(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -466,7 +508,7 @@ def _rank_rows(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.nd
     ranks = np.empty((rows.size, n), dtype=np.int32)
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for a in range(0, rows.size, step):
-        order = _by_rank(values, by_id, rows[a : a + step])
+        order = _by_rank(values[rows[a : a + step]], by_id)
         ranks[a + np.arange(order.shape[0])[:, None], order] = np.arange(n, dtype=np.int32)
     return ranks
 
@@ -550,8 +592,7 @@ def recommend_cf(sim_item: SimilarityMatrix, seed_id: int, n: int) -> list[tuple
     if seed_id not in sim_item.index:
         raise UnknownEntityError(f"unknown movie id {seed_id}")
     pos = sim_item.index[seed_id]
-    order = _by_rank(sim_item.values, np.argsort(sim_item.ids), np.array([pos]))[0]
-    order = order[(sim_item.co_counts[pos, order] > 0) & (order != pos)][:n]
+    order = _nearest(sim_item.values[pos], sim_item.co_counts[pos], np.argsort(sim_item.ids), pos, n)
     return [(sim_item.ids[j], float(sim_item.values[pos, j])) for j in order.tolist()]
 
 
@@ -611,46 +652,3 @@ def augment_implicit(
     values[ui[fill], mj[fill]] = pseudo[fill]
     sources[ui[fill], mj[fill]] = SOURCE_IMPLICIT
     return RatingMatrix(tuple(user_ids.tolist()), tuple(item_ids.tolist()), values, sources, matrix.scale)
-
-
-def save_similarity(sim: SimilarityMatrix, path) -> None:
-    """Write a similarity cache; byte-identical for identical inputs.
-
-    Layout: a header line (axis, metric, entity count, min_overlap), the
-    entity ids, the row-major similarity entries, then the co-count rows so
-    a reload is lossless. Floats use shortest round-trip repr.
-    """
-    n = len(sim.ids)
-    lines = [f"axis={sim.axis} metric={sim.metric} n={n} min_overlap={sim.min_overlap}"]
-    lines.append("ids=" + ",".join(str(i) for i in sim.ids))
-    for i in range(n):
-        lines.append(" ".join(repr(float(v)) for v in sim.values[i]))
-    lines.append("co_counts")
-    for i in range(n):
-        lines.append(" ".join(str(int(c)) for c in sim.co_counts[i]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_similarity(path) -> SimilarityMatrix:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    try:
-        header = dict(kv.split("=", 1) for kv in lines[0].split())
-        n = int(header["n"])
-        ids = tuple(int(x) for x in lines[1].removeprefix("ids=").split(","))
-        values = np.array([[float(x) for x in lines[2 + i].split()] for i in range(n)])
-        if lines[2 + n] != "co_counts":
-            raise CinefuseError(
-                f"corrupt similarity cache {path}: line {3 + n} should read 'co_counts', got {lines[2 + n]!r}"
-            )
-        co = np.array(
-            [[int(x) for x in lines[3 + n + i].split()] for i in range(n)], dtype=np.int64
-        )
-    except (KeyError, ValueError, IndexError) as exc:
-        raise CinefuseError(f"corrupt similarity cache {path}: {exc}") from None
-    if len(ids) != n or values.shape != (n, n) or co.shape != (n, n):
-        raise CinefuseError(f"corrupt similarity cache {path}: shape mismatch")
-    return SimilarityMatrix(
-        header["axis"], header["metric"], ids, values, co, int(header["min_overlap"])
-    )

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: load-check, stats, build-index, recommend, evaluate,
-optimize-weights, cold-start. Data flags default to the bundled toy
-fixture so everything runs offline out of the box.
+Subcommands: load-check, stats, recommend, evaluate, optimize-weights,
+cold-start. Data flags default to the bundled toy fixture so everything
+runs offline out of the box.
 
 Exit codes: 0 success, 1 data error, 2 usage error. All floating-point
 output uses 7 decimal places, and no command prints wall-clock noise by
@@ -24,16 +24,13 @@ import numpy as np
 from . import evaluate as ev
 from . import optimize as opt
 from .catalog import Movie, load_catalog, summary_stats, train_test_split
-from .cf import build_rating_matrix, save_similarity, similarity_matrix
+from .cf import build_rating_matrix
 from .errors import CinefuseError
 from .ranker import PipelineConfig, cold_start_item, cold_start_user, fit_hybrid, recommend_hybrid
 from .textpipe import load_precomputed
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "fixtures"
-SUBCOMMANDS = (
-    "load-check", "stats", "build-index", "recommend",
-    "evaluate", "optimize-weights", "cold-start",
-)
+SUBCOMMANDS = ("load-check", "stats", "recommend", "evaluate", "optimize-weights", "cold-start")
 _BOOL_FLAGS = {"no-critic", "include-seed", "timings"}
 
 
@@ -71,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[data], help="movies per year and the rating histogram")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("build-index", parents=[data], help="write a similarity cache")
-    p.add_argument("--axis", choices=("user", "item"), default="item")
-    p.add_argument("--metric", choices=("pearson", "cosine", "jaccard"), default="pearson")
-    p.add_argument("--min-overlap", type=int, default=2)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_index)
-
     p = sub.add_parser("recommend", parents=[data], help="rank movies around a seed title")
     p.add_argument("--seed", action="append", required=True,
                    help="seed movie title; may be repeated with an integer run seed, "
@@ -86,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", type=positive_int, default=100)
     p.add_argument("--no-critic", action="store_true")
     p.add_argument("--include-seed", action="store_true")
-    p.add_argument("--weights", default=None, help="weight file for the item-axis weighted pearson")
+    p.add_argument("--weights", default=None,
+                   help="weight file with one weight per rated user, for the weighted item similarity")
     p.add_argument("--metric", choices=("pearson", "cosine", "jaccard"), default="pearson")
     p.add_argument("--min-overlap", type=int, default=2)
     p.add_argument("--provider", choices=("tfidf", "precomputed"), default="tfidf")
@@ -211,18 +202,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_build_index(args) -> int:
-    catalog = _load(args)
-    matrix = build_rating_matrix(catalog)
-    sim = similarity_matrix(matrix, args.axis, args.metric, min_overlap=args.min_overlap)
-    save_similarity(sim, args.out)
-    print(
-        f"wrote {args.out}: axis={sim.axis} metric={sim.metric} "
-        f"entities={len(sim.ids)} min_overlap={sim.min_overlap}"
-    )
-    return 0
-
-
 def cmd_recommend(args) -> int:
     title = args.seed[0]
     for extra in args.seed[1:]:
@@ -246,7 +225,13 @@ def cmd_recommend(args) -> int:
         min_overlap=args.min_overlap,
     )
     provider = load_precomputed(args.embeddings) if args.provider == "precomputed" else None
-    model = fit_hybrid(catalog, config, provider, weights)
+    try:
+        model = fit_hybrid(catalog, config, provider, weights)
+    except CinefuseError as exc:
+        if weights is None or len(weights.values) == _user_count(catalog):
+            raise
+        raise CinefuseError(f"weight file {args.weights}: {exc}; recommend needs one weight per rated user "
+                            "(optimize-weights --method ga --axis item)") from None
     result = recommend_hybrid(catalog, title, config, model)
     if not result.items:
         print(f"no recommendations: {result.reason}", file=sys.stderr)

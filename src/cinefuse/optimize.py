@@ -16,6 +16,7 @@ be worse than a known starting point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +27,17 @@ from .cf import (
     DEFAULT_MIN_OVERLAP,
     RatingMatrix,
     SimilarityMatrix,
-    _axis_values,
+    _axis,
     _pair_blocks,
     _pearson_plan,
     _predict,
     _rank_rows,
     _raters,
+    _runs,
     _targets,
     _weight_vector,
 )
-from .errors import CinefuseError, require_positive
+from .errors import CinefuseError, DataFormatError, require_positive
 
 # Objectives score at most this many validation ratings, a sample drawn with
 # this seed, so one evaluation's cost does not grow with the held-out set.
@@ -49,6 +51,8 @@ class WeightVector:
     provenance: str  # ga | pso | uniform
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.values):
+            raise CinefuseError("weights must be finite")
         if any(v < 0 for v in self.values):
             raise CinefuseError("weights must be nonnegative")
 
@@ -277,7 +281,7 @@ def _fuzzy_plan(degs: np.ndarray) -> tuple[list, np.ndarray]:
     `degs`: its pair blocks and their shared-support co-counts (genres where
     both memberships are positive, which neighbor eligibility keys on)."""
     n, n_genres = degs.shape
-    blocks = list(_pair_blocks(n, lambda i, j: n_genres))
+    blocks = [(i[a:b], j[a:b]) for i, j in _pair_blocks(n) for a, b in _runs(np.full(i.size, n_genres))]
     co = np.diag(np.count_nonzero(degs, axis=1))
     for i, j in blocks:
         co[i, j] = co[j, i] = np.count_nonzero(np.minimum(degs[i], degs[j]), axis=1)
@@ -368,7 +372,7 @@ def cf_mae_objective(
             )
     sample = _subsample(validation_ratings)
     similarity, co = _pearson_plan(train_matrix, axis, min_overlap)
-    score = _sample_scorer(train_matrix, axis, _axis_values(train_matrix, axis)[1], co, sample, k)
+    score = _sample_scorer(train_matrix, axis, _axis(train_matrix, axis).ids, co, sample, k)
 
     def objective(weights) -> float:
         return score(similarity(weights))
@@ -412,18 +416,21 @@ def save_weights(wv: WeightVector, path, seed: int, objective_value: float) -> N
 
 
 def load_weights(path) -> tuple[WeightVector, int, float]:
+    """The weights, seed and objective value of a save_weights file; a
+    weight that is not a finite number raises, naming the file and line."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#"):
         raise CinefuseError(f"weight file {path} lacks a header line")
     try:
-        header = dict(kv.split("=", 1) for kv in lines[0].lstrip("#").split())
-        provenance = header["provenance"]
-        seed = int(header["seed"])
-        objective = float(header["objective"])
-        values = tuple(float(ln) for ln in lines[1:])
+        header = dict(kv.split("=", 1) for kv in lines[0][1].lstrip("#").split())
+        provenance, seed, objective = header["provenance"], int(header["seed"]), float(header["objective"])
+        values = tuple(float(ln) for _, ln in lines[1:])
     except (KeyError, ValueError) as exc:
         raise CinefuseError(f"corrupt weight file {path}: {exc}") from None
     if not values:
         raise CinefuseError(f"weight file {path} holds no weights")
+    for (i, ln), v in zip(lines[1:], values):
+        if not math.isfinite(v):
+            raise DataFormatError(f"non-finite weight {ln!r}", path=path, line=i)
     return WeightVector(values, provenance), seed, objective

@@ -6,9 +6,11 @@ candidate's plot summary is embedded and scored by cosine against the
 seed, and the movie's normalized critic consensus is added on top. The
 fused score is exactly cosine + bonus; the output is sorted by fused
 score descending with ties broken by ascending title. What the stages
-read that depends only on the catalog (the candidate lists, the embedding
-provider and the consensus) is fitted once into a `HybridModel` and reused
-by every request on that catalog.
+read that depends only on the catalog (the item axis of the rating
+matrix, the embedding provider and the consensus) is fitted once into a
+`HybridModel` and reused by every request on that catalog; a seed's
+candidate pool is computed from its own similarity row on its first
+request.
 
 Cold start bypasses the pipeline: users without ratings get top-rated or
 recently released movies (or an interleave of both), and a movie without
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import textpipe
 from .catalog import Catalog, Movie, closest_titles, resolve_title
-from .cf import DEFAULT_MIN_OVERLAP, build_rating_matrix, recommend_cf, similarity_matrix
+from .cf import DEFAULT_MIN_OVERLAP, _Axis, _axis, _nearest, _similarity_row, build_rating_matrix
+from .cf import similarity_matrix  # noqa: F401 -- kept importable here; the benchmark's tracer looks it up
 from .critic import CriticConsensus, consensus_map
 from .errors import CinefuseError, UnknownEntityError, require_positive
 
@@ -73,17 +76,31 @@ def _fit_key(config: PipelineConfig) -> tuple[str, int, int]:
 class HybridModel:
     """What ranking needs from a catalog, fitted once by `fit_hybrid`.
 
-    `candidates` maps each rated movie id to its co-counted item-item
-    neighbors (similarity desc, id asc), cut at the candidate pool; the
-    rating matrix and the similarity matrix are not kept. Embeddings are
-    computed on first use and memoised per movie.
+    `items` is the item axis of the rating matrix under the fit's metric and
+    weights: what one movie's item-item similarity row needs. A seed's
+    candidate pool, its co-counted neighbors (similarity desc, id asc) cut
+    at the candidate pool, is computed from its row on its first request
+    and memoised; so is each movie's embedding. No similarity beyond one
+    row at a time is held.
     """
 
     key: tuple[str, int, int]  # (metric, min_overlap, candidate_pool) of the fit
-    candidates: dict[int, tuple[int, ...]]
+    items: _Axis
     provider: object  # anything with `vector(movie)`
     consensus: dict[int, CriticConsensus]
+    _pools: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False, default_factory=dict)
     _vectors: dict[int, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def pool(self, movie_id: int) -> tuple[int, ...] | None:
+        """The candidate pool around a seed movie; None when it has no ratings."""
+        pool = self._pools.get(movie_id)
+        if pool is None and movie_id in self.items.index:
+            _, min_overlap, size = self.key
+            s = self.items.index[movie_id]
+            row, co = _similarity_row(self.items, s, min_overlap)
+            near = _nearest(row, co, np.argsort(self.items.ids), s, size)
+            pool = self._pools[movie_id] = tuple(self.items.ids[j] for j in near.tolist())
+        return pool
 
     def vector(self, movie: Movie) -> np.ndarray:
         vec = self._vectors.get(movie.movie_id)
@@ -95,24 +112,17 @@ class HybridModel:
 def fit_hybrid(catalog: Catalog, config: PipelineConfig, provider=None, weights=None) -> HybridModel:
     """Fit the ranking model of a catalog.
 
-    `weights`, when given, drives a weighted pearson item similarity (one
-    weight per user, the co-rated dimension of the item axis). `provider`
-    defaults to TF-IDF fitted on every movie's summary (its title when the
-    summary is empty).
+    `weights`, when given, drives a weighted item similarity: one finite,
+    nonnegative weight per rated user, checked here. `provider` defaults to
+    TF-IDF fitted on every movie's summary (its title when it has none).
     """
     matrix = build_rating_matrix(catalog)
     w = weights.as_array() if hasattr(weights, "as_array") else weights
-    sim_item = similarity_matrix(
-        matrix, "item", config.metric, weights=w, min_overlap=config.min_overlap
-    )
-    candidates = {
-        mid: tuple(c for c, _ in recommend_cf(sim_item, mid, config.candidate_pool))
-        for mid in sim_item.ids
-    }
+    items = _axis(matrix, "item", config.metric, w)
     if provider is None:
         texts = [m.summary if m.summary else m.title for _, m in sorted(catalog.movies.items())]
         provider = textpipe.fit_tfidf(texts)
-    return HybridModel(_fit_key(config), candidates, provider, consensus_map(catalog))
+    return HybridModel(_fit_key(config), items, provider, consensus_map(catalog))
 
 
 def recommend_hybrid(
@@ -146,7 +156,7 @@ def recommend_hybrid(
         )
 
     seed = catalog.movies[seed_id]
-    pool = model.candidates.get(seed_id)
+    pool = model.pool(seed_id)
     if pool is None:
         return HybridResult(seed_id, seed.title, (), 0, "seed movie has no ratings to neighbor on")
     candidate_ids = list(pool)

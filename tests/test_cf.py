@@ -23,11 +23,9 @@ from cinefuse.cf import (
     SimilarityMatrix,
     augment_implicit,
     build_rating_matrix,
-    load_similarity,
     predict_many,
     predict_rating,
     recommend_cf,
-    save_similarity,
     similarity_matrix,
 )
 from cinefuse.errors import CinefuseError, UnknownEntityError
@@ -335,6 +333,15 @@ class TestSimilarityOracle:
         with pytest.raises(CinefuseError, match="negative"):
             similarity_matrix(matrix, "user", "pearson", weights=[1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # a nan weight is not below 0, so only a finiteness check stops it
+        matrix = make_matrix([[4.0, 3.0, 2.0], [3.5, 2.0, 4.0]])
+        with pytest.raises(CinefuseError, match="non-finite weight"):
+            similarity_matrix(matrix, "user", "pearson", weights=[1.0, bad, 1.0])
+        with pytest.raises(CinefuseError, match="non-finite weight"):
+            cf._weight_vector([bad, 1.0], 2)
+
     def test_zero_variance_pair_is_zero(self):
         values = [
             [3.0, 3.0, 3.0],
@@ -469,6 +476,54 @@ class TestSimilarityBitwise:
         for row, (e, c) in enumerate(zip(ends.tolist(), counts.tolist())):
             for k in range(3):
                 assert got[k, row] == flat[k, e - c : e].sum()
+
+
+class TestSimilarityRow:
+    """One entity's row from its own pairs against that row of the full
+    matrix, compared with np.array_equal."""
+
+    def assert_rows_equal(self, matrix, axis, metric, weights, min_overlap):
+        sim = similarity_matrix(matrix, axis, metric, weights=weights, min_overlap=min_overlap)
+        a = cf._axis(matrix, axis, metric, weights)
+        for s in range(len(sim.ids)):
+            row, co = cf._similarity_row(a, s, min_overlap)
+            assert np.array_equal(row, sim.values[s]), (axis, metric, min_overlap, s)
+            assert np.array_equal(co, sim.co_counts[s])
+
+    def test_every_row_on_random_matrices(self):
+        rng = np.random.default_rng(606)
+        for _ in range(12):
+            n_users, n_items = (int(v) for v in rng.integers(1, 16, size=2))
+            matrix = half_step_matrix(rng, n_users, n_items, rng.uniform(0.05, 0.9))
+            for axis, d in (("user", n_items), ("item", n_users)):
+                # exact zeros, so a co-rated set can carry no weight at all
+                weights = rng.uniform(0.0, 2.0, size=d) * (rng.uniform(size=d) < 0.8)
+                for metric in ("pearson", "cosine", "jaccard"):
+                    for w in (None, weights):
+                        for min_overlap in range(4):
+                            self.assert_rows_equal(matrix, axis, metric, w, min_overlap)
+
+    def test_empty_rows_and_columns(self):
+        rng = np.random.default_rng(607)
+        values = half_step_matrix(rng, 10, 12, 0.5).values
+        values[[0, 6]] = np.nan
+        values[:, [3, 11]] = np.nan
+        matrix = make_matrix(values)
+        for axis, d in (("user", 12), ("item", 10)):
+            weights = rng.uniform(0.0, 2.0, size=d) * (rng.uniform(size=d) < 0.7)
+            for metric in ("pearson", "cosine", "jaccard"):
+                for w in (None, weights):
+                    for min_overlap in range(4):
+                        self.assert_rows_equal(matrix, axis, metric, w, min_overlap)
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_blocks_of_one_row_do_not_change_bits(self, monkeypatch, cells):
+        rng = np.random.default_rng(cells)
+        matrix = half_step_matrix(rng, 14, 20, 0.6)
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+        for axis, d in (("user", 20), ("item", 14)):
+            for metric in ("pearson", "cosine", "jaccard"):
+                self.assert_rows_equal(matrix, axis, metric, rng.uniform(0.0, 2.0, size=d), 1)
 
 
 class TestNeighborOrder:
@@ -841,6 +896,11 @@ class TestRatingMatrixBuild:
             catalog = replace(tiny_catalog(), ratings=ratings)
             assert_matrix_equals(build_rating_matrix(catalog), loop_build_rating_matrix(catalog))
 
+    def test_scale_round_trips_through_catalog(self):
+        cat = tiny_catalog()
+        matrix = build_rating_matrix(cat)
+        assert matrix.scale == RatingScale()
+
 
 class TestImplicitAugmentation:
     def test_equals_per_event_loop(self):
@@ -947,38 +1007,3 @@ class TestImplicitAugmentation:
         events = [ImplicitEvent(1, 102, False, 0.0, 0)]
         aug = augment_implicit(matrix, events)
         assert aug.values[aug.user_index[1], aug.item_index[102]] == 0.5
-
-
-class TestSimilarityCache:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        matrix = random_rating_matrix(rng)
-        sim = similarity_matrix(matrix, "item", "cosine", min_overlap=1)
-        path = tmp_path / "sim.txt"
-        save_similarity(sim, path)
-        loaded = load_similarity(path)
-        assert loaded.axis == sim.axis
-        assert loaded.metric == sim.metric
-        assert loaded.ids == sim.ids
-        assert loaded.min_overlap == sim.min_overlap
-        assert np.array_equal(loaded.values, sim.values)
-        assert np.array_equal(loaded.co_counts, sim.co_counts)
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "sim.txt"
-        path.write_text("axis=item metric=pearson n=2 min_overlap=2\nids=1,2\n0.0\n")
-        with pytest.raises(CinefuseError):
-            load_similarity(path)
-
-    def test_wrong_marker_line_names_file(self, tmp_path):
-        matrix = make_matrix([[4.0, 3.0, 2.0], [3.5, 2.0, 1.0]])
-        path = tmp_path / "sim.txt"
-        save_similarity(similarity_matrix(matrix, "user"), path)
-        path.write_text(path.read_text().replace("co_counts", "co-counts"))
-        with pytest.raises(CinefuseError, match=r"sim\.txt.*line 5 should read 'co_counts'"):
-            load_similarity(path)
-
-    def test_scale_round_trips_through_catalog(self):
-        cat = tiny_catalog()
-        matrix = build_rating_matrix(cat)
-        assert matrix.scale == RatingScale()

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cinefuse.cf import load_similarity
 from cinefuse.cli import main
 from cinefuse.optimize import WeightVector, load_weights, save_weights
 from cinefuse.ranker import PipelineConfig, fit_hybrid, recommend_hybrid
@@ -55,18 +54,6 @@ class TestStats:
         assert "  4.0: 1\n" in out
         histogram = out.split("rating histogram:\n")[1].splitlines()
         assert sum(int(line.split(": ")[1]) for line in histogram) == 1
-
-
-class TestBuildIndex:
-    def test_writes_loadable_cache(self, capsys, tmp_path):
-        out_path = tmp_path / "sim.npz"
-        code, out, _ = run_cli(capsys, "build-index", "--axis", "item", "--out", str(out_path))
-        assert code == 0
-        assert out_path.exists()
-        sim = load_similarity(out_path)
-        assert sim.axis == "item"
-        assert sim.metric == "pearson"
-        assert len(sim.ids) == 19  # movie 20 has no ratings
 
 
 class TestRecommend:
@@ -148,6 +135,29 @@ class TestRecommend:
         assert code == 0
         assert len(out.splitlines()) == 15
 
+    def test_weights_of_the_wrong_axis_name_the_file(self, capsys, tmp_path):
+        # the default --axis user writes one weight per movie (19 rated),
+        # but the item similarity needs one per rated user (8)
+        path = tmp_path / "w.txt"
+        code, _, _ = run_cli(
+            capsys, "optimize-weights", "--method", "ga", "--population", "4", "--generations", "1",
+            "--out", str(path),
+        )
+        assert code == 0
+        code, out, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: weight file {path}: weight vector of length 19, expected 8; recommend needs one "
+            "weight per rated user (optimize-weights --method ga --axis item)\n"
+        )
+
+    def test_non_finite_weight_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# provenance=ga seed=0 objective=0.5\n" + "1.0\n" * 4 + "nan\n" + "1.0\n" * 3)
+        code, out, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}, line 6: non-finite weight 'nan'\n"
+
     def test_weights_rank_as_a_model_fitted_with_them(self, capsys, tmp_path, fixture_catalog):
         users = sorted({r.user_id for r in fixture_catalog.ratings})
         rng = np.random.default_rng(0)
@@ -173,7 +183,7 @@ class TestRecommend:
         Lights (id 1), the seed included, minus `drop`, as an embedding file;
         returns how many catalog movies the file lacks."""
         model = fit_hybrid(catalog, PipelineConfig())
-        ranked = (set(model.candidates[1]) | {1}) - drop
+        ranked = (set(model.pool(1)) | {1}) - drop
         save_precomputed(path, {mid: model.provider.vector(catalog.movies[mid]) for mid in ranked})
         return len(catalog.movies) - len(ranked)
 
@@ -392,8 +402,11 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_unwritable_out(self, capsys, tmp_path):
-        out_path = tmp_path / "nodir" / "sim.txt"
-        code, _, err = run_cli(capsys, "build-index", "--out", str(out_path))
+        out_path = tmp_path / "nodir" / "w.txt"
+        code, _, err = run_cli(
+            capsys, "optimize-weights", "--method", "pso", "--particles", "2", "--iterations", "1",
+            "--out", str(out_path),
+        )
         assert code == 1
         assert err.startswith("error: ") and str(out_path) in err
         assert "Traceback" not in err
@@ -421,3 +434,12 @@ class TestReadmeExamples:
                 argv[i] = str(tmp_path / argv[i])
             code, _, err = run_cli(capsys, *argv)
             assert code == 0, (argv, err)
+
+
+class TestReadmeQuickstart:
+    def test_library_quickstart_runs(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library quickstart", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("Prediction(value=")

@@ -8,7 +8,7 @@ import pytest
 from cinefuse import cf, optimize
 from cinefuse.catalog import Movie, Rating, train_test_split
 from cinefuse.cf import build_rating_matrix, predict_rating, similarity_matrix
-from cinefuse.errors import CinefuseError
+from cinefuse.errors import CinefuseError, DataFormatError
 from cinefuse.optimize import (
     FuzzyProfile,
     GAConfig,
@@ -149,6 +149,11 @@ class TestWeightVector:
         with pytest.raises(CinefuseError):
             WeightVector((1.0, -0.2), "ga")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(CinefuseError, match="weights must be finite"):
+            WeightVector((1.0, bad), "ga")
+
     def test_uniform_constructor(self):
         wv = WeightVector.uniform(4)
         assert wv.values == (1.0, 1.0, 1.0, 1.0)
@@ -167,6 +172,13 @@ class TestWeightVector:
         path = tmp_path / "w.txt"
         path.write_text("1.0\n0.5\n")
         with pytest.raises(CinefuseError, match="header"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_load_rejects_non_finite_weight_with_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "w.txt"
+        path.write_text(f"# provenance=ga seed=1 objective=0.5\n1.0\n\n{bad}\n0.5\n")
+        with pytest.raises(DataFormatError, match=rf"w\.txt, line 4: non-finite weight '{bad}'"):
             load_weights(path)
 
     def test_header_token_without_equals_names_file(self, tmp_path):

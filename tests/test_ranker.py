@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cinefuse import ranker, textpipe
-from cinefuse.catalog import Rating, train_test_split
+from cinefuse import cf, ranker, textpipe
+from cinefuse.catalog import Rating, resolve_title, train_test_split
 from cinefuse.cf import build_rating_matrix, similarity_matrix
 from cinefuse.errors import CinefuseError, UnknownEntityError
 from cinefuse.ranker import (
@@ -125,7 +125,7 @@ class TestModelMemo:
             assert recommend_hybrid(memo_cat, movie.title, config) == expected
 
     def test_second_call_fits_nothing(self, monkeypatch):
-        calls = {"similarity_matrix": 0, "fit_tfidf": 0}
+        calls = {"_similarity_row": 0, "fit_tfidf": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -136,17 +136,40 @@ class TestModelMemo:
 
             monkeypatch.setattr(module, name, counted)
 
-        counting(ranker, "similarity_matrix")
+        counting(ranker, "_similarity_row")
         counting(textpipe, "fit_tfidf")
         cat = load_fixture_catalog()
         recommend_hybrid(cat, "Northern Lights")
-        assert calls == {"similarity_matrix": 1, "fit_tfidf": 1}
+        assert calls == {"_similarity_row": 1, "fit_tfidf": 1}
         recommend_hybrid(cat, "Northern Lights")
-        # configs that differ only in fields the fit does not read share the model
+        # configs that differ only in fields the fit does not read share the
+        # model; a new seed computes its own row
         recommend_hybrid(cat, "Meridian Beta", PipelineConfig(n=5, critic_enabled=False, include_seed=True))
-        assert calls == {"similarity_matrix": 1, "fit_tfidf": 1}
+        assert calls == {"_similarity_row": 2, "fit_tfidf": 1}
         recommend_hybrid(cat, "Northern Lights", PipelineConfig(candidate_pool=50))
-        assert calls == {"similarity_matrix": 2, "fit_tfidf": 2}
+        assert calls == {"_similarity_row": 3, "fit_tfidf": 2}
+
+    def test_ranks_from_seed_rows_only(self, monkeypatch):
+        # neither the fit nor a request builds a full similarity or its
+        # n x n co-counts; each distinct rated seed computes one row, once
+        def refuse(*args, **kwargs):
+            raise AssertionError("full similarity computed")
+
+        monkeypatch.setattr(cf, "similarity_matrix", refuse)
+        monkeypatch.setattr(cf, "_co_counts", refuse)
+        monkeypatch.setattr(ranker, "similarity_matrix", refuse)
+        rows = []
+        original = ranker._similarity_row
+        monkeypatch.setattr(ranker, "_similarity_row", lambda a, s, m: rows.append(s) or original(a, s, m))
+        cat = load_fixture_catalog()
+        model = fit_hybrid(cat, PipelineConfig())
+        assert rows == []
+        titles = ["Northern Lights", "Ashfall", "Northern Lights", "Glass Harbor", "Ashfall", "Meridian Beta"]
+        for title in titles:
+            recommend_hybrid(cat, title, model=model)
+        # Glass Harbor has no ratings, so no row
+        assert len(rows) == len(set(rows)) == 3
+        assert set(model._pools) == {resolve_title(cat, t) for t in ("Northern Lights", "Ashfall", "Meridian Beta")}
 
     def test_split_catalog_does_not_see_parent_model(self):
         # a pool of 3 is cut from the neighbor order, so it follows the ratings
@@ -169,7 +192,8 @@ class TestModelMemo:
         model = fit_hybrid(fixture_catalog, PipelineConfig())
         assert model._vectors == {}
         recommend_hybrid(fixture_catalog, "Northern Lights", model=model)
-        assert set(model._vectors) == set(model.candidates[1]) | {1}
+        assert set(model._vectors) == set(model.pool(1)) | {1}
+        assert set(model._pools) == {1}
         assert len(model._vectors) < len(fixture_catalog.movies)
 
 
