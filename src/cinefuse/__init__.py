@@ -20,7 +20,6 @@ from .catalog import (
     train_test_split,
 )
 from .cf import (
-    ImplicitBlend,
     Prediction,
     RatingMatrix,
     SimilarityMatrix,
@@ -35,7 +34,7 @@ from .critic import CriticConsensus, aggregate_reviews, consensus_map, normalize
 from .errors import CinefuseError, DataFormatError, UnknownEntityError
 from .evaluate import EvalReport, SplitConfig, evaluate_variants, mae, precision_at_k
 from .optimize import (
-    FuzzyProfile,
+    FuzzyProfiles,
     GAConfig,
     SwarmConfig,
     WeightVector,

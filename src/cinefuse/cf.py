@@ -39,8 +39,17 @@ SOURCE_NONE = 0
 SOURCE_EXPLICIT = 1
 SOURCE_IMPLICIT = 2
 
+# augment_implicit's pseudo-rating of an event:
+#   scale.max * (IMPLICIT_WATCH * [watched] + IMPLICIT_FRACTION * fraction
+#                + IMPLICIT_FREQ * min(count, IMPLICIT_FREQ_CAP) / IMPLICIT_FREQ_CAP)
+# The three weights sum to 1.
+IMPLICIT_WATCH = 0.2
+IMPLICIT_FRACTION = 0.5
+IMPLICIT_FREQ = 0.3
+IMPLICIT_FREQ_CAP = 10
 
-@dataclass
+
+@dataclass(eq=False)
 class RatingMatrix:
     """Dense-with-NaN user x item matrix plus per-axis means and source flags."""
 
@@ -90,7 +99,7 @@ def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
     return RatingMatrix(tuple(user_ids.tolist()), tuple(item_ids.tolist()), values, sources, catalog.scale)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityMatrix:
     """Pairwise similarities along one axis."""
 
@@ -223,13 +232,18 @@ def _weight_vector(weights, d: int) -> np.ndarray:
 class _Axis(NamedTuple):
     """One axis of a rating matrix as its similarities under one metric and
     weight vector read it: ids and each id's row, the rows (NaN where
-    unrated) and their rated mask, the validated weights of the co-rated
-    dimension and, for cosine, each row's weighted norm over its rated set."""
+    unrated), their rated mask and, as CSR, each row's rated count `rated`,
+    row pointers `indptr` and rated columns `indices`, the validated weights
+    of the co-rated dimension and, for cosine, each row's weighted norm over
+    its rated set."""
 
     ids: tuple[int, ...]
     index: dict[int, int]
     vals: np.ndarray
     mask: np.ndarray
+    rated: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     metric: str
     w: np.ndarray
     norms: np.ndarray | None
@@ -246,8 +260,10 @@ def _axis(matrix: RatingMatrix, axis: str, metric: str = "pearson", weights=None
         vals, ids, index = matrix.values.T, matrix.item_ids, matrix.item_index
     w = _weight_vector(weights, vals.shape[1])
     mask = ~np.isnan(vals)
+    rated = np.count_nonzero(mask, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(rated)))
     norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1)) if metric == "cosine" else None
-    return _Axis(ids, index, vals, mask, metric, w, norms)
+    return _Axis(ids, index, vals, mask, rated, indptr, np.nonzero(mask)[1], metric, w, norms)
 
 
 def _co_counts(mask: np.ndarray) -> np.ndarray:
@@ -263,18 +279,18 @@ def _overlapping(co: np.ndarray, min_overlap: int):
         yield i, j, co[i, j]
 
 
-def _corated_blocks(vals, mask, pairs, union: bool = False):
-    """The _Block of each block of `pairs`, made as the blocks are consumed.
+def _corated_blocks(a: _Axis, pairs):
+    """The _Block of each block of `pairs` on axis `a`, made as the blocks
+    are consumed.
 
     `pairs` yields (I, J, counts): index arrays of pairs i < j and their
-    co-counts. Each row's rated columns are kept as CSR; a pair's co-rated
-    cells are those of its sparser row that the other row rated too,
-    ascending. A block holds about _BLOCK_CELLS gathered cells (both rows'
-    cells too, for a union).
+    co-counts. A pair's co-rated cells are those of its sparser row that the
+    other row rated too, ascending, read from the axis' CSR. A block holds
+    about _BLOCK_CELLS gathered cells (both rows' cells too, for jaccard's
+    union).
     """
-    rated = np.count_nonzero(mask, axis=1)
-    indptr = np.concatenate(([0], np.cumsum(rated)))
-    indices = np.nonzero(mask)[1]
+    vals, mask, rated, indptr, indices = a.vals, a.mask, a.rated, a.indptr, a.indices
+    union = a.metric == "jaccard"
     for pi, pj, pc in pairs:
         need = np.minimum(rated[pi], rated[pj])
         for s, e in _runs(need + rated[pi] + rated[pj] if union else need):
@@ -344,7 +360,7 @@ def similarity_matrix(
     """
     a = _axis(matrix, axis, metric, weights)
     co = _co_counts(a.mask)
-    blocks = _corated_blocks(a.vals, a.mask, _overlapping(co, min_overlap), union=metric == "jaccard")
+    blocks = _corated_blocks(a, _overlapping(co, min_overlap))
     return SimilarityMatrix(axis, metric, a.ids, _similarities(blocks, len(a.ids), metric, a.w, a.norms), co, min_overlap)
 
 
@@ -357,7 +373,7 @@ def _similarity_row(a: _Axis, s: int, min_overlap: int) -> tuple[np.ndarray, np.
     other = other[other != s]
     pairs = [(np.minimum(other, s), np.maximum(other, s), co[other])] if other.size else []
     row = np.zeros(len(a.ids))
-    for b in _corated_blocks(a.vals, a.mask, pairs, union=a.metric == "jaccard"):
+    for b in _corated_blocks(a, pairs):
         row[b.i + b.j - s] = _kernel(b, a.metric, a.w, a.norms)
     np.clip(row, -1.0, 1.0, out=row)
     row[s] = 1.0
@@ -365,21 +381,21 @@ def _similarity_row(a: _Axis, s: int, min_overlap: int) -> tuple[np.ndarray, np.
 
 
 def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
-    """(run, co): `run` is `weights -> similarity_matrix(matrix, axis,
+    """(run, ids, co): `run` is `weights -> similarity_matrix(matrix, axis,
     "pearson", weights, min_overlap)`, the same bits, for tuning the
-    weights, and `co` the co-counts every similarity it returns holds. They
-    and every block's co-rated cells are gathered once, here, and held (20 B
-    per co-rated cell, 24 B per pair), so a call runs only the weighted
-    kernel."""
+    weights, and `ids` and `co` the ids and co-counts every similarity it
+    returns holds. The co-counts and every block's co-rated cells are
+    gathered once, here, and held (20 B per co-rated cell, 24 B per pair),
+    so a call runs only the weighted kernel."""
     a = _axis(matrix, axis)
     co = _co_counts(a.mask)
-    blocks = list(_corated_blocks(a.vals, a.mask, _overlapping(co, min_overlap)))
+    blocks = list(_corated_blocks(a, _overlapping(co, min_overlap)))
 
     def run(weights) -> SimilarityMatrix:
         w = _weight_vector(weights, a.vals.shape[1])
         return SimilarityMatrix(axis, "pearson", a.ids, _similarities(blocks, len(a.ids), "pearson", w), co, min_overlap)
 
-    return run, co
+    return run, a.ids, co
 
 
 @dataclass
@@ -596,33 +612,14 @@ def recommend_cf(sim_item: SimilarityMatrix, seed_id: int, n: int) -> list[tuple
     return [(sim_item.ids[j], float(sim_item.values[pos, j])) for j in order.tolist()]
 
 
-@dataclass(frozen=True)
-class ImplicitBlend:
-    """Blend coefficients for pseudo-ratings; must sum to 1."""
-
-    alpha_watch: float = 0.2
-    alpha_fraction: float = 0.5
-    alpha_freq: float = 0.3
-    freq_cap: int = 10
-
-
-def augment_implicit(
-    matrix: RatingMatrix, events: list[ImplicitEvent], params: ImplicitBlend | None = None
-) -> RatingMatrix:
+def augment_implicit(matrix: RatingMatrix, events: list[ImplicitEvent]) -> RatingMatrix:
     """New matrix with pseudo-ratings filled into explicitly-unrated cells.
 
-    pseudo = scale_max * (a_w*[watched] + a_f*fraction + a_q*min(count, F)/F),
-    clamped into the rating scale. Explicit entries are never overwritten;
-    when several events hit one cell the last one wins. Users or movies seen
-    only in events become new rows/columns. Means are recomputed.
+    Each event's pseudo-rating follows the IMPLICIT_* blend, clamped into
+    the rating scale. Explicit entries are never overwritten; when several
+    events hit one cell the last one wins. Users or movies seen only in
+    events become new rows/columns. Means are recomputed.
     """
-    params = params or ImplicitBlend()
-    total = params.alpha_watch + params.alpha_fraction + params.alpha_freq
-    if abs(total - 1.0) > 1e-9:
-        raise CinefuseError(f"blend coefficients must sum to 1, got {total}")
-    if params.freq_cap < 1:
-        raise CinefuseError(f"freq_cap must be >= 1, got {params.freq_cap}")
-
     eu = np.array([ev.user_id for ev in events], dtype=np.int64)
     em = np.array([ev.movie_id for ev in events], dtype=np.int64)
     watched = np.array([1.0 if ev.watched else 0.0 for ev in events])
@@ -630,8 +627,8 @@ def augment_implicit(
     count = np.array([ev.watch_count for ev in events], dtype=np.int64)
     # the scalar formula's operations in its order, then RatingScale.clamp:
     # max(lo, v), then min(hi, .)
-    raw = params.alpha_watch * watched + params.alpha_fraction * fraction
-    raw += params.alpha_freq * np.minimum(count, params.freq_cap) / params.freq_cap
+    raw = IMPLICIT_WATCH * watched + IMPLICIT_FRACTION * fraction
+    raw += IMPLICIT_FREQ * np.minimum(count, IMPLICIT_FREQ_CAP) / IMPLICIT_FREQ_CAP
     pseudo = matrix.scale.max * raw
     pseudo = np.where(pseudo > matrix.scale.min, pseudo, matrix.scale.min)
     pseudo = np.where(pseudo < matrix.scale.max, pseudo, matrix.scale.max)

@@ -46,6 +46,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def fraction(text: str) -> float:
+    """argparse type for a held-out share: a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 def _data_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--movies", default=str(FIXTURE_DIR / "movies.csv"))
@@ -88,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[data], help="MAE/coverage per variant on one split")
     p.add_argument("--variants", default="plain",
                    help="comma list from: " + ", ".join(ev.VARIANTS))
-    p.add_argument("--holdout", type=float, default=0.2)
+    p.add_argument("--holdout", type=fraction, default=0.2)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--k", type=positive_int, default=20)
     p.add_argument("--timings", action="store_true", help="append wall-clock runtimes")
@@ -97,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-weights", parents=[data], help="tune similarity weights, write a weight file")
     p.add_argument("--method", choices=("ga", "pso"), required=True)
     p.add_argument("--axis", choices=("user", "item"), default="user")
-    p.add_argument("--holdout", type=float, default=0.2)
+    p.add_argument("--holdout", type=fraction, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=positive_int, default=20)
     p.add_argument("--population", type=positive_int, default=40)
@@ -279,10 +287,9 @@ def cmd_optimize(args) -> int:
         if args.axis != "user":
             raise UsageError("pso tunes fuzzy genre weights, which are user-axis only")
         profiles = opt.build_fuzzy_profiles(train_cat)
-        genres = train_cat.genre_universe()
-        if not genres:
+        dim = len(profiles.genres)
+        if not dim:
             raise CinefuseError("catalog has no genres to weight")
-        dim = len(genres)
         objective = opt.fuzzy_mae_objective(matrix, profiles, test, k=args.k)
         cfg = opt.SwarmConfig(particles=args.particles, iterations=args.iterations, seed=args.seed)
         wv, best, _ = opt.pso_optimize(objective, dim, cfg, initial=np.ones(dim))

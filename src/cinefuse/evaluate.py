@@ -113,13 +113,12 @@ def evaluate_variants(
     variants,
     split: SplitConfig | None = None,
     k: int = DEFAULT_K,
-    ga_config: GAConfig | None = None,
-    pso_config: SwarmConfig | None = None,
 ) -> list[EvalReport]:
     """One EvalReport per variant, all on the identical split.
 
-    Optimizer budgets default to small fixture-scale settings; pass
-    explicit configs to raise them. Deterministic for a fixed split seed.
+    The optimizer variants run small fixture-scale budgets (GA: population
+    12, 8 generations; PSO: 10 particles, 10 iterations) seeded with the
+    split seed. Deterministic for a fixed split seed.
     """
     require_positive("k", k)
     variants = list(variants)
@@ -141,31 +140,27 @@ def evaluate_variants(
     reports = []
     for variant in variants:
         start = time.perf_counter()
+        scored = matrix
         if variant == "plain":
             sim = similarity_matrix(matrix, "user", "pearson")
-            m, cov = _score(matrix, sim, test, k)
         elif variant == "ga_weighted":
             dim = len(matrix.item_ids)
             objective = cf_mae_objective(matrix, test, axis="user", k=k)
-            cfg = ga_config or GAConfig(population=12, generations=8, seed=split.seed)
+            cfg = GAConfig(population=12, generations=8, seed=split.seed)
             wv, _, _ = ga_optimize(objective, dim, cfg, initial=np.ones(dim))
             sim = similarity_matrix(matrix, "user", "pearson", weights=wv.as_array())
-            m, cov = _score(matrix, sim, test, k)
         elif variant == "pso_fuzzy":
             profiles = build_fuzzy_profiles(train_cat)
-            genres = train_cat.genre_universe()
-            if not genres:
+            dim = len(profiles.genres)
+            if not dim:
                 raise CinefuseError("pso_fuzzy needs movies with genres")
             objective = fuzzy_mae_objective(matrix, profiles, test, k=k)
-            cfg = pso_config or SwarmConfig(particles=10, iterations=10, seed=split.seed)
-            wv, _, _ = pso_optimize(objective, len(genres), cfg, initial=np.ones(len(genres)))
+            cfg = SwarmConfig(particles=10, iterations=10, seed=split.seed)
+            wv, _, _ = pso_optimize(objective, dim, cfg, initial=np.ones(dim))
             sim = fuzzy_similarity_matrix(profiles, wv.as_array())
-            m, cov = _score(matrix, sim, test, k)
         else:  # implicit_augmented
-            aug = augment_implicit(matrix, train_cat.implicit)
-            sim = similarity_matrix(aug, "user", "pearson")
-            m, cov = _score(aug, sim, test, k)
-        reports.append(
-            EvalReport(variant, m, cov, time.perf_counter() - start, split.seed)
-        )
+            scored = augment_implicit(matrix, train_cat.implicit)
+            sim = similarity_matrix(scored, "user", "pearson")
+        m, cov = _score(scored, sim, test, k)
+        reports.append(EvalReport(variant, m, cov, time.perf_counter() - start, split.seed))
     return reports

@@ -27,7 +27,6 @@ from .cf import (
     DEFAULT_MIN_OVERLAP,
     RatingMatrix,
     SimilarityMatrix,
-    _axis,
     _pair_blocks,
     _pearson_plan,
     _predict,
@@ -44,21 +43,27 @@ from .errors import CinefuseError, DataFormatError, require_positive
 VALIDATION_CAP = 2000
 VALIDATION_CAP_SEED = 0
 
+# PSO inertia and acceleration (c1 = c2) coefficients: the constriction
+# values of Clerc & Kennedy (IEEE TEC 2002).
+PSO_INERTIA = 0.72
+PSO_ACCELERATION = 1.49
+# GA: the chance a child is crossed over, the chance each of its genes
+# mutates, and the mutation's standard deviation as a share of w_max.
+GA_CROSSOVER_RATE = 0.9
+GA_MUTATION_RATE = 0.1
+GA_MUTATION_SIGMA = 0.1
+
 
 @dataclass(frozen=True)
 class WeightVector:
     values: tuple[float, ...]
-    provenance: str  # ga | pso | uniform
+    provenance: str  # ga | pso
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in self.values):
             raise CinefuseError("weights must be finite")
         if any(v < 0 for v in self.values):
             raise CinefuseError("weights must be nonnegative")
-
-    @classmethod
-    def uniform(cls, dimension: int) -> "WeightVector":
-        return cls(values=(1.0,) * dimension, provenance="uniform")
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -68,17 +73,12 @@ class WeightVector:
 class SwarmConfig:
     particles: int = 30
     iterations: int = 100
-    omega: float = 0.72
-    c1: float = 1.49
-    c2: float = 1.49
     seed: int = 0
     w_max: float = 2.0
 
     def __post_init__(self):
         if self.particles < 1 or self.iterations < 1:
             raise CinefuseError("particles and iterations must be >= 1")
-        if self.omega < 0 or self.c1 < 0 or self.c2 < 0:
-            raise CinefuseError("omega, c1, c2 must be nonnegative")
         if self.w_max <= 0:
             raise CinefuseError("w_max must be positive")
 
@@ -87,9 +87,6 @@ class SwarmConfig:
 class GAConfig:
     population: int = 40
     generations: int = 80
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    mutation_sigma: float | None = None  # default: 10% of the bound width
     elitism: int = 2
     seed: int = 0
     w_max: float = 2.0
@@ -97,16 +94,10 @@ class GAConfig:
     def __post_init__(self):
         if self.population < 1 or self.generations < 1:
             raise CinefuseError("population and generations must be >= 1")
-        if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
-            raise CinefuseError("crossover and mutation rates must be in [0, 1]")
         if not (0 <= self.elitism < self.population):
             raise CinefuseError("elitism must be in [0, population)")
         if self.w_max <= 0:
             raise CinefuseError("w_max must be positive")
-
-    @property
-    def sigma(self) -> float:
-        return self.mutation_sigma if self.mutation_sigma is not None else 0.1 * self.w_max
 
 
 def _checked(objective, x) -> float:
@@ -116,26 +107,32 @@ def _checked(objective, x) -> float:
     return v
 
 
+def _start(rng, size: int, dimension: int, w_max: float, initial) -> np.ndarray:
+    """`size` uniform draws from [0, w_max]^dimension, the first replaced by
+    `initial`, clipped into the bounds, when given: a warm start."""
+    if dimension < 1:
+        raise CinefuseError(f"dimension must be >= 1, got {dimension}")
+    x = rng.uniform(0.0, w_max, size=(size, dimension))
+    if initial is not None:
+        init = np.clip(np.asarray(initial, dtype=float), 0.0, w_max)
+        if init.shape != (dimension,):
+            raise CinefuseError(f"initial guess of length {init.size}, expected {dimension}")
+        x[0] = init
+    return x
+
+
 def pso_optimize(objective, dimension: int, config: SwarmConfig, initial=None):
     """Global-best PSO over [0, w_max]^dimension, minimizing `objective`.
 
-    Velocity update: w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x) with
-    per-dimension uniform r1, r2; positions are clamped to the bounds.
+    Velocity update: w*v + c*r1*(pbest - x) + c*r2*(gbest - x), with w
+    PSO_INERTIA, c PSO_ACCELERATION and per-dimension uniform r1, r2;
+    positions are clamped to the bounds.
     `initial`, when given, replaces particle 0 as a warm start.
 
     Returns (WeightVector, best value, per-iteration best-so-far trace).
     """
-    if dimension < 1:
-        raise CinefuseError(f"dimension must be >= 1, got {dimension}")
     rng = np.random.default_rng(config.seed)
-    lo, hi = 0.0, config.w_max
-
-    x = rng.uniform(lo, hi, size=(config.particles, dimension))
-    if initial is not None:
-        init = np.clip(np.asarray(initial, dtype=float), lo, hi)
-        if init.shape != (dimension,):
-            raise CinefuseError(f"initial guess of length {init.size}, expected {dimension}")
-        x[0] = init
+    x = _start(rng, config.particles, dimension, config.w_max, initial)
     v = np.zeros_like(x)
 
     fx = np.array([_checked(objective, p) for p in x])
@@ -148,8 +145,8 @@ def pso_optimize(objective, dimension: int, config: SwarmConfig, initial=None):
     for _ in range(config.iterations):
         r1 = rng.uniform(size=(config.particles, dimension))
         r2 = rng.uniform(size=(config.particles, dimension))
-        v = config.omega * v + config.c1 * r1 * (pbest - x) + config.c2 * r2 * (gbest - x)
-        x = np.clip(x + v, lo, hi)
+        v = PSO_INERTIA * v + PSO_ACCELERATION * r1 * (pbest - x) + PSO_ACCELERATION * r2 * (gbest - x)
+        x = np.clip(x + v, 0.0, config.w_max)
         fx = np.array([_checked(objective, p) for p in x])
         improved = fx < pbest_val
         pbest[improved] = x[improved]
@@ -164,23 +161,16 @@ def pso_optimize(objective, dimension: int, config: SwarmConfig, initial=None):
 
 def ga_optimize(objective, dimension: int, config: GAConfig, initial=None):
     """Generational GA: tournament selection (size 2), uniform crossover,
-    bound-clamped Gaussian mutation, and elitism, minimizing `objective`.
+    bound-clamped Gaussian mutation, and elitism, minimizing `objective`;
+    the GA_* constants set the crossover and mutation rates and the
+    mutation's sigma.
 
     `initial`, when given, replaces individual 0 as a warm start. Returns
     (WeightVector, best value, per-generation best-so-far trace).
     """
-    if dimension < 1:
-        raise CinefuseError(f"dimension must be >= 1, got {dimension}")
     rng = np.random.default_rng(config.seed)
-    lo, hi = 0.0, config.w_max
     pop_n = config.population
-
-    pop = rng.uniform(lo, hi, size=(pop_n, dimension))
-    if initial is not None:
-        init = np.clip(np.asarray(initial, dtype=float), lo, hi)
-        if init.shape != (dimension,):
-            raise CinefuseError(f"initial guess of length {init.size}, expected {dimension}")
-        pop[0] = init
+    pop = _start(rng, pop_n, dimension, config.w_max, initial)
 
     fitness = np.array([_checked(objective, p) for p in pop])
     best_i = int(np.argmin(fitness))
@@ -191,10 +181,10 @@ def ga_optimize(objective, dimension: int, config: GAConfig, initial=None):
     for _ in range(config.generations):
         # all stochastic draws for this generation, in a fixed order
         parent_idx = rng.integers(0, pop_n, size=(n_children, 2, 2))
-        do_cx = rng.uniform(size=n_children) < config.crossover_rate
+        do_cx = rng.uniform(size=n_children) < GA_CROSSOVER_RATE
         cx_mask = rng.uniform(size=(n_children, dimension)) < 0.5
-        mut_mask = rng.uniform(size=(n_children, dimension)) < config.mutation_rate
-        mut_step = rng.normal(0.0, config.sigma, size=(n_children, dimension))
+        mut_mask = rng.uniform(size=(n_children, dimension)) < GA_MUTATION_RATE
+        mut_step = rng.normal(0.0, GA_MUTATION_SIGMA * config.w_max, size=(n_children, dimension))
 
         order = np.argsort(fitness, kind="stable")
         next_pop = [pop[i].copy() for i in order[: config.elitism]]
@@ -207,7 +197,7 @@ def ga_optimize(objective, dimension: int, config: GAConfig, initial=None):
             if do_cx[c]:
                 child[cx_mask[c]] = p2[cx_mask[c]]
             child[mut_mask[c]] += mut_step[c][mut_mask[c]]
-            next_pop.append(np.clip(child, lo, hi))
+            next_pop.append(np.clip(child, 0.0, config.w_max))
 
         pop = np.array(next_pop)
         fitness = np.array([_checked(objective, p) for p in pop])
@@ -219,21 +209,24 @@ def ga_optimize(objective, dimension: int, config: GAConfig, initial=None):
     return WeightVector(tuple(float(w) for w in best), "ga"), best_val, trace
 
 
-@dataclass(frozen=True)
-class FuzzyProfile:
-    """Per-genre taste memberships in [0, 1] for one user."""
+@dataclass(frozen=True, eq=False)
+class FuzzyProfiles:
+    """Per-genre taste memberships in [0, 1]: degrees[u, g] is user
+    user_ids[u]'s membership in genre genres[g]. Users ascend by id and
+    genres are sorted."""
 
-    user_id: int
-    memberships: tuple[tuple[str, float], ...]  # (genre, degree), sorted by genre
+    user_ids: tuple[int, ...]
+    genres: tuple[str, ...]
+    degrees: np.ndarray  # float64, (users, genres)
 
-    def genres(self) -> tuple[str, ...]:
-        return tuple(g for g, _ in self.memberships)
+    def __post_init__(self):
+        if self.degrees.shape != (len(self.user_ids), len(self.genres)):
+            raise CinefuseError(
+                f"degrees of shape {self.degrees.shape} for {len(self.user_ids)} users and {len(self.genres)} genres"
+            )
 
-    def degrees(self) -> np.ndarray:
-        return np.array([d for _, d in self.memberships])
 
-
-def build_fuzzy_profiles(catalog: Catalog) -> dict[int, FuzzyProfile]:
+def build_fuzzy_profiles(catalog: Catalog) -> FuzzyProfiles:
     """membership(user, genre) = mean rating on that genre / scale max.
 
     Every profile spans the catalog's whole genre universe (sorted); genres
@@ -260,59 +253,47 @@ def build_fuzzy_profiles(catalog: Catalog) -> dict[int, FuzzyProfile]:
     counts = np.bincount(cell, minlength=size)
     with np.errstate(divide="ignore", invalid="ignore"):
         degrees = np.where(counts > 0, sums / counts / catalog.scale.max, 0.0).reshape(user_ids.size, len(genres))
-    return {
-        uid: FuzzyProfile(uid, tuple(zip(genres, row)))
-        for uid, row in zip(user_ids.tolist(), degrees.tolist())
-    }
+    return FuzzyProfiles(tuple(user_ids.tolist()), tuple(genres), degrees)
 
 
-def _fuzzy_degrees(profiles: dict[int, FuzzyProfile]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The sorted profile ids and their (profiles, genres) degree matrix."""
-    ids = tuple(sorted(profiles))
-    universes = {profiles[u].genres() for u in ids}
-    if len(universes) > 1:
-        raise CinefuseError("profiles do not share a genre universe")
-    n_genres = len(universes.pop()) if universes else 0
-    return ids, np.array([profiles[u].degrees() for u in ids]).reshape(len(ids), n_genres)
-
-
-def _fuzzy_plan(degs: np.ndarray) -> tuple[list, np.ndarray]:
-    """What no weight changes in the fuzzy kernel over _fuzzy_degrees'
-    `degs`: its pair blocks and their shared-support co-counts (genres where
-    both memberships are positive, which neighbor eligibility keys on)."""
+def _fuzzy_plan(profiles: FuzzyProfiles):
+    """(run, ids, co), as _pearson_plan's: `run` is `weights ->
+    fuzzy_similarity_matrix(profiles, weights)`, and `ids` and `co` the
+    user ids and co-counts every similarity it returns holds. The pair
+    blocks and co-counts are found once, here, so a call runs only the
+    weighted kernel."""
+    degs = profiles.degrees
     n, n_genres = degs.shape
     blocks = [(i[a:b], j[a:b]) for i, j in _pair_blocks(n) for a, b in _runs(np.full(i.size, n_genres))]
     co = np.diag(np.count_nonzero(degs, axis=1))
     for i, j in blocks:
         co[i, j] = co[j, i] = np.count_nonzero(np.minimum(degs[i], degs[j]), axis=1)
-    return blocks, co
+
+    def run(weights) -> SimilarityMatrix:
+        w = _weight_vector(weights, n_genres)
+        values = np.eye(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, j in blocks:
+                a, b = degs[i], degs[j]
+                num = (w * np.minimum(a, b)).sum(axis=1)
+                den = (w * np.maximum(a, b)).sum(axis=1)
+                values[i, j] = values[j, i] = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
+        return SimilarityMatrix("user", "fuzzy", profiles.user_ids, values, co, min_overlap=0)
+
+    return run, profiles.user_ids, co
 
 
-def _fuzzy_similarity(ids: tuple[int, ...], degs: np.ndarray, blocks, co, weights) -> SimilarityMatrix:
-    """fuzzy_similarity_matrix over _fuzzy_degrees and _fuzzy_plan."""
-    w = _weight_vector(weights, degs.shape[1])
-    values = np.eye(len(ids))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, j in blocks:
-            a, b = degs[i], degs[j]
-            num = (w * np.minimum(a, b)).sum(axis=1)
-            den = (w * np.maximum(a, b)).sum(axis=1)
-            values[i, j] = values[j, i] = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
-    return SimilarityMatrix("user", "fuzzy", ids, values, co, min_overlap=0)
-
-
-def fuzzy_similarity_matrix(profiles: dict[int, FuzzyProfile], weights) -> SimilarityMatrix:
+def fuzzy_similarity_matrix(profiles: FuzzyProfiles, weights) -> SimilarityMatrix:
     """User-user similarity from fuzzy profiles: the weighted fuzzy Jaccard
     sum(w*min) / sum(w*max) of every pair, clipped into [0, 1], computed a
-    block of pairs at a time. Weights align with the sorted genre universe
-    the profiles share; a zero denominator (both profiles zero wherever
-    weight is positive) counts as identical, i.e. 1.
+    block of pairs at a time. Weights align with the profiles' genres; a
+    zero denominator (both profiles zero wherever weight is positive) counts
+    as identical, i.e. 1.
 
     Co-counts here are shared-support sizes (genres where both memberships
     are positive), which is what neighbor eligibility keys on.
     """
-    ids, degs = _fuzzy_degrees(profiles)
-    return _fuzzy_similarity(ids, degs, *_fuzzy_plan(degs), weights)
+    return _fuzzy_plan(profiles)[0](weights)
 
 
 def _subsample(validation: list[Rating]) -> list[Rating]:
@@ -345,6 +326,32 @@ def _sample_scorer(matrix: RatingMatrix, axis: str, ids: tuple[int, ...], co: np
     return score
 
 
+def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], k: int):
+    """`weights -> validation MAE` for the similarities on `axis` that
+    `plan()` builds, a (run, ids, co) of _pearson_plan or _fuzzy_plan: a
+    call runs `run` and scores every held-out rating with predict_many,
+    fallback predictions included. What no weight changes is done once,
+    here, after the arguments are checked: the plan is built, the validation
+    set is subsampled when it exceeds VALIDATION_CAP, and the sample's
+    positions and, from the plan's co-counts, each rating's eligible raters
+    are gathered (_sample_scorer)."""
+    require_positive("k", k)
+    if not validation:
+        raise CinefuseError("empty validation set")
+    for r in validation:
+        if r.user_id not in matrix.user_index or r.movie_id not in matrix.item_index:
+            raise CinefuseError(
+                f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
+            )
+    run, ids, co = plan()
+    score = _sample_scorer(matrix, axis, ids, co, _subsample(validation), k)
+
+    def objective(weights) -> float:
+        return score(run(weights))
+
+    return objective
+
+
 def cf_mae_objective(
     train_matrix: RatingMatrix,
     validation_ratings: list[Rating],
@@ -352,59 +359,22 @@ def cf_mae_objective(
     k: int = DEFAULT_K,
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ):
-    """Objective: weights over the co-rated dimension -> validation MAE.
-
-    A call computes the weighted pearson similarity on `axis` and scores
-    every held-out rating with predict_many (fallback predictions
-    included). What no weight changes is done once, at construction: the
-    validation set is subsampled when it exceeds VALIDATION_CAP, the
-    co-counts and co-rated cells are gathered (_pearson_plan), and so are
-    the sample's positions and, from those co-counts, each rating's
-    eligible raters (_sample_scorer).
-    """
-    require_positive("k", k)
-    if not validation_ratings:
-        raise CinefuseError("empty validation set")
-    for r in validation_ratings:
-        if r.user_id not in train_matrix.user_index or r.movie_id not in train_matrix.item_index:
-            raise CinefuseError(
-                f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
-            )
-    sample = _subsample(validation_ratings)
-    similarity, co = _pearson_plan(train_matrix, axis, min_overlap)
-    score = _sample_scorer(train_matrix, axis, _axis(train_matrix, axis).ids, co, sample, k)
-
-    def objective(weights) -> float:
-        return score(similarity(weights))
-
-    return objective
+    """Objective: weights over the co-rated dimension -> validation MAE
+    under the weighted pearson similarity on `axis` (_objective). The
+    co-counts and co-rated cells are gathered once (_pearson_plan)."""
+    return _objective(train_matrix, axis, lambda: _pearson_plan(train_matrix, axis, min_overlap), validation_ratings, k)
 
 
 def fuzzy_mae_objective(
     train_matrix: RatingMatrix,
-    profiles: dict[int, FuzzyProfile],
+    profiles: FuzzyProfiles,
     validation_ratings: list[Rating],
     k: int = DEFAULT_K,
 ):
-    """Objective: genre weights -> validation MAE under fuzzy user similarity.
-
-    The validation set is subsampled as cf_mae_objective's. The profiles'
-    degree matrix, pair blocks and co-counts, the sample's positions and
-    each rating's eligible raters are found once, at construction; a call
-    runs the weighted kernel and the predictor.
-    """
-    require_positive("k", k)
-    if not validation_ratings:
-        raise CinefuseError("empty validation set")
-    sample = _subsample(validation_ratings)
-    ids, degs = _fuzzy_degrees(profiles)
-    blocks, co = _fuzzy_plan(degs)
-    score = _sample_scorer(train_matrix, "user", ids, co, sample, k)
-
-    def objective(weights) -> float:
-        return score(_fuzzy_similarity(ids, degs, blocks, co, weights))
-
-    return objective
+    """Objective: genre weights -> validation MAE under fuzzy user
+    similarity (_objective). The pair blocks and co-counts are found once
+    (_fuzzy_plan)."""
+    return _objective(train_matrix, "user", lambda: _fuzzy_plan(profiles), validation_ratings, k)
 
 
 def save_weights(wv: WeightVector, path, seed: int, objective_value: float) -> None:

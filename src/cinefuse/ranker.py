@@ -72,7 +72,7 @@ def _fit_key(config: PipelineConfig) -> tuple[str, int, int]:
     return (config.metric, config.min_overlap, config.candidate_pool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridModel:
     """What ranking needs from a catalog, fitted once by `fit_hybrid`.
 
@@ -88,8 +88,8 @@ class HybridModel:
     items: _Axis
     provider: object  # anything with `vector(movie)`
     consensus: dict[int, CriticConsensus]
-    _pools: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False, default_factory=dict)
-    _vectors: dict[int, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _pools: dict[int, tuple[int, ...]] = field(init=False, repr=False, default_factory=dict)
+    _vectors: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def pool(self, movie_id: int) -> tuple[int, ...] | None:
         """The candidate pool around a seed movie; None when it has no ratings."""

@@ -115,7 +115,7 @@ def cosine_similarity(a, b) -> float:
     return float(va @ vb / (na * nb))
 
 
-@dataclass
+@dataclass(eq=False)
 class TfidfProvider:
     """TF-IDF embeddings over a fixed vocabulary.
 
@@ -128,7 +128,7 @@ class TfidfProvider:
     vocabulary: tuple[str, ...]
     idf: np.ndarray
     options: PreprocessOptions = field(default_factory=PreprocessOptions)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {t: i for i, t in enumerate(self.vocabulary)}
@@ -166,7 +166,7 @@ def fit_tfidf(texts, max_vocab: int = 5000, options: PreprocessOptions | None = 
     return TfidfProvider(vocabulary, idf, opts)
 
 
-@dataclass
+@dataclass(eq=False)
 class PrecomputedProvider:
     """Embeddings computed offline and loaded from a text file."""
 

@@ -18,7 +18,6 @@ from cinefuse.catalog import ImplicitEvent, Rating, RatingScale
 from cinefuse.cf import (
     SOURCE_EXPLICIT,
     SOURCE_IMPLICIT,
-    ImplicitBlend,
     RatingMatrix,
     SimilarityMatrix,
     augment_implicit,
@@ -29,7 +28,7 @@ from cinefuse.cf import (
     similarity_matrix,
 )
 from cinefuse.errors import CinefuseError, UnknownEntityError
-from cinefuse.optimize import FuzzyProfile, fuzzy_similarity_matrix
+from cinefuse.optimize import FuzzyProfiles, fuzzy_similarity_matrix
 
 from conftest import make_matrix, random_rating_matrix, tiny_catalog
 
@@ -210,18 +209,23 @@ def loop_build_rating_matrix(catalog):
     return user_ids, item_ids, values, sources
 
 
-def loop_augment_implicit(matrix, events, params):
+def scalar_pseudo_rating(scale, ev):
+    """One event's pseudo-rating by the blend formula in scalar arithmetic."""
+    raw = (
+        cf.IMPLICIT_WATCH * (1.0 if ev.watched else 0.0)
+        + cf.IMPLICIT_FRACTION * ev.watch_fraction
+        + cf.IMPLICIT_FREQ * min(ev.watch_count, cf.IMPLICIT_FREQ_CAP) / cf.IMPLICIT_FREQ_CAP
+    )
+    return scale.clamp(scale.max * raw)
+
+
+def loop_augment_implicit(matrix, events):
     """augment_implicit as it was before it was vectorised: one scalar
     pseudo-rating per event, the last per cell kept, then written cell by
     cell. It must match it bit for bit."""
     pseudo = {}
     for ev in events:
-        raw = (
-            params.alpha_watch * (1.0 if ev.watched else 0.0)
-            + params.alpha_fraction * ev.watch_fraction
-            + params.alpha_freq * min(ev.watch_count, params.freq_cap) / params.freq_cap
-        )
-        pseudo[(ev.user_id, ev.movie_id)] = matrix.scale.clamp(matrix.scale.max * raw)
+        pseudo[(ev.user_id, ev.movie_id)] = scalar_pseudo_rating(matrix.scale, ev)
     user_ids = tuple(sorted(set(matrix.user_ids) | {u for u, _ in pseudo}))
     item_ids = tuple(sorted(set(matrix.item_ids) | {m for _, m in pseudo}))
     uix = {u: i for i, u in enumerate(user_ids)}
@@ -667,10 +671,8 @@ class TestPredictManyBitwise:
         genres = [f"g{t}" for t in range(5)]
         for _ in range(10):
             matrix = half_step_matrix(rng, int(rng.integers(2, 14)), int(rng.integers(2, 14)), 0.5)
-            profiles = {
-                u: FuzzyProfile(u, tuple(zip(genres, (rng.uniform(size=5) * (rng.uniform(size=5) < 0.6)).tolist())))
-                for u in matrix.user_ids
-            }
+            degrees = np.array([rng.uniform(size=5) * (rng.uniform(size=5) < 0.6) for _ in matrix.user_ids])
+            profiles = FuzzyProfiles(matrix.user_ids, tuple(genres), degrees)
             sim = fuzzy_similarity_matrix(profiles, rng.uniform(0.0, 2.0, size=5))
             for k in range(1, 9):
                 assert_many_matches_loop(matrix, sim, *every_pair(matrix), k)
@@ -905,11 +907,6 @@ class TestRatingMatrixBuild:
 class TestImplicitAugmentation:
     def test_equals_per_event_loop(self):
         rng = np.random.default_rng(92)
-        blends = [
-            ImplicitBlend(),
-            ImplicitBlend(alpha_watch=0.1, alpha_fraction=0.6, alpha_freq=0.3, freq_cap=3),
-            ImplicitBlend(alpha_watch=0.7, alpha_fraction=0.0, alpha_freq=0.3, freq_cap=1),
-        ]
         for _ in range(12):
             matrix = half_step_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng.uniform(0.2, 0.9))
             n = int(rng.integers(0, 40))
@@ -924,8 +921,7 @@ class TestImplicitAugmentation:
                 )
             ]
             events += events[: n // 3]  # the same events again, after others on their cells
-            for blend in blends:
-                assert_matrix_equals(augment_implicit(matrix, events, blend), loop_augment_implicit(matrix, events, blend))
+            assert_matrix_equals(augment_implicit(matrix, events), loop_augment_implicit(matrix, events))
 
     def test_pseudo_rating_formula(self):
         matrix = make_matrix([[4.0, np.nan], [3.0, 2.0]])
@@ -962,12 +958,6 @@ class TestImplicitAugmentation:
         assert 555 in aug.item_index
         assert np.count_nonzero(~np.isnan(matrix.values)) + 1 == np.count_nonzero(~np.isnan(aug.values))
 
-    def test_bad_blend_coefficients_rejected(self):
-        matrix = make_matrix([[4.0, 3.0], [3.0, 2.0]])
-        blend = ImplicitBlend(alpha_watch=0.5, alpha_fraction=0.5, alpha_freq=0.5)
-        with pytest.raises(CinefuseError, match="sum to 1"):
-            augment_implicit(matrix, [], blend)
-
     def test_matches_cell_by_cell_copy(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -987,17 +977,11 @@ class TestImplicitAugmentation:
                     if not np.isnan(matrix.values[i, j]):
                         values[aug.user_index[u], aug.item_index[m]] = matrix.values[i, j]
                         sources[aug.user_index[u], aug.item_index[m]] = matrix.sources[i, j]
-            blend = ImplicitBlend()
             for ev in events:
                 i, j = aug.user_index[ev.user_id], aug.item_index[ev.movie_id]
                 if sources[i, j] == SOURCE_EXPLICIT:
                     continue
-                raw = (
-                    blend.alpha_watch * (1.0 if ev.watched else 0.0)
-                    + blend.alpha_fraction * ev.watch_fraction
-                    + blend.alpha_freq * min(ev.watch_count, blend.freq_cap) / blend.freq_cap
-                )
-                values[i, j] = matrix.scale.clamp(matrix.scale.max * raw)
+                values[i, j] = scalar_pseudo_rating(matrix.scale, ev)
                 sources[i, j] = SOURCE_IMPLICIT
             assert np.array_equal(aug.values, values, equal_nan=True)
             assert np.array_equal(aug.sources, sources)

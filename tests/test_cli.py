@@ -385,6 +385,16 @@ class TestExitCodes:
         assert out == ""
         assert "must be >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--holdout", "1.5"),
+        ("optimize-weights", "--method", "ga", "--holdout", "0", "--out", "unused.txt"),
+    ])
+    def test_holdout_outside_open_unit_interval_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "argument --holdout: must be in (0, 1)" in err
+
     @pytest.mark.parametrize("method, flag", [
         ("ga", "--population"), ("ga", "--generations"), ("pso", "--particles"), ("pso", "--iterations"),
     ])

@@ -1,5 +1,7 @@
 """MAE evaluation harness across recommendation variants."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,16 @@ class TestEvaluateVariants:
             assert 0.0 <= r.coverage <= 1.0
             assert r.runtime_seconds >= 0.0
             assert r.seed == 42
+
+    def test_matches_golden_file(self, fixture_catalog):
+        # one "variant mae coverage" line per variant, floats as repr, so
+        # every variant is pinned bit for bit
+        lines = (Path(__file__).parent / "data" / "golden_evaluate.txt").read_text().splitlines()
+        golden = [(v, float(m), float(c)) for v, m, c in (line.split() for line in lines)]
+        reports = evaluate_variants(fixture_catalog, VARIANTS)
+        assert [r.variant for r in reports] == [v for v, _, _ in golden] == list(VARIANTS)
+        for r, (_, m, c) in zip(reports, golden):
+            assert r.mae == m and r.coverage == c, r.variant
 
     def test_deterministic_across_runs(self, fixture_catalog):
         a = evaluate_variants(fixture_catalog, ["plain", "ga_weighted"], SplitConfig(0.2, 42))

@@ -10,7 +10,7 @@ from cinefuse.catalog import Movie, Rating, train_test_split
 from cinefuse.cf import build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError, DataFormatError
 from cinefuse.optimize import (
-    FuzzyProfile,
+    FuzzyProfiles,
     GAConfig,
     SwarmConfig,
     WeightVector,
@@ -86,8 +86,6 @@ class TestPSO:
         with pytest.raises(CinefuseError):
             SwarmConfig(particles=0)
         with pytest.raises(CinefuseError):
-            SwarmConfig(omega=-0.1)
-        with pytest.raises(CinefuseError):
             SwarmConfig(w_max=0.0)
 
 
@@ -137,8 +135,6 @@ class TestGA:
 
     def test_config_validation(self):
         with pytest.raises(CinefuseError):
-            GAConfig(crossover_rate=1.5)
-        with pytest.raises(CinefuseError):
             GAConfig(elitism=40, population=40)
         with pytest.raises(CinefuseError):
             GAConfig(generations=0)
@@ -153,11 +149,6 @@ class TestWeightVector:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(CinefuseError, match="weights must be finite"):
             WeightVector((1.0, bad), "ga")
-
-    def test_uniform_constructor(self):
-        wv = WeightVector.uniform(4)
-        assert wv.values == (1.0, 1.0, 1.0, 1.0)
-        assert wv.provenance == "uniform"
 
     def test_save_load_round_trip(self, tmp_path):
         wv = WeightVector((0.25, 1.5, 0.0), "pso")
@@ -188,11 +179,10 @@ class TestWeightVector:
             load_weights(path)
 
 
-def fuzzy_similarity(a, b, weights):
-    """Scalar weighted fuzzy Jaccard of two profiles: sum(w*min) / sum(w*max)
-    clamped into [0, 1], and 1 for a zero denominator."""
+def fuzzy_similarity(da, db, weights):
+    """Scalar weighted fuzzy Jaccard of two degree rows: sum(w*min) /
+    sum(w*max) clamped into [0, 1], and 1 for a zero denominator."""
     w = np.asarray(weights, dtype=float)
-    da, db = a.degrees(), b.degrees()
     num = float((w * np.minimum(da, db)).sum())
     den = float((w * np.maximum(da, db)).sum())
     if den == 0.0:
@@ -203,30 +193,30 @@ def fuzzy_similarity(a, b, weights):
 def loop_fuzzy_similarity_matrix(profiles, weights):
     """The per-pair loop fuzzy_similarity_matrix used before it was
     vectorised; the kernel must reproduce its values bit for bit."""
-    ids = tuple(sorted(profiles))
-    n = len(ids)
+    n = len(profiles.user_ids)
     values = np.zeros((n, n))
     co = np.zeros((n, n), dtype=np.int64)
-    degs = [profiles[u].degrees() for u in ids]
+    degs = list(profiles.degrees)
     for i in range(n):
         values[i, i] = 1.0
         co[i, i] = int(np.count_nonzero(degs[i]))
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = fuzzy_similarity(profiles[ids[i]], profiles[ids[j]], weights)
+            values[i, j] = values[j, i] = fuzzy_similarity(degs[i], degs[j], weights)
             co[i, j] = co[j, i] = int(np.count_nonzero(np.minimum(degs[i], degs[j])))
     return values, co
 
 
 def random_profiles(rng, n_users, n_genres):
-    genres = [f"g{t:03d}" for t in range(n_genres)]
-    profiles = {}
+    genres = tuple(f"g{t:03d}" for t in range(n_genres))
+    rows = {}
     for uid in rng.permutation(np.arange(1, 3 * n_users))[:n_users]:
         # a share of exact zeros, and some users with no support at all
         degrees = rng.uniform(0.0, 1.0, size=n_genres) * (rng.uniform(size=n_genres) < 0.6)
         if rng.uniform() < 0.1:
             degrees[:] = 0.0
-        profiles[int(uid)] = FuzzyProfile(int(uid), tuple(zip(genres, degrees.tolist())))
-    return profiles
+        rows[int(uid)] = degrees
+    ids = tuple(sorted(rows))
+    return FuzzyProfiles(ids, genres, np.array([rows[u] for u in ids]).reshape(len(ids), n_genres))
 
 
 class TestFuzzySimilarityBitwise:
@@ -253,36 +243,36 @@ class TestFuzzySimilarityBitwise:
         assert np.array_equal(fuzzy_similarity_matrix(profiles, w).values, want)
         assert np.array_equal(want, loop_fuzzy_similarity_matrix(profiles, w)[0])
 
-    def test_weights_and_genres_validated(self):
+    def test_weights_and_shape_validated(self):
         profiles = random_profiles(np.random.default_rng(1), 4, 3)
         with pytest.raises(CinefuseError, match="length"):
             fuzzy_similarity_matrix(profiles, [1.0, 1.0])
         with pytest.raises(CinefuseError, match="negative"):
             fuzzy_similarity_matrix(profiles, [1.0, -1.0, 1.0])
-        profiles[99] = FuzzyProfile(99, (("other", 0.5), ("g001", 0.1), ("g002", 0.2)))
-        with pytest.raises(CinefuseError, match="genre universe"):
-            fuzzy_similarity_matrix(profiles, [1.0, 1.0, 1.0])
+        with pytest.raises(CinefuseError, match=r"degrees of shape \(4, 3\) for 5 users and 3 genres"):
+            FuzzyProfiles(profiles.user_ids + (99,), profiles.genres, profiles.degrees)
+        with pytest.raises(CinefuseError, match=r"degrees of shape \(4, 3\) for 4 users and 2 genres"):
+            FuzzyProfiles(profiles.user_ids, profiles.genres[:2], profiles.degrees)
 
 
 def loop_build_fuzzy_profiles(catalog):
     """build_fuzzy_profiles as it was before np.bincount: one list of
-    ratings per (user, genre), summed in catalog order. The profiles must
-    equal it exactly."""
+    ratings per (user, genre), summed in catalog order, as (user ids,
+    genres, degree rows). The profiles must equal it exactly."""
     genres = catalog.genre_universe()
     sums = {}
     for r in catalog.ratings:
         per_user = sums.setdefault(r.user_id, {})
         for g in catalog.movies[r.movie_id].genres:
             per_user.setdefault(g, []).append(r.value)
-    profiles = {}
+    rows = []
     for uid in sorted(sums):
-        memberships = []
+        row = []
         for g in genres:
             vals = sums[uid].get(g)
-            degree = (sum(vals) / len(vals)) / catalog.scale.max if vals else 0.0
-            memberships.append((g, degree))
-        profiles[uid] = FuzzyProfile(uid, tuple(memberships))
-    return profiles
+            row.append((sum(vals) / len(vals)) / catalog.scale.max if vals else 0.0)
+        rows.append(row)
+    return tuple(sorted(sums)), tuple(genres), rows
 
 
 class TestFuzzyProfiles:
@@ -303,13 +293,14 @@ class TestFuzzyProfiles:
             catalogs.append(replace(fixture_catalog, ratings=[ratings[i] for i in rng.permutation(len(ratings))]))
         for catalog in catalogs:
             got = build_fuzzy_profiles(catalog)
-            assert got == loop_build_fuzzy_profiles(catalog)
-            assert all(type(d) is float for p in got.values() for _, d in p.memberships)
-        assert set(build_fuzzy_profiles(genreless)[9].degrees()) == {0.0}
+            assert (got.user_ids, got.genres, got.degrees.tolist()) == loop_build_fuzzy_profiles(catalog)
+            assert got.degrees.dtype == np.float64
+        profiles = build_fuzzy_profiles(genreless)
+        assert set(profiles.degrees[profiles.user_ids.index(9)].tolist()) == {0.0}
 
     def test_membership_is_scaled_genre_mean(self):
-        cat = tiny_catalog()
-        degree = dict(build_fuzzy_profiles(cat)[1].memberships)
+        profiles = build_fuzzy_profiles(tiny_catalog())
+        degree = dict(zip(profiles.genres, profiles.degrees[profiles.user_ids.index(1)].tolist()))
         # user 1 rated Drama movies 1 (4.0) and 2 (3.0): mean 3.5 -> 0.7
         assert degree["Drama"] == pytest.approx(3.5 / 5.0)
         # user 1 rated the single Sci-Fi movie 3 at 5.0 -> 1.0
@@ -320,15 +311,14 @@ class TestFuzzyProfiles:
     def test_profiles_span_genre_universe(self):
         cat = tiny_catalog()
         profiles = build_fuzzy_profiles(cat)
-        genres = tuple(cat.genre_universe())
-        for p in profiles.values():
-            assert p.genres() == genres
-            assert np.all(p.degrees() >= 0.0) and np.all(p.degrees() <= 1.0)
+        assert profiles.user_ids == (1, 2, 3)
+        assert profiles.genres == tuple(cat.genre_universe())
+        assert profiles.degrees.shape == (3, len(profiles.genres))
+        assert np.all(profiles.degrees >= 0.0) and np.all(profiles.degrees <= 1.0)
 
     def test_fuzzy_similarity_identity_and_bounds(self):
-        a = FuzzyProfile(1, (("Action", 0.6), ("Drama", 0.2)))
-        b = FuzzyProfile(2, (("Action", 0.3), ("Drama", 0.8)))
-        values = fuzzy_similarity_matrix({1: a, 2: b}, [1.0, 1.0]).values
+        profiles = FuzzyProfiles((1, 2), ("Action", "Drama"), np.array([[0.6, 0.2], [0.3, 0.8]]))
+        values = fuzzy_similarity_matrix(profiles, [1.0, 1.0]).values
         s_ab = values[0, 1]
         assert 0.0 <= s_ab <= 1.0
         assert values[0, 0] == values[1, 1] == 1.0
@@ -336,14 +326,13 @@ class TestFuzzyProfiles:
         assert s_ab == pytest.approx(expect)
 
     def test_both_zero_profiles_count_identical(self):
-        a = FuzzyProfile(1, (("Action", 0.0),))
-        b = FuzzyProfile(2, (("Action", 0.0),))
-        assert fuzzy_similarity_matrix({1: a, 2: b}, [1.0]).values[0, 1] == 1.0
+        profiles = FuzzyProfiles((1, 2), ("Action",), np.zeros((2, 1)))
+        assert fuzzy_similarity_matrix(profiles, [1.0]).values[0, 1] == 1.0
 
     def test_weight_length_mismatch_rejected(self):
-        a = FuzzyProfile(1, (("Action", 0.5),))
+        profiles = FuzzyProfiles((1,), ("Action",), np.array([[0.5]]))
         with pytest.raises(CinefuseError, match="length"):
-            fuzzy_similarity_matrix({1: a}, [1.0, 2.0])
+            fuzzy_similarity_matrix(profiles, [1.0, 2.0])
 
     def test_similarity_matrix_shape_and_co_counts(self):
         cat = tiny_catalog()
@@ -353,8 +342,7 @@ class TestFuzzyProfiles:
         assert sim.metric == "fuzzy"
         assert sim.values.shape == (3, 3)
         assert np.all(np.diag(sim.values) == 1.0)
-        da = profiles[1].degrees()
-        db = profiles[2].degrees()
+        da, db = profiles.degrees[0], profiles.degrees[1]
         shared = int(np.count_nonzero(np.minimum(da, db)))
         assert sim.co_counts[0, 1] == shared
 
@@ -438,11 +426,9 @@ class TestObjectivesHeldPlan:
             for _ in range(4):
                 n_users, n_items = (int(v) for v in rng.integers(2, 16, size=2))
                 matrix, held = random_split(rng, n_users, n_items, rng.uniform(0.2, 0.9))
-                genres = [f"g{t}" for t in range(n_genres)]
-                profiles = {
-                    u: FuzzyProfile(u, tuple(zip(genres, random_weights(rng, n_genres).tolist())))
-                    for u in matrix.user_ids
-                }
+                genres = tuple(f"g{t}" for t in range(n_genres))
+                degrees = np.array([random_weights(rng, n_genres) for _ in matrix.user_ids])
+                profiles = FuzzyProfiles(matrix.user_ids, genres, degrees)
                 for k in (1, 3, 20):
                     objective = fuzzy_mae_objective(matrix, profiles, held, k=k)
                     for w in (np.ones(n_genres), random_weights(rng, n_genres), np.zeros(n_genres)):
@@ -593,7 +579,7 @@ class TestObjectives:
         value = objective(np.ones(len(genres)))
         assert value >= 0.0
 
-    def test_fuzzy_objective_checks_profiles_once_and_weights_each_call(self, fixture_catalog):
+    def test_fuzzy_objective_checks_weights_each_call(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.2, seed=42)
         matrix = build_rating_matrix(train)
         profiles = build_fuzzy_profiles(train)
@@ -603,10 +589,39 @@ class TestObjectives:
             objective(np.ones(n_genres + 1))
         with pytest.raises(CinefuseError, match="negative"):
             objective(-np.ones(n_genres))
-        uid = next(iter(profiles))
-        profiles[uid] = FuzzyProfile(uid, (("other", 0.5),) + profiles[uid].memberships[1:])
-        with pytest.raises(CinefuseError, match="genre universe"):
-            fuzzy_mae_objective(matrix, profiles, test, k=20)
+
+    def test_profiles_with_another_genre_count_cannot_be_made(self, fixture_catalog):
+        profiles = build_fuzzy_profiles(fixture_catalog)
+        with pytest.raises(CinefuseError, match="degrees of shape"):
+            replace(profiles, genres=profiles.genres + ("other",))
+
+    def test_rating_absent_from_train_rejected_by_both_objectives(self, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.2, seed=42)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        held = test + [Rating(999, matrix.item_ids[0], 3.0)]
+        message = rf"validation rating \(999, {matrix.item_ids[0]}\) references entities absent from train"
+        with pytest.raises(CinefuseError, match=message):
+            cf_mae_objective(matrix, held, axis="user")
+        with pytest.raises(CinefuseError, match=message):
+            fuzzy_mae_objective(matrix, profiles, held)
+
+    @pytest.mark.parametrize("bad", ["k", "empty", "absent"])
+    def test_bad_arguments_rejected_before_any_plan_is_built(self, monkeypatch, fixture_catalog, bad):
+        train, test = train_test_split(fixture_catalog, 0.2, seed=42)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("plan built")
+
+        monkeypatch.setattr(optimize, "_pearson_plan", refuse)
+        monkeypatch.setattr(optimize, "_fuzzy_plan", refuse)
+        k, held = (0, test) if bad == "k" else (20, [] if bad == "empty" else test + [Rating(999, 1, 3.0)])
+        with pytest.raises(CinefuseError):
+            cf_mae_objective(matrix, held, axis="user", k=k)
+        with pytest.raises(CinefuseError):
+            fuzzy_mae_objective(matrix, profiles, held, k=k)
 
     def test_validation_cap_subsamples_deterministically(self, fixture_catalog, monkeypatch):
         train, test = train_test_split(fixture_catalog, 0.4, seed=1)

@@ -9,6 +9,7 @@ from cinefuse import cf, ranker, textpipe
 from cinefuse.catalog import Rating, resolve_title, train_test_split
 from cinefuse.cf import build_rating_matrix, similarity_matrix
 from cinefuse.errors import CinefuseError, UnknownEntityError
+from cinefuse.optimize import build_fuzzy_profiles
 from cinefuse.ranker import (
     PipelineConfig,
     cold_start_item,
@@ -326,3 +327,23 @@ class TestColdStartItem:
     def test_non_positive_n_rejected(self, fixture_catalog, n):
         with pytest.raises(CinefuseError, match=f"n must be >= 1, got {n}"):
             cold_start_item(fixture_catalog, fixture_catalog.movies[20], n=n)
+
+
+FITS = {
+    "RatingMatrix": build_rating_matrix,
+    "SimilarityMatrix": lambda cat: similarity_matrix(build_rating_matrix(cat), "user"),
+    "HybridModel": lambda cat: fit_hybrid(cat, PipelineConfig()),
+    "TfidfProvider": lambda cat: textpipe.fit_tfidf(m.summary for m in cat.movies.values()),
+    "PrecomputedProvider": lambda cat: textpipe.PrecomputedProvider({m: np.full(3, 0.5) for m in cat.movies}),
+    "FuzzyProfiles": build_fuzzy_profiles,
+}
+
+
+@pytest.mark.parametrize("fit", FITS.values(), ids=FITS.keys())
+def test_fitted_objects_compare_by_identity(fit, fixture_catalog):
+    # they hold arrays, whose == is elementwise: two equal fits compare
+    # unequal instead of raising on an ambiguous truth value
+    a, b = fit(fixture_catalog), fit(fixture_catalog)
+    assert a == a
+    assert (a == b) is False
+    assert (a != b) is True
