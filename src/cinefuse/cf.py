@@ -94,8 +94,9 @@ def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
     last = _last_of_each(ui * item_ids.size + mj)
     values = np.full((user_ids.size, item_ids.size), np.nan)
     sources = np.zeros((user_ids.size, item_ids.size), dtype=np.uint8)
-    values[ui[last], mj[last]] = columns.value[last]
-    sources[ui[last], mj[last]] = SOURCE_EXPLICIT
+    ui, mj = ui.take(last), mj.take(last)
+    _put(values, ui, mj, columns.value.take(last))
+    _put(sources, ui, mj, SOURCE_EXPLICIT)
     return RatingMatrix(tuple(user_ids.tolist()), tuple(item_ids.tolist()), values, sources, catalog.scale)
 
 
@@ -120,6 +121,38 @@ class SimilarityMatrix:
 # the fuzzy kernel, the row-by-neighbor cells of neighbor ranks, the rater
 # cells of the predictor.
 _BLOCK_CELLS = 1 << 16
+
+
+def _flat(a: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """(buffer, positions): the cells of the C- or F-contiguous 2-D array
+    `a` as the 1-D view of its memory-order buffer, and the intp position
+    in it of each cell (rows, cols), rows * rs + cols * cs with the element
+    strides of a's two axes (`rows` and `cols` broadcast together).
+    Positions are computed in intp, so int32 indices times a stride cannot
+    wrap. A transposed matrix is addressed through swapped strides, without
+    a copy."""
+    if a.flags.c_contiguous:
+        rs, cs = a.shape[1], 1
+    elif a.flags.f_contiguous:
+        rs, cs = 1, a.shape[0]
+    else:
+        raise ValueError("cells are addressed only in a C- or F-contiguous array")
+    pos = np.multiply(rows, rs, dtype=np.intp)
+    return a.ravel(order="K"), pos + (cols if cs == 1 else np.multiply(cols, cs, dtype=np.intp))
+
+
+def _cells(a: np.ndarray, rows, cols) -> np.ndarray:
+    """a[rows, cols], read with one take at the cells' _flat positions; an
+    array neither C- nor F-contiguous is read from a C copy."""
+    flat, pos = _flat(a if a.flags.forc else np.ascontiguousarray(a), rows, cols)
+    return flat.take(pos)
+
+
+def _put(a: np.ndarray, rows, cols, values) -> None:
+    """a[rows, cols] = values, written at the cells' _flat positions of the
+    C- or F-contiguous `a`."""
+    flat, pos = _flat(a, rows, cols)
+    flat[pos] = values
 
 
 def _runs(need: np.ndarray) -> list[tuple[int, int]]:
@@ -233,9 +266,10 @@ class _Axis(NamedTuple):
     """One axis of a rating matrix as its similarities under one metric and
     weight vector read it: ids and each id's row, the rows (NaN where
     unrated), their rated mask and, as CSR, each row's rated count `rated`,
-    row pointers `indptr` and rated columns `indices`, the validated weights
-    of the co-rated dimension and, for cosine, each row's weighted norm over
-    its rated set."""
+    row pointers `indptr` and rated columns `indices`, the validated
+    weights of the co-rated dimension and, for cosine, each row's weighted
+    norm over its rated set. On the item axis `vals` is the matrix's
+    transpose, a view, and `mask` keeps its layout."""
 
     ids: tuple[int, ...]
     index: dict[int, int]
@@ -276,7 +310,7 @@ def _co_counts(mask: np.ndarray) -> np.ndarray:
 def _overlapping(co: np.ndarray, min_overlap: int):
     """(I, J, co[I, J]) of each block of _pair_blocks(len(co), co, min_overlap)."""
     for i, j in _pair_blocks(len(co), co, min_overlap):
-        yield i, j, co[i, j]
+        yield i, j, _cells(co, i, j)
 
 
 def _corated_blocks(a: _Axis, pairs):
@@ -298,22 +332,23 @@ def _corated_blocks(a: _Axis, pairs):
             i, j, counts = pi[s:e][by_count], pj[s:e][by_count], pc[s:e][by_count]
             src = np.where(rated[i] <= rated[j], i, j)
             pair, at = _rated_cells(indptr, src)
-            cols = indices[at]
-            hit = mask[(i + j - src)[pair], cols]
-            pair, cols = pair[hit], cols[hit]
+            cols = indices.take(at)
+            del at  # unused past here; freeing it lowers the block's peak
+            hit = np.flatnonzero(_cells(mask, (i + j - src).take(pair), cols))
+            pair, cols = pair.take(hit), cols.take(hit)
             merged = None
             if union:
                 # i's cells and those of j that i did not rate, pairs in
                 # ascending union size, columns ascending
                 sizes = rated[i] + rated[j] - counts
                 by_size = np.argsort(sizes, kind="stable")
-                iu, ju = i[by_size], j[by_size]
+                iu, ju = i.take(by_size), j.take(by_size)
                 (ri, ai), (rj, aj) = _rated_cells(indptr, iu), _rated_cells(indptr, ju)
-                ci, cj = indices[ai], indices[aj]
-                extra = ~mask[iu[rj], cj]
-                upair, ucols = np.concatenate((ri, rj[extra])), np.concatenate((ci, cj[extra]))
+                ci, cj = indices.take(ai), indices.take(aj)
+                extra = np.flatnonzero(~_cells(mask, iu.take(rj), cj))
+                upair, ucols = np.concatenate((ri, rj.take(extra))), np.concatenate((ci, cj.take(extra)))
                 merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
-            x, y = vals[i[pair], cols], vals[j[pair], cols]
+            x, y = _cells(vals, i.take(pair), cols), _cells(vals, j.take(pair), cols)
             yield _Block(i, j, counts, _groups(counts), x, y, cols.astype(np.int32), merged)
 
 
@@ -338,7 +373,9 @@ def _similarities(blocks, n: int, metric: str, w: np.ndarray, norms=None) -> np.
     """The (n, n) similarity values of `blocks` (_corated_blocks) under weights `w`."""
     sims = np.zeros((n, n))
     for b in blocks:
-        sims[b.i, b.j] = sims[b.j, b.i] = _kernel(b, metric, w, norms)
+        s = _kernel(b, metric, w, norms)
+        _put(sims, b.i, b.j, s)
+        _put(sims, b.j, b.i, s)
     np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, 1.0)
     return sims
@@ -491,9 +528,11 @@ def _raters(t: _Targets, co: np.ndarray, k: int):
     for a, b in _runs(np.diff(t.indptr)[t.other]):
         pos = t.pos[a:b]
         pair, at = _rated_cells(t.indptr, t.other[a:b])
-        cols, target = t.cols[at], pos[pair]
-        keep = (cols >= 0) & (cols != target) & (co[target, cols] > 0)
-        pair, cols, at = pair[keep], cols[keep], at[keep]
+        cols, target = t.cols.take(at), pos.take(pair)
+        # a column of -1 reads a cell of the row before, or co's last cell,
+        # in range either way; `cols >= 0` drops it
+        keep = np.flatnonzero((cols >= 0) & (cols != target) & (_cells(co, target, cols) > 0))
+        pair, cols, at = pair.take(keep), cols.take(keep), at.take(keep)
         counts = np.bincount(pair, minlength=b - a)
         slot = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
         first = np.flatnonzero(slot < k)
@@ -525,7 +564,7 @@ def _rank_rows(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.nd
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for a in range(0, rows.size, step):
         order = _by_rank(values[rows[a : a + step]], by_id)
-        ranks[a + np.arange(order.shape[0])[:, None], order] = np.arange(n, dtype=np.int32)
+        _put(ranks, a + np.arange(order.shape[0])[:, None], order, np.arange(n, dtype=np.int32))
     return ranks
 
 
@@ -540,14 +579,14 @@ def _predict(scale: RatingScale, sims: np.ndarray, ranks: np.ndarray, g: _Raters
     # pair order, then rank order within each pair
     bits = cells.bit_length()
     key = np.repeat((np.cumsum(g.counts) - g.counts) * n, g.counts)
-    key += ranks[np.repeat(g.row_of, g.counts), g.cols]
+    key += _cells(ranks, np.repeat(g.row_of, g.counts), g.cols)
     key <<= bits
     key |= np.arange(cells)
-    pick = np.sort(key)[g.first] & ((1 << bits) - 1)
-    s = sims[g.pos[g.first_pair], g.cols[pick]]
+    pick = np.sort(key).take(g.first) & ((1 << bits) - 1)
+    s = _cells(sims, g.pos.take(g.first_pair), g.cols.take(pick))
     # np.bincount adds each pair's terms in input order, nearest first, from
     # 0.0, as the scalar sum does
-    num = np.bincount(g.first_pair, weights=s * g.dev[pick], minlength=g.counts.size)
+    num = np.bincount(g.first_pair, weights=s * g.dev.take(pick), minlength=g.counts.size)
     den = np.bincount(g.first_pair, weights=np.abs(s), minlength=g.counts.size)
     fallback = (g.counts == 0) | (den == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -638,14 +677,14 @@ def augment_implicit(matrix: RatingMatrix, events: list[ImplicitEvent]) -> Ratin
     item_ids, mj = np.unique(np.concatenate((np.array(matrix.item_ids, dtype=np.int64), em)), return_inverse=True)
     values = np.full((user_ids.size, item_ids.size), np.nan)
     sources = np.zeros((user_ids.size, item_ids.size), dtype=np.uint8)
-    old = np.ix_(ui[: len(matrix.user_ids)], mj[: len(matrix.item_ids)])
-    values[old] = matrix.values
-    sources[old] = matrix.sources  # SOURCE_NONE wherever values is NaN
+    old = ui[: len(matrix.user_ids), None], mj[: len(matrix.item_ids)]
+    _put(values, *old, matrix.values)
+    _put(sources, *old, matrix.sources)  # SOURCE_NONE wherever values is NaN
 
     ui, mj = ui[len(matrix.user_ids) :], mj[len(matrix.item_ids) :]
     last = _last_of_each(ui * item_ids.size + mj)
-    ui, mj, pseudo = ui[last], mj[last], pseudo[last]
-    fill = sources[ui, mj] != SOURCE_EXPLICIT
-    values[ui[fill], mj[fill]] = pseudo[fill]
-    sources[ui[fill], mj[fill]] = SOURCE_IMPLICIT
+    fill = last.take(np.flatnonzero(_cells(sources, ui.take(last), mj.take(last)) != SOURCE_EXPLICIT))
+    ui, mj = ui.take(fill), mj.take(fill)
+    _put(values, ui, mj, pseudo.take(fill))
+    _put(sources, ui, mj, SOURCE_IMPLICIT)
     return RatingMatrix(tuple(user_ids.tolist()), tuple(item_ids.tolist()), values, sources, matrix.scale)

@@ -262,8 +262,10 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    catalog = _load(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise UsageError(f"--variants {args.variants!r} names no variant; choose from {', '.join(ev.VARIANTS)}")
+    catalog = _load(args)
     split = ev.SplitConfig(holdout_fraction=args.holdout, seed=args.seed)
     reports = ev.evaluate_variants(catalog, variants, split=split, k=args.k)
     for r in reports:

@@ -30,6 +30,7 @@ from .cf import (
     _pair_blocks,
     _pearson_plan,
     _predict,
+    _put,
     _rank_rows,
     _raters,
     _runs,
@@ -267,7 +268,9 @@ def _fuzzy_plan(profiles: FuzzyProfiles):
     blocks = [(i[a:b], j[a:b]) for i, j in _pair_blocks(n) for a, b in _runs(np.full(i.size, n_genres))]
     co = np.diag(np.count_nonzero(degs, axis=1))
     for i, j in blocks:
-        co[i, j] = co[j, i] = np.count_nonzero(np.minimum(degs[i], degs[j]), axis=1)
+        shared = np.count_nonzero(np.minimum(degs[i], degs[j]), axis=1)
+        _put(co, i, j, shared)
+        _put(co, j, i, shared)
 
     def run(weights) -> SimilarityMatrix:
         w = _weight_vector(weights, n_genres)
@@ -277,7 +280,9 @@ def _fuzzy_plan(profiles: FuzzyProfiles):
                 a, b = degs[i], degs[j]
                 num = (w * np.minimum(a, b)).sum(axis=1)
                 den = (w * np.maximum(a, b)).sum(axis=1)
-                values[i, j] = values[j, i] = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
+                s = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
+                _put(values, i, j, s)
+                _put(values, j, i, s)
         return SimilarityMatrix("user", "fuzzy", profiles.user_ids, values, co, min_overlap=0)
 
     return run, profiles.user_ids, co

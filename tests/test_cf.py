@@ -530,6 +530,105 @@ class TestSimilarityRow:
                 self.assert_rows_equal(matrix, axis, metric, rng.uniform(0.0, 2.0, size=d), 1)
 
 
+class TestFlatCells:
+    """cf._cells and cf._put, the one gather and scatter of matrix cells by
+    flat position, against numpy's a[rows, cols] on the layouts the engine
+    addresses: C-ordered arrays and F-ordered transposed views."""
+
+    @staticmethod
+    def layouts(rng, dtype):
+        base = (rng.uniform(-5.0, 5.0, size=(6, 9)) * 4).astype(dtype)
+        return {"C": base, "F": base.T}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.int32, np.uint8, np.bool_])
+    @pytest.mark.parametrize("index", [np.int32, np.intp])
+    def test_cells_equal_fancy_reads(self, dtype, index):
+        rng = np.random.default_rng(11)
+        for layout, a in self.layouts(rng, dtype).items():
+            assert a.flags.c_contiguous == (layout == "C")
+            rows = rng.integers(0, a.shape[0], size=40).astype(index)
+            cols = rng.integers(0, a.shape[1], size=40).astype(index)
+            got = cf._cells(a, rows, cols)
+            assert got.dtype == a.dtype
+            assert np.array_equal(got, a[rows, cols]), layout
+
+    @pytest.mark.parametrize("index", [np.int32, np.intp])
+    def test_put_equals_fancy_writes(self, index):
+        rng = np.random.default_rng(12)
+        for layout in ("C", "F"):
+            ours, theirs = (self.layouts(np.random.default_rng(3), np.float64)[layout].copy(order="K") for _ in "ab")
+            assert ours.flags.c_contiguous == (layout == "C")
+            cells = rng.choice(ours.size, size=20, replace=False)
+            rows, cols = (np.asarray(v, dtype=index) for v in np.unravel_index(cells, ours.shape))
+            values = rng.uniform(size=20)
+            cf._put(ours, rows, cols, values)
+            theirs[rows, cols] = values
+            assert np.array_equal(ours, theirs), layout
+
+    def test_put_through_a_transposed_view_writes_the_matrix(self):
+        matrix = np.zeros((4, 7))
+        cf._put(matrix.T, np.array([6, 0]), np.array([1, 3]), np.array([2.5, -1.0]))
+        expected = np.zeros((4, 7))
+        expected[1, 6], expected[3, 0] = 2.5, -1.0
+        assert np.array_equal(matrix, expected)
+
+    def test_rows_broadcast_against_columns(self):
+        # _rank_rows writes each row's permutation with the rows as a column
+        # vector against the (rows, n) column orders
+        ranks = np.full((3, 5), -1, dtype=np.int32)
+        order = np.array([[4, 0, 1, 3, 2], [0, 1, 2, 3, 4], [2, 3, 4, 0, 1]])
+        rows = np.arange(3)[:, None]
+        cf._put(ranks, rows, order, np.arange(5, dtype=np.int32))
+        expected = np.full((3, 5), -1, dtype=np.int32)
+        expected[rows, order] = np.arange(5, dtype=np.int32)
+        assert np.array_equal(ranks, expected)
+        assert np.array_equal(cf._cells(ranks, rows, order), np.broadcast_to(np.arange(5), (3, 5)))
+
+    @pytest.mark.parametrize("index", [np.int32, np.intp])
+    def test_empty_index_arrays(self, index):
+        rng = np.random.default_rng(13)
+        empty = np.array([], dtype=index)
+        for layout, a in self.layouts(rng, np.float64).items():
+            got = cf._cells(a, empty, empty)
+            assert got.shape == (0,) and got.dtype == a.dtype, layout
+            before = a.copy()
+            cf._put(a, empty, empty, np.array([]))
+            assert np.array_equal(a, before), layout
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_positions_are_intp_so_int32_indices_cannot_wrap(self, layout):
+        # a stride of 5,000 times an int32 index of 2**20 is past 2**31; the
+        # positions are only computed here, never read
+        a = np.zeros((3, 5000)) if layout == "C" else np.zeros((3, 5000)).T
+        big = np.array([2**20], dtype=np.int32)
+        small = np.array([7], dtype=np.int32)
+        rows, cols = (big, small) if layout == "C" else (small, big)
+        _, pos = cf._flat(a, rows, cols)
+        assert pos.dtype == np.intp
+        assert pos.tolist() == [2**20 * 5000 + 7]
+
+    def test_non_contiguous_arrays_are_read_but_never_written(self):
+        a = np.arange(48.0).reshape(6, 8)[::2, 1::3]
+        rows, cols = np.array([0, 2, 1]), np.array([1, 0, 2])
+        assert np.array_equal(cf._cells(a, rows, cols), a[rows, cols])
+        with pytest.raises(ValueError, match="contiguous"):
+            cf._put(a, rows, cols, 0.0)
+
+    @pytest.mark.parametrize("axis", ["user", "item"])
+    def test_axis_reads_the_matrix_buffer_without_a_transposed_copy(self, axis):
+        matrix = random_rating_matrix(np.random.default_rng(14), 8, 9)
+        a = cf._axis(matrix, axis)
+        assert np.shares_memory(a.vals, matrix.values)
+        flat, _ = cf._flat(a.vals, np.array([0]), np.array([0]))
+        assert np.shares_memory(flat, matrix.values)
+        # the rated mask keeps the matrix's layout, so it too is addressed
+        # through the same strides
+        assert a.mask.flags.c_contiguous == (axis == "user")
+        assert a.mask.flags.f_contiguous == (axis == "item")
+        expected = matrix.values if axis == "user" else matrix.values.T
+        assert np.array_equal(a.vals, expected, equal_nan=True)
+
+
 class TestNeighborOrder:
     def tied_sim(self):
         ids = (42, 7, 19, 3, 88, 11, 5, 60)

@@ -242,6 +242,13 @@ class TestEvaluate:
         assert code == 1
         assert "variant" in err
 
+    @pytest.mark.parametrize("variants", [",", "", " , ,"])
+    def test_variant_list_naming_no_variant_is_usage_error(self, capsys, variants):
+        code, out, err = run_cli(capsys, "evaluate", "--variants", variants)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: --variants") and "names no variant" in err
+
 
 class TestOptimizeWeights:
     def test_ga_writes_weight_file(self, capsys, tmp_path):
