@@ -192,7 +192,9 @@ def _groups(counts: np.ndarray) -> list[tuple[int, int, int]]:
     """(start, rows, length) of each run of equal `counts`, which must be
     ascending: the cells of those rows lie at [start, start + rows * length)
     of a ragged array stored row after row."""
-    lengths, rows = np.unique(counts, return_counts=True)
+    rows = np.bincount(counts)
+    lengths = np.flatnonzero(rows)
+    rows = rows.take(lengths)
     starts = np.cumsum(lengths * rows) - lengths * rows
     return list(zip(starts.tolist(), rows.tolist(), lengths.tolist()))
 
@@ -208,7 +210,7 @@ def _row_sums(flat: np.ndarray, groups) -> np.ndarray:
     """
     lead = flat.shape[:-1]
     return np.concatenate(
-        [flat[..., s : s + r * c].reshape(*lead, r, c).sum(axis=-1) for s, r, c in groups], axis=-1
+        [np.add.reduce(flat[..., s : s + r * c].reshape(*lead, r, c), axis=-1) for s, r, c in groups], axis=-1
     )
 
 
@@ -221,11 +223,11 @@ def _pearson_pairs(x, y, w, counts, groups):
     order, so the result is bit-identical to it; the three sums of each pass
     are taken together.
     """
-    sw, sx, sy = _row_sums(np.stack((w, w * x, w * y)), groups)
+    sw, sx, sy = _row_sums(np.array((w, w * x, w * y)), groups)
     xm, ym = sx / sw, sy / sw
     dx, dy = x - np.repeat(xm, counts), y - np.repeat(ym, counts)
     wdx = w * dx
-    vx, vy, cov = _row_sums(np.stack((wdx * dx, w * dy * dy, wdx * dy)), groups)
+    vx, vy, cov = _row_sums(np.array((wdx * dx, w * dy * dy, wdx * dy)), groups)
     s = cov / np.sqrt(vx * vy)
     s[(sw <= 0.0) | (vx <= 1e-15) | (vy <= 1e-15)] = 0.0
     return s
@@ -328,7 +330,9 @@ def _corated_blocks(a: _Axis, pairs):
     for pi, pj, pc in pairs:
         need = np.minimum(rated[pi], rated[pj])
         for s, e in _runs(need + rated[pi] + rated[pj] if union else need):
-            by_count = np.argsort(pc[s:e], kind="stable")
+            # cast to the smallest unsigned type that holds them, the
+            # counts sort by radix, in the same stable order
+            by_count = np.argsort(pc[s:e].astype(np.min_scalar_type(pc[s:e].max(initial=0))), kind="stable")
             i, j, counts = pi[s:e][by_count], pj[s:e][by_count], pc[s:e][by_count]
             src = np.where(rated[i] <= rated[j], i, j)
             pair, at = _rated_cells(indptr, src)
@@ -355,7 +359,7 @@ def _corated_blocks(a: _Axis, pairs):
 def _kernel(b: _Block, metric: str, w: np.ndarray, norms=None) -> np.ndarray:
     """The similarity of each pair of block `b` under weights `w`, before
     clipping; cosine takes the rows' weighted norms."""
-    wc = w[b.cols]
+    wc = w.take(b.cols)
     with np.errstate(divide="ignore", invalid="ignore"):
         if metric == "pearson":
             return _pearson_pairs(b.x, b.y, wc, b.counts, b.groups)
@@ -418,21 +422,28 @@ def _similarity_row(a: _Axis, s: int, min_overlap: int) -> tuple[np.ndarray, np.
 
 
 def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
-    """(run, ids, co): `run` is `weights -> similarity_matrix(matrix, axis,
-    "pearson", weights, min_overlap)`, the same bits, for tuning the
-    weights, and `ids` and `co` the ids and co-counts every similarity it
-    returns holds. The co-counts and every block's co-rated cells are
-    gathered once, here, and held (20 B per co-rated cell, 24 B per pair),
-    so a call runs only the weighted kernel."""
+    """(gather, ids, co, min_overlap), for tuning the weights of
+    `similarity_matrix(matrix, axis, "pearson", weights, min_overlap)`:
+    `ids` and `co` are the ids and co-counts it holds. `gather(i, j,
+    counts)`, given pairs i < j in ascending co-count `counts`, gathers
+    their co-rated cells once (20 B per co-rated cell, 24 B per pair held)
+    and returns `weights -> those pairs' values in that similarity, in
+    order, then 0.0`, with the same bits. No n x n similarity is made."""
     a = _axis(matrix, axis)
-    co = _co_counts(a.mask)
-    blocks = list(_corated_blocks(a, _overlapping(co, min_overlap)))
+    co, d = _co_counts(a.mask), a.vals.shape[1]
 
-    def run(weights) -> SimilarityMatrix:
-        w = _weight_vector(weights, a.vals.shape[1])
-        return SimilarityMatrix(axis, "pearson", a.ids, _similarities(blocks, len(a.ids), "pearson", w), co, min_overlap)
+    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray):
+        # pairs in ascending co-count keep their order in every block
+        blocks = list(_corated_blocks(a, [(i, j, counts)] if i.size else []))
 
-    return run, a.ids, co
+        def run(weights) -> np.ndarray:
+            w = _weight_vector(weights, d)
+            s = np.concatenate([*(_kernel(b, "pearson", w) for b in blocks), [0.0]])
+            return np.clip(s, -1.0, 1.0, out=s)
+
+        return run
+
+    return gather, a.ids, co, min_overlap
 
 
 @dataclass
@@ -452,8 +463,7 @@ def _positions(index: dict, ids, what: str) -> np.ndarray:
 class _Targets(NamedTuple):
     """The (user, movie) pairs of a prediction, for similarities on one axis
     over fixed ids. Each pair's target (its user on the user axis, its movie
-    on the item axis) is a similarity position `pos` with its mean `base`;
-    `rows` are the distinct targets and `row_of` maps each pair to its row.
+    on the item axis) is a similarity position `pos` with its mean `base`.
     The raters of each pair's other entity (the movie's users on the user
     axis, the user's movies on the item axis) are held as CSR over the
     distinct other entities: pair p's raters lie at [indptr[other[p]],
@@ -463,8 +473,6 @@ class _Targets(NamedTuple):
 
     pos: np.ndarray
     base: np.ndarray
-    rows: np.ndarray
-    row_of: np.ndarray
     other: np.ndarray
     indptr: np.ndarray
     cols: np.ndarray
@@ -485,7 +493,6 @@ def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_
         target_ids, targets, other, means = movie_ids, mj, ui, matrix.item_means
         axis_index, axis_ids, grid = matrix.item_index, matrix.item_ids, matrix.values
     pos = _positions(index, target_ids, f"similarity {axis}")
-    rows, row_of = np.unique(pos, return_inverse=True)
     others, other = np.unique(other, return_inverse=True)
     # the rated cells of the other entities' rows, a block of at most
     # _BLOCK_CELLS cells at a time, so one pair reads one row
@@ -498,13 +505,13 @@ def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_
         sim_of[_positions(axis_index, ids, f"matrix {axis}")] = np.arange(len(ids))
         m = sim_of[m]
     indptr = np.searchsorted(o, np.arange(others.size + 1))
-    return _Targets(pos, means[targets], rows, row_of, other, indptr, m.astype(np.int32), dev)
+    return _Targets(pos, means[targets], other, indptr, m.astype(np.int32), dev)
 
 
 class _Raters(NamedTuple):
     """What no similarity value changes in the predictions of a run of
-    pairs: each pair's target position `pos`, mean `base`, row `row_of`
-    (_Targets) and number `counts` of eligible raters, and those raters
+    pairs: each pair's target position `pos` and mean `base` (_Targets)
+    and number `counts` of eligible raters, and those raters
     pair after pair, as int32 similarity positions `cols` and deviations
     `dev` (rating minus mean). Once each pair's raters are sorted by
     neighbor rank, `first` (int32) are the positions of each pair's first
@@ -512,7 +519,6 @@ class _Raters(NamedTuple):
 
     pos: np.ndarray
     base: np.ndarray
-    row_of: np.ndarray
     counts: np.ndarray
     cols: np.ndarray
     dev: np.ndarray
@@ -536,7 +542,7 @@ def _raters(t: _Targets, co: np.ndarray, k: int):
         counts = np.bincount(pair, minlength=b - a)
         slot = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
         first = np.flatnonzero(slot < k)
-        yield a, b, _Raters(pos, t.base[a:b], t.row_of[a:b], counts, cols, t.dev[at], first.astype(np.int32), pair[first])
+        yield a, b, _Raters(pos, t.base[a:b], counts, cols, t.dev[at], first.astype(np.int32), pair[first])
 
 
 def _by_rank(rows: np.ndarray, by_id: np.ndarray) -> np.ndarray:
@@ -568,22 +574,35 @@ def _rank_rows(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.nd
     return ranks
 
 
-def _predict(scale: RatingScale, sims: np.ndarray, ranks: np.ndarray, g: _Raters) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and fallback flags of the pairs of `g` under similarity
-    values `sims`, whose _rank_rows over the targets' rows are `ranks`: each
-    pair's raters are sorted by rank with one sort of int64 keys and its
-    first k summed."""
-    n, cells = ranks.shape[1], g.cols.size
+def _desc_ranks(values: np.ndarray) -> np.ndarray:
+    """The rank of each of `values` in descending order, below values.size,
+    equal values (0.0 and -0.0 among them) sharing one; NaNs rank last."""
+    order = np.argsort(-values)
+    v = values.take(order)
+    ranks = np.empty(values.size, dtype=np.intp)
+    ranks[order] = np.cumsum(np.concatenate(([0], v[1:] != v[:-1])))
+    return ranks
+
+
+def _predict(
+    scale: RatingScale, g: _Raters, rank: np.ndarray, n: int, sims: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and fallback flags of the pairs of `g`. Each rater cell
+    has a neighbor rank `rank` (below n) in its target's order, equal ranks
+    keeping the cells' order, and its similarity at sims[at]: each pair's
+    raters are sorted by rank with one sort of int64 keys and its first k
+    summed."""
+    cells = g.cols.size
     # a cell's key is (its pair's first cell * n + its rank), with the cell's
     # own position in the low bits: unique, below 2 * cells**2 * n, and in
     # pair order, then rank order within each pair
     bits = cells.bit_length()
     key = np.repeat((np.cumsum(g.counts) - g.counts) * n, g.counts)
-    key += _cells(ranks, np.repeat(g.row_of, g.counts), g.cols)
+    key += rank
     key <<= bits
     key |= np.arange(cells)
     pick = np.sort(key).take(g.first) & ((1 << bits) - 1)
-    s = _cells(sims, g.pos.take(g.first_pair), g.cols.take(pick))
+    s = sims.take(at.take(pick))
     # np.bincount adds each pair's terms in input order, nearest first, from
     # 0.0, as the scalar sum does
     num = np.bincount(g.first_pair, weights=s * g.dev.take(pick), minlength=g.counts.size)
@@ -621,10 +640,14 @@ def predict_many(
     """
     require_positive("k", k)
     t = _targets(matrix, sim.axis, sim.ids, sim.index, user_ids, movie_ids)
-    ranks = _rank_rows(sim.values, np.argsort(sim.ids), t.rows)
+    rows, row_of = np.unique(t.pos, return_inverse=True)
+    ranks = _rank_rows(sim.values, np.argsort(sim.ids), rows)
+    sims = sim.values if sim.values.flags.forc else np.ascontiguousarray(sim.values)
     values, fallback = np.empty(t.pos.size), np.empty(t.pos.size, dtype=bool)
     for a, b, g in _raters(t, sim.co_counts, k):
-        values[a:b], fallback[a:b] = _predict(matrix.scale, sim.values, ranks, g)
+        flat, at = _flat(sims, np.repeat(g.pos, g.counts), g.cols)
+        rank = _cells(ranks, np.repeat(row_of[a:b], g.counts), g.cols)
+        values[a:b], fallback[a:b] = _predict(matrix.scale, g, rank, ranks.shape[1], flat, at)
     return values, fallback
 
 

@@ -27,11 +27,13 @@ from .cf import (
     DEFAULT_MIN_OVERLAP,
     RatingMatrix,
     SimilarityMatrix,
+    _cells,
+    _co_counts,
+    _desc_ranks,
     _pair_blocks,
     _pearson_plan,
     _predict,
     _put,
-    _rank_rows,
     _raters,
     _runs,
     _targets,
@@ -225,6 +227,13 @@ class FuzzyProfiles:
             raise CinefuseError(
                 f"degrees of shape {self.degrees.shape} for {len(self.user_ids)} users and {len(self.genres)} genres"
             )
+        bad = np.argwhere(~(self.degrees >= 0.0) | ~np.isfinite(self.degrees))
+        if bad.size:
+            u, g = bad[0].tolist()
+            raise CinefuseError(
+                f"degree {float(self.degrees[u, g])!r} of user {self.user_ids[u]} in genre {self.genres[g]!r} "
+                "is negative or not finite"
+            )
 
 
 def build_fuzzy_profiles(catalog: Catalog) -> FuzzyProfiles:
@@ -257,35 +266,41 @@ def build_fuzzy_profiles(catalog: Catalog) -> FuzzyProfiles:
     return FuzzyProfiles(tuple(user_ids.tolist()), tuple(genres), degrees)
 
 
+def _fuzzy_blocks(i: np.ndarray, j: np.ndarray, genres: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (i, j) cut into blocks of about _BLOCK_CELLS pair-by-genre
+    cells."""
+    return [(i[a:b], j[a:b]) for a, b in _runs(np.full(i.size, genres))]
+
+
+def _fuzzy_pairs(degrees: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The fuzzy similarity of each pair (i, j) of rows of `degrees`, one
+    of _fuzzy_blocks, under genre weights `w`."""
+    x, y = degrees[i], degrees[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = (w * np.minimum(x, y)).sum(axis=1)
+        den = (w * np.maximum(x, y)).sum(axis=1)
+        return np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
+
+
 def _fuzzy_plan(profiles: FuzzyProfiles):
-    """(run, ids, co), as _pearson_plan's: `run` is `weights ->
-    fuzzy_similarity_matrix(profiles, weights)`, and `ids` and `co` the
-    user ids and co-counts every similarity it returns holds. The pair
-    blocks and co-counts are found once, here, so a call runs only the
-    weighted kernel."""
-    degs = profiles.degrees
-    n, n_genres = degs.shape
-    blocks = [(i[a:b], j[a:b]) for i, j in _pair_blocks(n) for a, b in _runs(np.full(i.size, n_genres))]
-    co = np.diag(np.count_nonzero(degs, axis=1))
-    for i, j in blocks:
-        shared = np.count_nonzero(np.minimum(degs[i], degs[j]), axis=1)
-        _put(co, i, j, shared)
-        _put(co, j, i, shared)
+    """(gather, ids, co, 0), as _pearson_plan's, for tuning the weights of
+    `fuzzy_similarity_matrix(profiles, weights)`: `gather(i, j, counts)`
+    returns `weights -> those pairs' values in that similarity, in order,
+    then 0.0`. It holds the pairs alone; a call gathers their degrees a
+    block at a time."""
+    degrees = profiles.degrees
 
-    def run(weights) -> SimilarityMatrix:
-        w = _weight_vector(weights, n_genres)
-        values = np.eye(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, j in blocks:
-                a, b = degs[i], degs[j]
-                num = (w * np.minimum(a, b)).sum(axis=1)
-                den = (w * np.maximum(a, b)).sum(axis=1)
-                s = np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
-                _put(values, i, j, s)
-                _put(values, j, i, s)
-        return SimilarityMatrix("user", "fuzzy", profiles.user_ids, values, co, min_overlap=0)
+    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray):
+        blocks = _fuzzy_blocks(i, j, degrees.shape[1])
 
-    return run, profiles.user_ids, co
+        def run(weights) -> np.ndarray:
+            w = _weight_vector(weights, degrees.shape[1])
+            return np.concatenate([*(_fuzzy_pairs(degrees, bi, bj, w) for bi, bj in blocks), [0.0]])
+
+        return run
+
+    # with degrees >= 0, a genre is shared support where both are positive
+    return gather, profiles.user_ids, _co_counts(degrees > 0), 0
 
 
 def fuzzy_similarity_matrix(profiles: FuzzyProfiles, weights) -> SimilarityMatrix:
@@ -298,7 +313,15 @@ def fuzzy_similarity_matrix(profiles: FuzzyProfiles, weights) -> SimilarityMatri
     Co-counts here are shared-support sizes (genres where both memberships
     are positive), which is what neighbor eligibility keys on.
     """
-    return _fuzzy_plan(profiles)[0](weights)
+    degrees = profiles.degrees
+    w = _weight_vector(weights, degrees.shape[1])
+    values = np.eye(len(profiles.user_ids))
+    for pi, pj in _pair_blocks(len(profiles.user_ids)):
+        for i, j in _fuzzy_blocks(pi, pj, degrees.shape[1]):
+            s = _fuzzy_pairs(degrees, i, j, w)
+            _put(values, i, j, s)
+            _put(values, j, i, s)
+    return SimilarityMatrix("user", "fuzzy", profiles.user_ids, values, _co_counts(degrees > 0), min_overlap=0)
 
 
 def _subsample(validation: list[Rating]) -> list[Rating]:
@@ -309,21 +332,59 @@ def _subsample(validation: list[Rating]) -> list[Rating]:
     return [validation[i] for i in idx]
 
 
-def _sample_scorer(matrix: RatingMatrix, axis: str, ids: tuple[int, ...], co: np.ndarray, sample: list[Rating], k: int):
-    """`sim -> MAE of predict_many over sample`, fallback predictions
-    included, for similarities on `axis` over `ids` whose co-counts are
-    `co`; the sample's positions and the raters of each rating are gathered
-    once, here, so a call ranks the targets' neighbors, sorts and sums."""
-    targets = _targets(
+def _sample_scorer(matrix: RatingMatrix, axis: str, plan, sample: list[Rating], k: int):
+    """`weights -> MAE of predict_many over sample`, fallback predictions
+    included, under the similarities on `axis` of `plan`, a (gather, ids,
+    co, min_overlap) of _pearson_plan or _fuzzy_plan.
+
+    Built once, here: the sample's positions and each rating's eligible
+    raters (_raters, from the plan's co-counts), in id order within each
+    rating; the distinct (target, rater) pairs those raters read with a
+    co-count of at least min_overlap, which the plan gathers in ascending
+    co-count; and each rater cell's slot among the values the plan returns,
+    the last, 0.0, for a rater below min_overlap. A call ranks those values
+    (_desc_ranks) and sorts each rating's raters by rank, then id, which is
+    the _by_rank order over the read pairs alone, and sums its first k
+    (_predict).
+    """
+    gather, ids, co, min_overlap = plan
+    n = len(ids)
+    t = _targets(
         matrix, axis, ids, {e: p for p, e in enumerate(ids)}, [r.user_id for r in sample], [r.movie_id for r in sample]
     )
-    rows, blocks = targets.rows, [g for _, _, g in _raters(targets, co, k)]
-    by_id = np.argsort(ids)
+    # _targets lists each rating's raters in matrix order, their id order
+    # when the matrix ids ascend
+    axis_ids = matrix.user_ids if axis == "user" else matrix.item_ids
+    id_rank = None if all(a < b for a, b in zip(axis_ids, axis_ids[1:])) else np.argsort(np.argsort(ids))
+    # each pair i < j at i * n + j, and at n * n every rater below
+    # min_overlap: first marked where read, then holding its slot
+    slot = np.zeros(n * n + 1, dtype=np.int32)
+    blocks = []
+    for _, _, g in _raters(t, co, k):
+        rating = np.repeat(np.arange(g.counts.size), g.counts)
+        if id_rank is not None:
+            order = np.argsort(rating * n + id_rank.take(g.cols))
+            g = g._replace(cols=g.cols.take(order), dev=g.dev.take(order))
+        target = g.pos.take(rating)
+        key = np.minimum(target, g.cols) * n + np.maximum(target, g.cols)
+        key[_cells(co, target, g.cols) < min_overlap] = n * n
+        slot[key] = 1
+        blocks.append((g, key))
+    pairs = np.flatnonzero(slot[:-1])
+    pairs = pairs.take(np.argsort(_cells(co, pairs // n, pairs % n), kind="stable"))
+    slot[pairs] = np.arange(pairs.size)
+    slot[-1] = pairs.size
+    blocks = [(g, slot.take(key)) for g, key in blocks]
+    del slot  # unused past here; freeing it before the gather lowers its peak
+    i = pairs // n
+    j = pairs - i * n
+    run = gather(i, j, _cells(co, i, j))
     actual = np.array([r.value for r in sample], dtype=float)
 
-    def score(sim: SimilarityMatrix) -> float:
-        ranks = _rank_rows(sim.values, by_id, rows)
-        values = np.concatenate([_predict(matrix.scale, sim.values, ranks, g)[0] for g in blocks])
+    def score(weights) -> float:
+        sims = run(weights)
+        rank = _desc_ranks(sims)
+        values = np.concatenate([_predict(matrix.scale, g, rank.take(at), sims.size, sims, at)[0] for g, at in blocks])
         # left to right from the first error, as a scalar loop from 0.0
         # adds them: every error is >= +0.0
         return float(np.add.accumulate(np.abs(values - actual))[-1]) / len(sample)
@@ -332,14 +393,13 @@ def _sample_scorer(matrix: RatingMatrix, axis: str, ids: tuple[int, ...], co: np
 
 
 def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], k: int):
-    """`weights -> validation MAE` for the similarities on `axis` that
-    `plan()` builds, a (run, ids, co) of _pearson_plan or _fuzzy_plan: a
-    call runs `run` and scores every held-out rating with predict_many,
-    fallback predictions included. What no weight changes is done once,
-    here, after the arguments are checked: the plan is built, the validation
-    set is subsampled when it exceeds VALIDATION_CAP, and the sample's
-    positions and, from the plan's co-counts, each rating's eligible raters
-    are gathered (_sample_scorer)."""
+    """`weights -> validation MAE` for the similarities on `axis` of the
+    plan `plan()` builds (_pearson_plan or _fuzzy_plan): a call scores
+    every held-out rating as predict_many would, fallback predictions
+    included. What no weight changes is done once, here, after the
+    arguments are checked: the plan is built, the validation set is
+    subsampled when it exceeds VALIDATION_CAP, and the sample's raters and
+    the pairs they read are gathered (_sample_scorer)."""
     require_positive("k", k)
     if not validation:
         raise CinefuseError("empty validation set")
@@ -348,13 +408,7 @@ def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], 
             raise CinefuseError(
                 f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
             )
-    run, ids, co = plan()
-    score = _sample_scorer(matrix, axis, ids, co, _subsample(validation), k)
-
-    def objective(weights) -> float:
-        return score(run(weights))
-
-    return objective
+    return _sample_scorer(matrix, axis, plan(), _subsample(validation), k)
 
 
 def cf_mae_objective(
@@ -366,7 +420,8 @@ def cf_mae_objective(
 ):
     """Objective: weights over the co-rated dimension -> validation MAE
     under the weighted pearson similarity on `axis` (_objective). The
-    co-counts and co-rated cells are gathered once (_pearson_plan)."""
+    co-rated cells of the pairs the sample reads are gathered once
+    (_pearson_plan)."""
     return _objective(train_matrix, axis, lambda: _pearson_plan(train_matrix, axis, min_overlap), validation_ratings, k)
 
 
@@ -377,7 +432,7 @@ def fuzzy_mae_objective(
     k: int = DEFAULT_K,
 ):
     """Objective: genre weights -> validation MAE under fuzzy user
-    similarity (_objective). The pair blocks and co-counts are found once
+    similarity (_objective). The pairs the sample reads are found once
     (_fuzzy_plan)."""
     return _objective(train_matrix, "user", lambda: _fuzzy_plan(profiles), validation_ratings, k)
 

@@ -7,13 +7,14 @@ import pytest
 
 from cinefuse import cf, optimize
 from cinefuse.catalog import Movie, Rating, train_test_split
-from cinefuse.cf import build_rating_matrix, predict_rating, similarity_matrix
+from cinefuse.cf import _pearson_plan, build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError, DataFormatError
 from cinefuse.optimize import (
     FuzzyProfiles,
     GAConfig,
     SwarmConfig,
     WeightVector,
+    _fuzzy_plan,
     _sample_scorer,
     build_fuzzy_profiles,
     cf_mae_objective,
@@ -316,6 +317,17 @@ class TestFuzzyProfiles:
         assert profiles.degrees.shape == (3, len(profiles.genres))
         assert np.all(profiles.degrees >= 0.0) and np.all(profiles.degrees <= 1.0)
 
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_degree_rejected(self, bad):
+        degrees = np.array([[0.6, 0.2], [0.3, 0.8]])
+        degrees[1, 0] = bad
+        with pytest.raises(CinefuseError, match=rf"degree {bad!r} of user 7 in genre 'Action' is negative or not finite"):
+            FuzzyProfiles((3, 7), ("Action", "Drama"), degrees)
+
+    def test_degrees_above_one_and_negative_zero_accepted(self):
+        profiles = FuzzyProfiles((1, 2), ("Action", "Drama"), np.array([[1.5, -0.0], [0.3, 0.0]]))
+        assert fuzzy_similarity_matrix(profiles, [1.0, 1.0]).co_counts.tolist() == [[1, 1], [1, 1]]
+
     def test_fuzzy_similarity_identity_and_bounds(self):
         profiles = FuzzyProfiles((1, 2), ("Action", "Drama"), np.array([[0.6, 0.2], [0.3, 0.8]]))
         values = fuzzy_similarity_matrix(profiles, [1.0, 1.0]).values
@@ -363,16 +375,21 @@ class TestObjectivesBitwise:
         for seed in range(4):
             train, test = train_test_split(fixture_catalog, 0.3, seed=seed)
             matrix = build_rating_matrix(train)
-            n_genres = len(train.genre_universe())
-            sims = [
-                similarity_matrix(matrix, "user", "pearson", weights=rng.uniform(0.0, 2.0, len(matrix.item_ids))),
-                similarity_matrix(matrix, "item", "pearson", weights=rng.uniform(0.0, 2.0, len(matrix.user_ids))),
-                fuzzy_similarity_matrix(build_fuzzy_profiles(train), rng.uniform(0.0, 2.0, n_genres)),
+            profiles = build_fuzzy_profiles(train)
+            cases = [
+                ("user", lambda: _pearson_plan(matrix, "user", 2), len(matrix.item_ids),
+                 lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
+                ("item", lambda: _pearson_plan(matrix, "item", 2), len(matrix.user_ids),
+                 lambda w: similarity_matrix(matrix, "item", "pearson", weights=w)),
+                ("user", lambda: _fuzzy_plan(profiles), len(profiles.genres),
+                 lambda w: fuzzy_similarity_matrix(profiles, w)),
             ]
-            for sim in sims:
+            for axis, plan, d, fresh in cases:
+                w = rng.uniform(0.0, 2.0, d)
+                sim = fresh(w)
                 for k in (1, 4, 20):
-                    score = _sample_scorer(matrix, sim.axis, sim.ids, sim.co_counts, test, k)
-                    assert score(sim) == loop_sample_mae(matrix, sim, test, k)
+                    score = _sample_scorer(matrix, axis, plan(), test, k)
+                    assert score(w) == loop_sample_mae(matrix, sim, test, k)
 
     def test_objectives_equal_per_pair_loop(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.3, seed=2)
@@ -457,7 +474,7 @@ class TestObjectivesHeldPlan:
         train, test = train_test_split(fixture_catalog, 0.3, seed=4)
         matrix = build_rating_matrix(train)
         profiles = build_fuzzy_profiles(train)
-        calls = {"gather": 0, "pairs": 0, "positions": 0}
+        calls = {"co": 0, "positions": 0, "raters": 0, "gather": 0, "all pairs": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -465,17 +482,138 @@ class TestObjectivesHeldPlan:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cf, "_corated_blocks", counted("gather", cf._corated_blocks))
-        monkeypatch.setattr(optimize, "_pair_blocks", counted("pairs", optimize._pair_blocks))
+        monkeypatch.setattr(cf, "_co_counts", counted("co", cf._co_counts))
+        monkeypatch.setattr(optimize, "_co_counts", cf._co_counts)
         monkeypatch.setattr(optimize, "_targets", counted("positions", optimize._targets))
+        monkeypatch.setattr(optimize, "_raters", counted("raters", optimize._raters))
+        monkeypatch.setattr(cf, "_corated_blocks", counted("gather", cf._corated_blocks))
+        monkeypatch.setattr(optimize, "_pair_blocks", counted("all pairs", optimize._pair_blocks))
         objective = cf_mae_objective(matrix, test, axis="user")
         for _ in range(4):
             objective(random_weights(np.random.default_rng(0), len(matrix.item_ids)))
-        assert calls == {"gather": 1, "pairs": 0, "positions": 1}
+        assert calls == {"co": 1, "positions": 1, "raters": 1, "gather": 1, "all pairs": 0}
         objective = fuzzy_mae_objective(matrix, profiles, test)
         for _ in range(4):
             objective(np.ones(len(train.genre_universe())))
-        assert calls == {"gather": 1, "pairs": 1, "positions": 2}
+        assert calls == {"co": 2, "positions": 2, "raters": 2, "gather": 1, "all pairs": 0}
+
+    def test_calls_build_no_n_by_n_similarity(self, monkeypatch, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=5)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        rng = np.random.default_rng(31)
+        cases = [
+            (cf_mae_objective(matrix, test, axis="user", k=4), len(matrix.item_ids),
+             lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
+            (cf_mae_objective(matrix, test, axis="item", k=4), len(matrix.user_ids),
+             lambda w: similarity_matrix(matrix, "item", "pearson", weights=w)),
+            (fuzzy_mae_objective(matrix, profiles, test, k=4), len(profiles.genres),
+             lambda w: fuzzy_similarity_matrix(profiles, w)),
+        ]
+        runs = []
+        for objective, d, fresh in cases:
+            w = random_weights(rng, d)
+            runs.append((objective, w, loop_sample_mae(matrix, fresh(w), test, 4)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("n x n similarity built")
+
+        monkeypatch.setattr(cf, "_similarities", refuse)
+        monkeypatch.setattr(cf, "_rank_rows", refuse)
+        monkeypatch.setattr(optimize, "_pair_blocks", refuse)
+        for objective, w, want in runs:
+            assert objective(w) == want
+
+    @staticmethod
+    def read_pairs(matrix, axis, co, sample, min_overlap):
+        """The distinct pairs (i, j), i < j, of a target and an eligible
+        rater of a sample rating's other entity with co[i, j] >= min_overlap,
+        one rating at a time."""
+        pairs, rated = set(), ~np.isnan(matrix.values)
+        for r in sample:
+            u, m = matrix.user_index[r.user_id], matrix.item_index[r.movie_id]
+            target, raters = (u, np.flatnonzero(rated[:, m])) if axis == "user" else (m, np.flatnonzero(rated[u]))
+            for v in raters.tolist():
+                if v != target and co[target, v] > 0 and co[target, v] >= min_overlap:
+                    pairs.add((min(target, v), max(target, v)))
+        return pairs
+
+    def test_plan_gathers_the_read_pairs_alone(self, monkeypatch, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=4)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        gathered = []
+
+        def recorded(a, pairs):
+            pairs = list(pairs)
+            gathered.append([(i.tolist(), j.tolist(), c.tolist()) for i, j, c in pairs])
+            return cf_gather(a, pairs)
+
+        def recorded_fuzzy(profiles):
+            gather, *rest = fuzzy_plan(profiles)
+
+            def recorded_gather(i, j, counts):
+                gathered.append([(i.tolist(), j.tolist(), counts.tolist())])
+                return gather(i, j, counts)
+
+            return recorded_gather, *rest
+
+        cf_gather, fuzzy_plan = cf._corated_blocks, optimize._fuzzy_plan
+        monkeypatch.setattr(cf, "_corated_blocks", recorded)
+        monkeypatch.setattr(optimize, "_fuzzy_plan", recorded_fuzzy)
+        for axis in ("user", "item"):
+            rated = (~np.isnan(matrix.values)).astype(int)
+            co = rated.T @ rated if axis == "item" else rated @ rated.T
+            for min_overlap in (1, 2, 3):
+                gathered.clear()
+                cf_mae_objective(matrix, test, axis=axis, min_overlap=min_overlap)
+                [blocks] = gathered
+                pairs = [(p, c) for i, j, counts in blocks for p, c in zip(zip(i, j), counts)]
+                want = self.read_pairs(matrix, axis, co, test, min_overlap)
+                assert len(pairs) == len(want) and {p for p, _ in pairs} == want
+                assert [c for _, c in pairs] == [co[p] for p, _ in pairs] == sorted(c for _, c in pairs)
+                if min_overlap == 2:
+                    # the sample reads some pairs, and fewer than the similarity holds
+                    assert 0 < len(want) < np.count_nonzero(np.triu(co >= min_overlap, 1))
+        gathered.clear()
+        fuzzy_mae_objective(matrix, profiles, test)
+        [[(i, j, counts)]] = gathered
+        support = (profiles.degrees > 0).astype(int)
+        co = support @ support.T
+        want = self.read_pairs(matrix, "user", co, test, 0)
+        assert len(i) == len(want) and set(zip(i, j)) == want
+        assert counts == [co[p] for p in zip(i, j)] == sorted(counts)
+        assert 0 < len(want) < len(profiles.user_ids) * (len(profiles.user_ids) - 1) // 2
+
+    def test_ids_in_any_order_rank_ties_by_id(self):
+        # ids that do not ascend with matrix position, profiles listing users
+        # in yet another order (some not at all), and coarse values that
+        # make many equal similarities: the order among equals, by id,
+        # decides which k raters count
+        rng = np.random.default_rng(1209)
+        for _ in range(8):
+            n_users, n_items = (int(v) for v in rng.integers(4, 16, size=2))
+            matrix, held = random_split(rng, n_users, n_items, rng.uniform(0.3, 0.9))
+            user_ids = tuple(rng.permutation(np.arange(1, 3 * n_users))[:n_users].tolist())
+            item_ids = tuple(rng.permutation(np.arange(500, 500 + 3 * n_items))[:n_items].tolist())
+            new_user, new_item = dict(zip(matrix.user_ids, user_ids)), dict(zip(matrix.item_ids, item_ids))
+            matrix = replace(matrix, user_ids=user_ids, item_ids=item_ids, values=np.round(matrix.values))
+            held = [Rating(new_user[r.user_id], new_item[r.movie_id], r.value) for r in held]
+            for axis, d in (("user", n_items), ("item", n_users)):
+                for k in (1, 3):
+                    objective = cf_mae_objective(matrix, held, axis=axis, k=k)
+                    for w in (np.ones(d), random_weights(rng, d)):
+                        sim = similarity_matrix(matrix, axis, "pearson", weights=w)
+                        assert objective(w) == loop_sample_mae(matrix, sim, held, k)
+            users = rng.permutation(n_users)[: int(rng.integers(2, n_users + 1))]
+            degrees = rng.integers(0, 3, size=(users.size, 3)) / 2.0
+            profiles = FuzzyProfiles(tuple(user_ids[u] for u in users.tolist()), ("a", "b", "c"), degrees)
+            held = [r for r in held if r.user_id in profiles.user_ids]
+            for k in (1, 2, 5):
+                if held:
+                    objective = fuzzy_mae_objective(matrix, profiles, held, k=k)
+                    for w in (np.ones(3), random_weights(rng, 3)):
+                        assert objective(w) == loop_sample_mae(matrix, fuzzy_similarity_matrix(profiles, w), held, k)
 
 
 class TestRaterPlans:
