@@ -118,9 +118,11 @@ class SimilarityMatrix:
 
 # Cells one block may hold in its temporaries, whatever the matrix size: the
 # gathered rated cells of the similarity kernel, the pair-by-genre cells of
-# the fuzzy kernel, the row-by-neighbor cells of neighbor ranks, the rater
-# cells of the predictor.
+# the fuzzy kernel, the rater cells of the predictor.
 _BLOCK_CELLS = 1 << 16
+# Rater cells a predictor holds for all its calls; with more, each call
+# walks them again (_predictor).
+_HELD_CELLS = 1 << 20
 
 
 def _flat(a: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -299,14 +301,17 @@ def _axis(matrix: RatingMatrix, axis: str, metric: str = "pearson", weights=None
     rated = np.count_nonzero(mask, axis=1)
     indptr = np.concatenate(([0], np.cumsum(rated)))
     norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1)) if metric == "cosine" else None
-    return _Axis(ids, index, vals, mask, rated, indptr, np.nonzero(mask)[1], metric, w, norms)
+    # a copy: np.nonzero's column array is a view of its whole (cells, 2) result
+    return _Axis(ids, index, vals, mask, rated, indptr, np.nonzero(mask)[1].copy(), metric, w, norms)
 
 
 def _co_counts(mask: np.ndarray) -> np.ndarray:
-    """Co-rated counts of every pair of rows; exact, as sums of 0/1
-    products. The float copy and product are freed on return."""
-    m = mask.astype(float)
-    return (m @ m.T).astype(np.int64)
+    """Co-rated counts of every pair of rows, int32; exact, as sums of 0/1
+    products: in float32 while a row is shorter than 2**24, below which
+    float32 holds every integer, else in float64. The float copy and
+    product are freed on return."""
+    m = mask.astype(np.float32 if mask.shape[1] < 1 << 24 else np.float64)
+    return (m @ m.T).astype(np.int32)
 
 
 def _overlapping(co: np.ndarray, min_overlap: int):
@@ -422,28 +427,47 @@ def _similarity_row(a: _Axis, s: int, min_overlap: int) -> tuple[np.ndarray, np.
 
 
 def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
-    """(gather, ids, co, min_overlap), for tuning the weights of
-    `similarity_matrix(matrix, axis, "pearson", weights, min_overlap)`:
-    `ids` and `co` are the ids and co-counts it holds. `gather(i, j,
-    counts)`, given pairs i < j in ascending co-count `counts`, gathers
-    their co-rated cells once (20 B per co-rated cell, 24 B per pair held)
-    and returns `weights -> those pairs' values in that similarity, in
-    order, then 0.0`, with the same bits. No n x n similarity is made."""
+    """The plan (gather, ids, co, min_overlap, symmetric) of
+    `similarity_matrix(matrix, axis, "pearson", weights, min_overlap)`, for
+    _predictor: `ids` and `co` are the ids and co-counts it holds, and it
+    is symmetric, so it is asked for pairs i < j. `gather(i, j, counts,
+    hold)`, given such pairs in ascending co-count `counts`, returns
+    `weights -> those pairs' values in that similarity, in order, then
+    0.0`, with the same bits. With `hold` it gathers their co-rated cells
+    once, for every call (20 B per co-rated cell, 24 B per pair held);
+    without, each call gathers them again, a block at a time. No n x n
+    similarity is made."""
     a = _axis(matrix, axis)
     co, d = _co_counts(a.mask), a.vals.shape[1]
 
-    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray):
+    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
         # pairs in ascending co-count keep their order in every block
-        blocks = list(_corated_blocks(a, [(i, j, counts)] if i.size else []))
+        pairs = [(i, j, counts)] if i.size else []
+        held = list(_corated_blocks(a, pairs)) if hold else None
 
         def run(weights) -> np.ndarray:
             w = _weight_vector(weights, d)
+            blocks = _corated_blocks(a, pairs) if held is None else held
             s = np.concatenate([*(_kernel(b, "pearson", w) for b in blocks), [0.0]])
             return np.clip(s, -1.0, 1.0, out=s)
 
         return run
 
-    return gather, a.ids, co, min_overlap
+    return gather, a.ids, co, min_overlap, True
+
+
+def _similarity_plan(sim: SimilarityMatrix):
+    """The plan, as _pearson_plan's, of a similarity already made: its
+    gather reads sim.values at the pairs asked for, whatever the weights.
+    Every co-counted rater keeps its own value (min_overlap 0), and a
+    similarity may be asymmetric, so it is asked for ordered (target,
+    rater) pairs."""
+
+    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
+        s = np.concatenate((_cells(sim.values, i, j), [0.0]))
+        return lambda weights: s
+
+    return gather, sim.ids, sim.co_counts, 0, False
 
 
 @dataclass
@@ -560,20 +584,6 @@ def _nearest(row: np.ndarray, co: np.ndarray, by_id: np.ndarray, s: int, n: int)
     return order[(co[order] > 0) & (order != s)][:n]
 
 
-def _rank_rows(values: np.ndarray, by_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(rows, n) int32: the rank of every column of `values` in the _by_rank
-    order of each of `rows`, sorted a block of at most _BLOCK_CELLS cells at
-    a time. Ineligible neighbors are ranked too; the predictor never looks
-    them up."""
-    n = by_id.size
-    ranks = np.empty((rows.size, n), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    for a in range(0, rows.size, step):
-        order = _by_rank(values[rows[a : a + step]], by_id)
-        _put(ranks, a + np.arange(order.shape[0])[:, None], order, np.arange(n, dtype=np.int32))
-    return ranks
-
-
 def _desc_ranks(values: np.ndarray) -> np.ndarray:
     """The rank of each of `values` in descending order, below values.size,
     equal values (0.0 and -0.0 among them) sharing one; NaNs rank last."""
@@ -615,6 +625,92 @@ def _predict(
     return np.where(values < hi, values, hi), fallback
 
 
+def _predictor(matrix: RatingMatrix, axis: str, plan, user_ids, movie_ids, k: int):
+    """`weights -> (values, fallback)`: predict_many's values and fallback
+    flags of the (user, movie) pairs, in input order, under the similarities
+    on `axis` of `plan` (_pearson_plan, _similarity_plan or
+    optimize._fuzzy_plan) for those weights.
+
+    Built once, here: the pairs' positions and each pair's eligible raters
+    (_raters, from the plan's co-counts), in id order within each pair; the
+    distinct (target, rater) pairs those raters read with a co-count of at
+    least min_overlap, as i < j for a symmetric plan, which the plan
+    gathers in ascending co-count; and each rater cell's slot among the
+    values the plan returns, the last, 0.0, for a rater below min_overlap.
+    A call ranks those values (_desc_ranks) and sorts each pair's raters by
+    rank, then id, which is the _by_rank order over the read pairs alone,
+    and sums its first k (_predict). No n x n similarity is made and no
+    full row ranked.
+
+    While the pairs have at most _HELD_CELLS raters, the raters and what the
+    plan gathers are held for every call (about 22 B per rater cell, plus
+    the plan's own). Beyond that, only a 4 B slot per (target, rater)
+    position is held, and each call walks the raters and has the plan
+    gather again, a block at a time, so memory stays bounded.
+    """
+    require_positive("k", k)
+    gather, ids, co, min_overlap, symmetric = plan
+    n = len(ids)
+    axis_ids, index = (matrix.user_ids, matrix.user_index) if axis == "user" else (matrix.item_ids, matrix.item_index)
+    if ids != axis_ids:
+        index = {e: p for p, e in enumerate(ids)}
+    t = _targets(matrix, axis, ids, index, user_ids, movie_ids)
+    hold = int(np.diff(t.indptr).take(t.other).sum()) <= _HELD_CELLS
+    # _targets lists each pair's raters in matrix order, their id order
+    # when the matrix ids, which are distinct, ascend
+    id_rank = None if sorted(axis_ids) == list(axis_ids) else np.argsort(np.argsort(ids))
+
+    def keyed():
+        """(start, end, _Raters, keys) of each _raters run: each rater
+        cell's (target, rater) pair at target * n + rater (i * n + j, i < j,
+        for a symmetric plan), or at n * n when below min_overlap."""
+        for a, b, g in _raters(t, co, k):
+            pair = np.repeat(np.arange(g.counts.size), g.counts)
+            if id_rank is not None:
+                order = np.argsort(pair * n + id_rank.take(g.cols))
+                g = g._replace(cols=g.cols.take(order), dev=g.dev.take(order))
+            target = g.pos.take(pair)
+            key = np.minimum(target, g.cols) * n + np.maximum(target, g.cols) if symmetric else target * n + g.cols
+            key[_cells(co, target, g.cols) < min_overlap] = n * n
+            yield a, b, g, key
+
+    # each position is marked where first read, then holds its slot. A
+    # block's new positions are those whose mark is still their own, one
+    # per position, so the read pairs are found without a pass over all
+    # n * n positions; they are gathered in position order, then stably by
+    # co-count
+    slot = np.zeros(n * n + 1, dtype=np.int32)
+    found, held = [], []
+    for block in keyed():
+        new = block[3].take(np.flatnonzero(slot.take(block[3]) == 0))
+        mark = np.arange(1, new.size + 1, dtype=np.int32)
+        slot[new] = mark
+        found.append(new.take(np.flatnonzero(slot.take(new) == mark)))
+        if hold:
+            held.append(block)
+    pairs = np.sort(np.concatenate(found))
+    pairs = pairs[pairs < n * n]
+    pairs = pairs.take(np.argsort(_cells(co, pairs // n, pairs % n), kind="stable"))
+    slot[pairs] = np.arange(pairs.size)
+    slot[-1] = pairs.size
+    if hold:
+        held = [(a, b, g, slot.take(key)) for a, b, g, key in held]
+        slot = None  # unused past here; freeing it before the gather lowers its peak
+    i = pairs // n
+    j = pairs - i * n
+    run = gather(i, j, _cells(co, i, j), hold)
+
+    def predict(weights) -> tuple[np.ndarray, np.ndarray]:
+        sims = run(weights)
+        rank = _desc_ranks(sims)
+        values, fallback = np.empty(t.pos.size), np.empty(t.pos.size, dtype=bool)
+        for a, b, g, at in held if hold else ((a, b, g, slot.take(key)) for a, b, g, key in keyed()):
+            values[a:b], fallback[a:b] = _predict(matrix.scale, g, rank.take(at), sims.size, sims, at)
+        return values, fallback
+
+    return predict
+
+
 def predict_many(
     matrix: RatingMatrix,
     sim: SimilarityMatrix,
@@ -635,20 +731,12 @@ def predict_many(
     Every pair gets the bits of a scalar loop over its neighbors: num and den
     are accumulated one neighbor rank at a time, left to right, and the
     clamp keeps Python's min/max semantics (a NaN mean clamps to scale.min).
-    Each distinct target's neighbors are ranked once; the pairs' raters are
+    Neighbors rank by similarity desc, then id asc, NaN similarities last.
+    The similarities the pairs' raters read are gathered once and ranked
+    among themselves (_predictor over _similarity_plan); the raters are
     gathered and summed a block of at most _BLOCK_CELLS cells at a time.
     """
-    require_positive("k", k)
-    t = _targets(matrix, sim.axis, sim.ids, sim.index, user_ids, movie_ids)
-    rows, row_of = np.unique(t.pos, return_inverse=True)
-    ranks = _rank_rows(sim.values, np.argsort(sim.ids), rows)
-    sims = sim.values if sim.values.flags.forc else np.ascontiguousarray(sim.values)
-    values, fallback = np.empty(t.pos.size), np.empty(t.pos.size, dtype=bool)
-    for a, b, g in _raters(t, sim.co_counts, k):
-        flat, at = _flat(sims, np.repeat(g.pos, g.counts), g.cols)
-        rank = _cells(ranks, np.repeat(row_of[a:b], g.counts), g.cols)
-        values[a:b], fallback[a:b] = _predict(matrix.scale, g, rank, ranks.shape[1], flat, at)
-    return values, fallback
+    return _predictor(matrix, sim.axis, _similarity_plan(sim), user_ids, movie_ids, k)(None)
 
 
 def predict_rating(

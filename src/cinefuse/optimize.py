@@ -27,16 +27,12 @@ from .cf import (
     DEFAULT_MIN_OVERLAP,
     RatingMatrix,
     SimilarityMatrix,
-    _cells,
     _co_counts,
-    _desc_ranks,
     _pair_blocks,
     _pearson_plan,
-    _predict,
+    _predictor,
     _put,
-    _raters,
     _runs,
-    _targets,
     _weight_vector,
 )
 from .errors import CinefuseError, DataFormatError, require_positive
@@ -283,14 +279,14 @@ def _fuzzy_pairs(degrees: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarra
 
 
 def _fuzzy_plan(profiles: FuzzyProfiles):
-    """(gather, ids, co, 0), as _pearson_plan's, for tuning the weights of
-    `fuzzy_similarity_matrix(profiles, weights)`: `gather(i, j, counts)`
-    returns `weights -> those pairs' values in that similarity, in order,
-    then 0.0`. It holds the pairs alone; a call gathers their degrees a
-    block at a time."""
+    """The plan (gather, ids, co, 0, symmetric), as cf._pearson_plan's, of
+    `fuzzy_similarity_matrix(profiles, weights)`: `gather(i, j, counts,
+    hold)` returns `weights -> those pairs' values in that similarity, in
+    order, then 0.0`. Held or not, it holds the pairs alone; a call gathers
+    their degrees a block at a time."""
     degrees = profiles.degrees
 
-    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray):
+    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
         blocks = _fuzzy_blocks(i, j, degrees.shape[1])
 
         def run(weights) -> np.ndarray:
@@ -300,7 +296,7 @@ def _fuzzy_plan(profiles: FuzzyProfiles):
         return run
 
     # with degrees >= 0, a genre is shared support where both are positive
-    return gather, profiles.user_ids, _co_counts(degrees > 0), 0
+    return gather, profiles.user_ids, _co_counts(degrees > 0), 0, True
 
 
 def fuzzy_similarity_matrix(profiles: FuzzyProfiles, weights) -> SimilarityMatrix:
@@ -332,64 +328,11 @@ def _subsample(validation: list[Rating]) -> list[Rating]:
     return [validation[i] for i in idx]
 
 
-def _sample_scorer(matrix: RatingMatrix, axis: str, plan, sample: list[Rating], k: int):
-    """`weights -> MAE of predict_many over sample`, fallback predictions
-    included, under the similarities on `axis` of `plan`, a (gather, ids,
-    co, min_overlap) of _pearson_plan or _fuzzy_plan.
-
-    Built once, here: the sample's positions and each rating's eligible
-    raters (_raters, from the plan's co-counts), in id order within each
-    rating; the distinct (target, rater) pairs those raters read with a
-    co-count of at least min_overlap, which the plan gathers in ascending
-    co-count; and each rater cell's slot among the values the plan returns,
-    the last, 0.0, for a rater below min_overlap. A call ranks those values
-    (_desc_ranks) and sorts each rating's raters by rank, then id, which is
-    the _by_rank order over the read pairs alone, and sums its first k
-    (_predict).
-    """
-    gather, ids, co, min_overlap = plan
-    n = len(ids)
-    t = _targets(
-        matrix, axis, ids, {e: p for p, e in enumerate(ids)}, [r.user_id for r in sample], [r.movie_id for r in sample]
-    )
-    # _targets lists each rating's raters in matrix order, their id order
-    # when the matrix ids ascend
-    axis_ids = matrix.user_ids if axis == "user" else matrix.item_ids
-    id_rank = None if all(a < b for a, b in zip(axis_ids, axis_ids[1:])) else np.argsort(np.argsort(ids))
-    # each pair i < j at i * n + j, and at n * n every rater below
-    # min_overlap: first marked where read, then holding its slot
-    slot = np.zeros(n * n + 1, dtype=np.int32)
-    blocks = []
-    for _, _, g in _raters(t, co, k):
-        rating = np.repeat(np.arange(g.counts.size), g.counts)
-        if id_rank is not None:
-            order = np.argsort(rating * n + id_rank.take(g.cols))
-            g = g._replace(cols=g.cols.take(order), dev=g.dev.take(order))
-        target = g.pos.take(rating)
-        key = np.minimum(target, g.cols) * n + np.maximum(target, g.cols)
-        key[_cells(co, target, g.cols) < min_overlap] = n * n
-        slot[key] = 1
-        blocks.append((g, key))
-    pairs = np.flatnonzero(slot[:-1])
-    pairs = pairs.take(np.argsort(_cells(co, pairs // n, pairs % n), kind="stable"))
-    slot[pairs] = np.arange(pairs.size)
-    slot[-1] = pairs.size
-    blocks = [(g, slot.take(key)) for g, key in blocks]
-    del slot  # unused past here; freeing it before the gather lowers its peak
-    i = pairs // n
-    j = pairs - i * n
-    run = gather(i, j, _cells(co, i, j))
-    actual = np.array([r.value for r in sample], dtype=float)
-
-    def score(weights) -> float:
-        sims = run(weights)
-        rank = _desc_ranks(sims)
-        values = np.concatenate([_predict(matrix.scale, g, rank.take(at), sims.size, sims, at)[0] for g, at in blocks])
-        # left to right from the first error, as a scalar loop from 0.0
-        # adds them: every error is >= +0.0
-        return float(np.add.accumulate(np.abs(values - actual))[-1]) / len(sample)
-
-    return score
+def _mae(values: np.ndarray, actual: np.ndarray) -> float:
+    """Mean absolute error of predicted `values` against `actual` ratings,
+    summed left to right from the first error, as a scalar loop from 0.0
+    adds them: every error is >= +0.0."""
+    return float(np.add.accumulate(np.abs(values - actual))[-1]) / values.size
 
 
 def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], k: int):
@@ -399,7 +342,7 @@ def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], 
     included. What no weight changes is done once, here, after the
     arguments are checked: the plan is built, the validation set is
     subsampled when it exceeds VALIDATION_CAP, and the sample's raters and
-    the pairs they read are gathered (_sample_scorer)."""
+    the pairs they read are gathered (cf._predictor)."""
     require_positive("k", k)
     if not validation:
         raise CinefuseError("empty validation set")
@@ -408,7 +351,10 @@ def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], 
             raise CinefuseError(
                 f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
             )
-    return _sample_scorer(matrix, axis, plan(), _subsample(validation), k)
+    sample = _subsample(validation)
+    predict = _predictor(matrix, axis, plan(), [r.user_id for r in sample], [r.movie_id for r in sample], k)
+    actual = np.array([r.value for r in sample], dtype=float)
+    return lambda weights: _mae(predict(weights)[0], actual)
 
 
 def cf_mae_objective(

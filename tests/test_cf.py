@@ -169,9 +169,11 @@ def loop_eligible_sorted(sim, pos):
     return out
 
 
-def loop_predict(matrix, sim, user_id, movie_id, k):
+def loop_predict(matrix, sim, user_id, movie_id, k, order=None):
     """The predictor before neighbor orders were cached: a Python sort of
-    every row on every call. predict_rating must match it bit for bit."""
+    every row on every call. predict_rating must match it bit for bit.
+    `order(sim, pos)`, loop_eligible_sorted by default, lists the target's
+    eligible neighbors in rank order."""
     ui = matrix.user_index[user_id]
     mj = matrix.item_index[movie_id]
     if sim.axis == "user":
@@ -184,7 +186,7 @@ def loop_predict(matrix, sim, user_id, movie_id, k):
         index, means = matrix.item_index, matrix.item_means
         rating = lambda other: matrix.values[ui, index[other]]  # noqa: E731
         pos = sim.index[movie_id]
-    candidates = [(o, s) for o, s in loop_eligible_sorted(sim, pos) if not np.isnan(rating(o))][:k]
+    candidates = [(o, s) for o, s in (order or loop_eligible_sorted)(sim, pos) if not np.isnan(rating(o))][:k]
     num = den = 0.0
     for other, s in candidates:
         num += s * (float(rating(other)) - float(means[index[other]]))
@@ -573,8 +575,8 @@ class TestFlatCells:
         assert np.array_equal(matrix, expected)
 
     def test_rows_broadcast_against_columns(self):
-        # _rank_rows writes each row's permutation with the rows as a column
-        # vector against the (rows, n) column orders
+        # rows as a column vector broadcast against a (rows, n) array of
+        # columns, as augment_implicit writes the old matrix into the new
         ranks = np.full((3, 5), -1, dtype=np.int32)
         order = np.array([[4, 0, 1, 3, 2], [0, 1, 2, 3, 4], [2, 3, 4, 0, 1]])
         rows = np.arange(3)[:, None]
@@ -670,35 +672,46 @@ class TestNeighborOrder:
 
 
     @pytest.mark.parametrize("cells", [1, 7, 1 << 16])
-    def test_padded_orders_equal_each_row_order(self, monkeypatch, cells):
-        # the many-row neighbor sort (_rank_rows, in blocks of one row and of
-        # many) and recommend_cf both give each row's loop order: hand
-        # ties, rows with and without co-counts, ids out of order, and rows
-        # asked for twice and in no order
+    def test_read_pair_orders_equal_each_row_order(self, monkeypatch, cells):
+        # the read-pairs predictor (in blocks of one rater cell and of many)
+        # takes each target's raters in its row's loop order, and
+        # recommend_cf gives that order: hand ties, rows with and without
+        # co-counts, ids out of order, and targets asked for twice and in
+        # no order
         rng = np.random.default_rng(cells)
-        sims = [self.tied_sim()]
+        tied = self.tied_sim()
+        values = rng.integers(1, 11, size=(len(tied.ids), 5)) / 2.0
+        cases = [(
+            RatingMatrix(tuple(sorted(tied.ids)), tuple(range(101, 106)), values,
+                         np.ones(values.shape, dtype=np.uint8), RatingScale()),
+            tied,
+        )]
         for _ in range(6):
             matrix = half_step_matrix(rng, int(rng.integers(1, 14)), int(rng.integers(1, 14)), rng.uniform(0.1, 0.9))
             for axis in ("user", "item"):
-                sims.append(similarity_matrix(matrix, axis, "pearson", min_overlap=int(rng.integers(0, 4))))
-        perm = rng.permutation(len(sims[-1].ids))
-        sims.append(SimilarityMatrix(
-            "item", "pearson", tuple(sims[-1].ids[p] for p in perm),
-            sims[-1].values[np.ix_(perm, perm)], sims[-1].co_counts[np.ix_(perm, perm)], 0,
-        ))
+                cases.append((matrix, similarity_matrix(matrix, axis, "pearson", min_overlap=int(rng.integers(0, 4)))))
+        matrix, sim = cases[-1]
+        perm = rng.permutation(len(sim.ids))
+        cases.append((matrix, SimilarityMatrix(
+            "item", "pearson", tuple(sim.ids[p] for p in perm),
+            sim.values[np.ix_(perm, perm)], sim.co_counts[np.ix_(perm, perm)], 0,
+        )))
         monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
-        for sim in sims:
+        for matrix, sim in cases:
             n = len(sim.ids)
-            rows = np.concatenate((rng.permutation(n), rng.integers(0, n, size=3)))
-            ranks = cf._rank_rows(sim.values, np.argsort(sim.ids), rows)
-            assert ranks.shape == (rows.size, n)
-            for rank, p in zip(ranks, rows.tolist()):
-                want = loop_eligible_sorted(sim, p)
-                order = [sim.index[o] for o, _ in want]
-                assert sorted(rank.tolist()) == list(range(n))
-                assert sorted(order, key=lambda j: rank[j]) == order
-                assert recommend_cf(sim, sim.ids[p], n) == want
-        assert cf._rank_rows(sims[1].values, np.argsort(sims[1].ids), np.array([], dtype=np.intp)).shape == (0, len(sims[1].ids))
+            for p in range(n):
+                assert recommend_cf(sim, sim.ids[p], n) == loop_eligible_sorted(sim, p)
+            users, movies = every_pair(matrix)
+            picks = np.concatenate((rng.permutation(len(users)), rng.integers(0, len(users), size=3))).tolist()
+            for k in (1, 2, n):
+                assert_many_matches_loop(matrix, sim, [users[i] for i in picks], [movies[i] for i in picks], k)
+
+    def test_desc_ranks_share_ties_and_rank_nan_last(self):
+        values = np.array([0.5, np.nan, -0.0, 1.0, 0.0, np.nan, 0.5, -1.0])
+        ranks = cf._desc_ranks(values)
+        assert ranks[[0, 2, 3, 4, 6, 7]].tolist() == [1, 2, 0, 2, 1, 3]
+        assert sorted(ranks[[1, 5]].tolist()) == [4, 5]
+        assert cf._desc_ranks(np.array([])).tolist() == []
 
 
 class TestPredictionBitwise:
@@ -848,6 +861,50 @@ class TestPredictManyBitwise:
                 for k in (1, 3, 20):
                     assert_many_matches_loop(matrix, narrower, [u for u, _ in pairs], [m for _, m in pairs], k)
 
+    @staticmethod
+    def hand_built(rng, matrix, axis, nan_share):
+        """A similarity on `axis` of `matrix`, its ids in another order,
+        with coarse values, so with ties, that is not symmetric, and has a
+        share of NaN values."""
+        ids = matrix.user_ids if axis == "user" else matrix.item_ids
+        n = len(ids)
+        ids = tuple(ids[p] for p in rng.permutation(n).tolist())
+        values = np.round(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+        values[rng.uniform(size=(n, n)) < nan_share] = np.nan
+        co = rng.integers(0, 3, size=(n, n))
+        return SimilarityMatrix(axis, "pearson", ids, values, co, 1)
+
+    def test_asymmetric_similarity(self):
+        # each (target, rater) pair reads the target's row, as the loop does
+        rng = np.random.default_rng(91)
+        for _ in range(6):
+            matrix = half_step_matrix(rng, int(rng.integers(3, 12)), int(rng.integers(3, 12)), rng.uniform(0.3, 0.9))
+            for axis in ("user", "item"):
+                sim = self.hand_built(rng, matrix, axis, 0.0)
+                assert not np.array_equal(sim.values, sim.values.T)
+                for k in (1, 3, 20):
+                    assert_many_matches_loop(matrix, sim, *every_pair(matrix), k)
+
+    def test_nan_similarities_rank_last(self):
+        # NaN similarities rank after every number, the same whichever other
+        # pairs a call predicts; among themselves their order changes no
+        # sum, which is NaN once one is among the first k
+        def nan_last(sim, pos):
+            return sorted(loop_eligible_sorted(sim, pos), key=lambda t: (np.isnan(t[1]), np.nan_to_num(-t[1]), t[0]))
+
+        rng = np.random.default_rng(92)
+        for _ in range(6):
+            matrix = half_step_matrix(rng, int(rng.integers(2, 20)), int(rng.integers(2, 20)), rng.uniform(0.3, 0.9))
+            for axis in ("user", "item"):
+                sim = self.hand_built(rng, matrix, axis, 0.3)
+                users, movies = every_pair(matrix)
+                for k in (1, 3, 20):
+                    values, fallback = predict_many(matrix, sim, users, movies, k)
+                    for v, f, uid, mid in zip(values.tolist(), fallback.tolist(), users, movies):
+                        assert (v, f) == loop_predict(matrix, sim, uid, mid, k, nan_last)
+                        got = predict_rating(matrix, sim, uid, mid, k)
+                        assert (got.value, got.fallback) == (v, f)
+
     @pytest.mark.parametrize("cells", [1, 5, 23])
     def test_blocking_does_not_change_bits(self, monkeypatch, cells):
         rng = np.random.default_rng(4)
@@ -863,6 +920,21 @@ class TestPredictManyBitwise:
             monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
             assert_many_matches_loop(matrix, sim, *pairs, 6)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("held", [0, 40])
+    def test_raters_walked_again_past_the_held_cells(self, monkeypatch, held):
+        # past _HELD_CELLS rater cells a predictor holds no raters and walks
+        # them on its call: the same bits, in blocks of one cell or many
+        rng = np.random.default_rng(17 + held)
+        monkeypatch.setattr(cf, "_HELD_CELLS", held)
+        for cells in (1, 1 << 16):
+            monkeypatch.setattr(cf, "_BLOCK_CELLS", cells)
+            matrix = half_step_matrix(rng, 11, 9, 0.6)
+            for axis in ("user", "item"):
+                made = similarity_matrix(matrix, axis, "pearson", min_overlap=1)
+                for sim in (made, self.hand_built(rng, matrix, axis, 0.0)):
+                    for k in (1, 4):
+                        assert_many_matches_loop(matrix, sim, *every_pair(matrix), k)
 
     def test_unknown_ids_name_the_id(self):
         matrix = make_matrix([[4.0, 3.0], [3.5, 2.0]])

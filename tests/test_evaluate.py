@@ -5,8 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cinefuse import cf, optimize
 from cinefuse.catalog import Rating, train_test_split
-from cinefuse.cf import DEFAULT_K, augment_implicit, build_rating_matrix, predict_rating, similarity_matrix
+from cinefuse.cf import (
+    DEFAULT_K,
+    augment_implicit,
+    build_rating_matrix,
+    predict_many,
+    predict_rating,
+    similarity_matrix,
+)
 from cinefuse.errors import CinefuseError
 from cinefuse.evaluate import (
     MIN_EVAL_RATINGS,
@@ -129,7 +137,8 @@ class TestBatchedScoringBitwise:
     def test_score_equals_per_pair_loop(self, fixture_catalog):
         for matrix, sim, test in scored_splits(fixture_catalog):
             for k in (1, 3, 20):
-                assert _score(matrix, sim, test, k) == loop_score(matrix, sim, test, k)
+                values, fallback = predict_many(matrix, sim, [r.user_id for r in test], [r.movie_id for r in test], k)
+                assert _score(values, fallback, test) == loop_score(matrix, sim, test, k)
 
     def test_precision_equals_per_pair_loop(self, fixture_catalog):
         for matrix, sim, test in scored_splits(fixture_catalog):
@@ -166,6 +175,23 @@ class TestEvaluateVariants:
         assert [r.variant for r in reports] == [v for v, _, _ in golden] == list(VARIANTS)
         for r, (_, m, c) in zip(reports, golden):
             assert r.mae == m and r.coverage == c, r.variant
+
+    def test_every_variant_builds_no_n_by_n_similarity(self, monkeypatch, fixture_catalog):
+        # each variant scores through a read-pairs predictor: the
+        # similarity kernels over every pair and the row ranks never run,
+        # and the reports keep the golden bits
+        def refuse(*args, **kwargs):
+            raise AssertionError("n x n similarity built")
+
+        for module, name in ((cf, "_similarities"), (cf, "_pair_blocks"), (optimize, "_pair_blocks"), (cf, "_by_rank")):
+            monkeypatch.setattr(module, name, refuse)
+        self.test_matches_golden_file(fixture_catalog)
+
+    def test_predictors_holding_nothing_keep_the_golden_bits(self, monkeypatch, fixture_catalog):
+        # every predictor past its held cells: each call walks the raters
+        # and gathers the pairs' cells again
+        monkeypatch.setattr(cf, "_HELD_CELLS", 0)
+        self.test_matches_golden_file(fixture_catalog)
 
     def test_deterministic_across_runs(self, fixture_catalog):
         a = evaluate_variants(fixture_catalog, ["plain", "ga_weighted"], SplitConfig(0.2, 42))

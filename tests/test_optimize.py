@@ -15,7 +15,7 @@ from cinefuse.optimize import (
     SwarmConfig,
     WeightVector,
     _fuzzy_plan,
-    _sample_scorer,
+    _objective,
     build_fuzzy_profiles,
     cf_mae_objective,
     fuzzy_mae_objective,
@@ -361,7 +361,7 @@ class TestFuzzyProfiles:
 
 def loop_sample_mae(matrix, sim, sample, k):
     """The objectives' MAE as it was before predict_many: one predict_rating
-    per rating, summed left to right. _sample_scorer must match it bit for
+    per rating, summed left to right. The objectives must match it bit for
     bit."""
     err = 0.0
     for r in sample:
@@ -388,8 +388,7 @@ class TestObjectivesBitwise:
                 w = rng.uniform(0.0, 2.0, d)
                 sim = fresh(w)
                 for k in (1, 4, 20):
-                    score = _sample_scorer(matrix, axis, plan(), test, k)
-                    assert score(w) == loop_sample_mae(matrix, sim, test, k)
+                    assert _objective(matrix, axis, plan, test, k)(w) == loop_sample_mae(matrix, sim, test, k)
 
     def test_objectives_equal_per_pair_loop(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.3, seed=2)
@@ -484,8 +483,8 @@ class TestObjectivesHeldPlan:
 
         monkeypatch.setattr(cf, "_co_counts", counted("co", cf._co_counts))
         monkeypatch.setattr(optimize, "_co_counts", cf._co_counts)
-        monkeypatch.setattr(optimize, "_targets", counted("positions", optimize._targets))
-        monkeypatch.setattr(optimize, "_raters", counted("raters", optimize._raters))
+        monkeypatch.setattr(cf, "_targets", counted("positions", cf._targets))
+        monkeypatch.setattr(cf, "_raters", counted("raters", cf._raters))
         monkeypatch.setattr(cf, "_corated_blocks", counted("gather", cf._corated_blocks))
         monkeypatch.setattr(optimize, "_pair_blocks", counted("all pairs", optimize._pair_blocks))
         objective = cf_mae_objective(matrix, test, axis="user")
@@ -496,6 +495,37 @@ class TestObjectivesHeldPlan:
         for _ in range(4):
             objective(np.ones(len(train.genre_universe())))
         assert calls == {"co": 2, "positions": 2, "raters": 2, "gather": 1, "all pairs": 0}
+
+    def test_objectives_past_the_held_cells_walk_raters_on_each_call(self, monkeypatch, fixture_catalog):
+        train, test = train_test_split(fixture_catalog, 0.3, seed=4)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        rng = np.random.default_rng(22)
+        cases = [
+            (lambda: cf_mae_objective(matrix, test, axis="user", k=4), len(matrix.item_ids),
+             lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
+            (lambda: cf_mae_objective(matrix, test, axis="item", k=4), len(matrix.user_ids),
+             lambda w: similarity_matrix(matrix, "item", "pearson", weights=w)),
+            (lambda: fuzzy_mae_objective(matrix, profiles, test, k=4), len(profiles.genres),
+             lambda w: fuzzy_similarity_matrix(profiles, w)),
+        ]
+        runs = []
+        for build, d, fresh in cases:
+            weights = [random_weights(rng, d) for _ in range(3)]
+            runs.append((build, weights, [loop_sample_mae(matrix, fresh(w), test, 4) for w in weights]))
+        walks = []
+
+        def counted(*args, raters=cf._raters):
+            walks.append(1)
+            return raters(*args)
+
+        monkeypatch.setattr(cf, "_HELD_CELLS", 0)
+        monkeypatch.setattr(cf, "_raters", counted)
+        for build, weights, want in runs:
+            walks.clear()
+            objective = build()
+            assert [objective(w) for w in weights] == want
+            assert len(walks) == 1 + len(weights)
 
     def test_calls_build_no_n_by_n_similarity(self, monkeypatch, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.3, seed=5)
@@ -519,7 +549,7 @@ class TestObjectivesHeldPlan:
             raise AssertionError("n x n similarity built")
 
         monkeypatch.setattr(cf, "_similarities", refuse)
-        monkeypatch.setattr(cf, "_rank_rows", refuse)
+        monkeypatch.setattr(cf, "_by_rank", refuse)
         monkeypatch.setattr(optimize, "_pair_blocks", refuse)
         for objective, w, want in runs:
             assert objective(w) == want
@@ -552,9 +582,9 @@ class TestObjectivesHeldPlan:
         def recorded_fuzzy(profiles):
             gather, *rest = fuzzy_plan(profiles)
 
-            def recorded_gather(i, j, counts):
+            def recorded_gather(i, j, counts, hold):
                 gathered.append([(i.tolist(), j.tolist(), counts.tolist())])
-                return gather(i, j, counts)
+                return gather(i, j, counts, hold)
 
             return recorded_gather, *rest
 
@@ -656,23 +686,27 @@ class TestRaterPlans:
         profiles = build_fuzzy_profiles(train)
         gathered = []
 
-        def counted(*args, **kwargs):
-            blocks = list(cf._raters(*args, **kwargs))
+        def counted(*args, raters=cf._raters, **kwargs):
+            blocks = list(raters(*args, **kwargs))
             gathered.append([(g, [np.copy(f) for f in g]) for _, _, g in blocks])
             return blocks
 
-        monkeypatch.setattr(optimize, "_raters", counted)
         rng = np.random.default_rng(21)
-        cases = [
-            (cf_mae_objective(matrix, test, axis="user", k=4), len(matrix.item_ids),
-             lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
-            (fuzzy_mae_objective(matrix, profiles, test, k=4), len(train.genre_universe()),
-             lambda w: fuzzy_similarity_matrix(profiles, w)),
+        # the loop's predictions run _raters too, so they are made first
+        runs = []
+        for d, fresh in (
+            (len(matrix.item_ids), lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
+            (len(train.genre_universe()), lambda w: fuzzy_similarity_matrix(profiles, w)),
+        ):
+            weights = [random_weights(rng, d) for _ in range(4)]
+            runs.append((weights, [loop_sample_mae(matrix, fresh(w), test, 4) for w in weights]))
+        monkeypatch.setattr(cf, "_raters", counted)
+        objectives = [
+            cf_mae_objective(matrix, test, axis="user", k=4),
+            fuzzy_mae_objective(matrix, profiles, test, k=4),
         ]
         assert len(gathered) == 2
-        for objective, d, fresh in cases:
-            weights = [random_weights(rng, d) for _ in range(4)]
-            want = [loop_sample_mae(matrix, fresh(w), test, 4) for w in weights]
+        for objective, (weights, want) in zip(objectives, runs):
             for i in np.concatenate([rng.permutation(4) for _ in range(3)]).tolist():
                 assert objective(weights[i]) == want[i]
         assert len(gathered) == 2
