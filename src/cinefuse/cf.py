@@ -24,7 +24,9 @@ Conventions, fixed here because the similarity literature leaves them open:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
+from itertools import pairwise
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,7 +53,8 @@ IMPLICIT_FREQ_CAP = 10
 
 @dataclass(eq=False)
 class RatingMatrix:
-    """Dense-with-NaN user x item matrix plus per-axis means and source flags."""
+    """Dense-with-NaN user x item matrix plus per-axis means and source flags.
+    The ids of each axis are distinct and ascend with their position."""
 
     user_ids: tuple[int, ...]
     item_ids: tuple[int, ...]
@@ -64,6 +67,10 @@ class RatingMatrix:
     item_means: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
+        for axis, ids in (("user", self.user_ids), ("item", self.item_ids)):
+            bad = next(((a, b) for a, b in pairwise(ids) if not a < b), None)
+            if bad is not None:
+                raise CinefuseError(f"{axis} ids must be distinct and ascending: {axis} id {bad[1]} follows {bad[0]}")
         self.user_index = {u: i for i, u in enumerate(self.user_ids)}
         self.item_index = {m: j for j, m in enumerate(self.item_ids)}
         # np.nanmean's own steps, so the same bits, without its warning on
@@ -167,19 +174,6 @@ def _runs(need: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _pair_blocks(n: int, co=None, min_overlap: int = 0):
-    """(I, J) index arrays of the pairs i < j with co[i, j] >= min_overlap
-    (every pair when `co` is None), in row-major order, those of at most
-    max(1, _BLOCK_CELLS // n) rows i at a time."""
-    rows = max(1, _BLOCK_CELLS // max(n, 1))
-    for a in range(0, n, rows):
-        b = min(n, a + rows)
-        keep = np.ones((b - a, n), dtype=bool) if co is None else co[a:b] >= min_overlap
-        li, cj = np.nonzero(np.triu(keep, a + 1))
-        if li.size:
-            yield li + a, cj
-
-
 def _rated_cells(indptr: np.ndarray, rows: np.ndarray):
     """(k, at): where in a CSR array with row pointers `indptr` the cells of
     each of `rows` lie, those of rows[k] after those of rows[k - 1]."""
@@ -267,13 +261,12 @@ def _weight_vector(weights, d: int) -> np.ndarray:
 
 
 class _Axis(NamedTuple):
-    """One axis of a rating matrix as its similarities under one metric and
-    weight vector read it: ids and each id's row, the rows (NaN where
+    """One axis of a rating matrix as its similarities read it, whatever
+    the metric and weights: ids and each id's row, the rows (NaN where
     unrated), their rated mask and, as CSR, each row's rated count `rated`,
-    row pointers `indptr` and rated columns `indices`, the validated
-    weights of the co-rated dimension and, for cosine, each row's weighted
-    norm over its rated set. On the item axis `vals` is the matrix's
-    transpose, a view, and `mask` keeps its layout."""
+    row pointers `indptr` and rated columns `indices`. On the item axis
+    `vals` is the matrix's transpose, a view, and `mask` keeps its
+    layout."""
 
     ids: tuple[int, ...]
     index: dict[int, int]
@@ -282,12 +275,10 @@ class _Axis(NamedTuple):
     rated: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    metric: str
-    w: np.ndarray
-    norms: np.ndarray | None
 
 
-def _axis(matrix: RatingMatrix, axis: str, metric: str = "pearson", weights=None) -> _Axis:
+def _axis(matrix: RatingMatrix, axis: str, metric: str = "pearson") -> _Axis:
+    """The _Axis of `axis`; an unknown axis, then an unknown metric, raises."""
     if axis not in ("user", "item"):
         raise CinefuseError(f"axis must be 'user' or 'item', got {axis!r}")
     if metric not in ("pearson", "cosine", "jaccard"):
@@ -296,13 +287,22 @@ def _axis(matrix: RatingMatrix, axis: str, metric: str = "pearson", weights=None
         vals, ids, index = matrix.values, matrix.user_ids, matrix.user_index
     else:
         vals, ids, index = matrix.values.T, matrix.item_ids, matrix.item_index
-    w = _weight_vector(weights, vals.shape[1])
     mask = ~np.isnan(vals)
     rated = np.count_nonzero(mask, axis=1)
     indptr = np.concatenate(([0], np.cumsum(rated)))
-    norms = np.sqrt(((np.where(mask, vals, 0.0) ** 2) * w).sum(axis=1)) if metric == "cosine" else None
     # a copy: np.nonzero's column array is a view of its whole (cells, 2) result
-    return _Axis(ids, index, vals, mask, rated, indptr, np.nonzero(mask)[1].copy(), metric, w, norms)
+    return _Axis(ids, index, vals, mask, rated, indptr, np.nonzero(mask)[1].copy())
+
+
+def _weigh(a: _Axis, metric: str, weights) -> tuple[np.ndarray, np.ndarray | None]:
+    """(w, norms): `weights` validated as weights of a's co-rated dimension
+    and, for cosine, each row's weighted norm over its rated set, computed
+    once per weight vector."""
+    w = _weight_vector(weights, a.vals.shape[1])
+    if metric != "cosine":
+        return w, None
+    sq = np.where(a.mask, a.vals, 0.0)  # squared and weighted in place: one rows x dimension temporary
+    return w, np.sqrt(np.multiply(np.square(sq, out=sq), w, out=sq).sum(axis=1))
 
 
 def _co_counts(mask: np.ndarray) -> np.ndarray:
@@ -314,51 +314,43 @@ def _co_counts(mask: np.ndarray) -> np.ndarray:
     return (m @ m.T).astype(np.int32)
 
 
-def _overlapping(co: np.ndarray, min_overlap: int):
-    """(I, J, co[I, J]) of each block of _pair_blocks(len(co), co, min_overlap)."""
-    for i, j in _pair_blocks(len(co), co, min_overlap):
-        yield i, j, _cells(co, i, j)
+def _corated_blocks(a: _Axis, metric: str, pi: np.ndarray, pj: np.ndarray, pc: np.ndarray):
+    """The _Block of each run of the pairs (pi, pj), i < j, on axis `a`
+    under `metric`, made as the blocks are consumed.
 
-
-def _corated_blocks(a: _Axis, pairs):
-    """The _Block of each block of `pairs` on axis `a`, made as the blocks
-    are consumed.
-
-    `pairs` yields (I, J, counts): index arrays of pairs i < j and their
-    co-counts. A pair's co-rated cells are those of its sparser row that the
-    other row rated too, ascending, read from the axis' CSR. A block holds
-    about _BLOCK_CELLS gathered cells (both rows' cells too, for jaccard's
-    union).
+    The pairs come in ascending co-count `pc`, so every block keeps them in
+    that order. A pair's co-rated cells are those of its sparser row that
+    the other row rated too, ascending, read from the axis' CSR. A block
+    holds about _BLOCK_CELLS gathered cells (both rows' cells too, for
+    jaccard's union).
     """
+    if not pi.size:
+        return
     vals, mask, rated, indptr, indices = a.vals, a.mask, a.rated, a.indptr, a.indices
-    union = a.metric == "jaccard"
-    for pi, pj, pc in pairs:
-        need = np.minimum(rated[pi], rated[pj])
-        for s, e in _runs(need + rated[pi] + rated[pj] if union else need):
-            # cast to the smallest unsigned type that holds them, the
-            # counts sort by radix, in the same stable order
-            by_count = np.argsort(pc[s:e].astype(np.min_scalar_type(pc[s:e].max(initial=0))), kind="stable")
-            i, j, counts = pi[s:e][by_count], pj[s:e][by_count], pc[s:e][by_count]
-            src = np.where(rated[i] <= rated[j], i, j)
-            pair, at = _rated_cells(indptr, src)
-            cols = indices.take(at)
-            del at  # unused past here; freeing it lowers the block's peak
-            hit = np.flatnonzero(_cells(mask, (i + j - src).take(pair), cols))
-            pair, cols = pair.take(hit), cols.take(hit)
-            merged = None
-            if union:
-                # i's cells and those of j that i did not rate, pairs in
-                # ascending union size, columns ascending
-                sizes = rated[i] + rated[j] - counts
-                by_size = np.argsort(sizes, kind="stable")
-                iu, ju = i.take(by_size), j.take(by_size)
-                (ri, ai), (rj, aj) = _rated_cells(indptr, iu), _rated_cells(indptr, ju)
-                ci, cj = indices.take(ai), indices.take(aj)
-                extra = np.flatnonzero(~_cells(mask, iu.take(rj), cj))
-                upair, ucols = np.concatenate((ri, rj.take(extra))), np.concatenate((ci, cj.take(extra)))
-                merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
-            x, y = _cells(vals, i.take(pair), cols), _cells(vals, j.take(pair), cols)
-            yield _Block(i, j, counts, _groups(counts), x, y, cols.astype(np.int32), merged)
+    union = metric == "jaccard"
+    need = np.minimum(rated[pi], rated[pj])
+    for s, e in _runs(need + rated[pi] + rated[pj] if union else need):
+        i, j, counts = pi[s:e], pj[s:e], pc[s:e]
+        src = np.where(rated[i] <= rated[j], i, j)
+        pair, at = _rated_cells(indptr, src)
+        cols = indices.take(at)
+        del at  # unused past here; freeing it lowers the block's peak
+        hit = np.flatnonzero(_cells(mask, (i + j - src).take(pair), cols))
+        pair, cols = pair.take(hit), cols.take(hit)
+        merged = None
+        if union:
+            # i's cells and those of j that i did not rate, pairs in
+            # ascending union size, columns ascending
+            sizes = rated[i] + rated[j] - counts
+            by_size = np.argsort(sizes, kind="stable")
+            iu, ju = i.take(by_size), j.take(by_size)
+            (ri, ai), (rj, aj) = _rated_cells(indptr, iu), _rated_cells(indptr, ju)
+            ci, cj = indices.take(ai), indices.take(aj)
+            extra = np.flatnonzero(~_cells(mask, iu.take(rj), cj))
+            upair, ucols = np.concatenate((ri, rj.take(extra))), np.concatenate((ci, cj.take(extra)))
+            merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
+        x, y = _cells(vals, i.take(pair), cols), _cells(vals, j.take(pair), cols)
+        yield _Block(i, j, counts, _groups(counts), x, y, cols.astype(np.int32), merged)
 
 
 def _kernel(b: _Block, metric: str, w: np.ndarray, norms=None) -> np.ndarray:
@@ -378,16 +370,86 @@ def _kernel(b: _Block, metric: str, w: np.ndarray, norms=None) -> np.ndarray:
         return np.where(wu > 0, _row_sums(wc, b.groups) / wu, 0.0)
 
 
-def _similarities(blocks, n: int, metric: str, w: np.ndarray, norms=None) -> np.ndarray:
-    """The (n, n) similarity values of `blocks` (_corated_blocks) under weights `w`."""
-    sims = np.zeros((n, n))
-    for b in blocks:
-        s = _kernel(b, metric, w, norms)
-        _put(sims, b.i, b.j, s)
-        _put(sims, b.j, b.i, s)
-    np.clip(sims, -1.0, 1.0, out=sims)
-    np.fill_diagonal(sims, 1.0)
-    return sims
+def _gather(a: _Axis, metric: str, i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
+    """A function of a _weigh output that returns the `metric` similarities
+    of the pairs (i, j), i < j, of axis `a`, in order and clipped into
+    [-1, 1], then 0.0; the pairs come in ascending co-count `counts`. With
+    `hold` their co-rated cells are gathered once, for every call (20 B per
+    co-rated cell, 24 B per pair held); without, each call gathers them
+    again, a block at a time."""
+    held = list(_corated_blocks(a, metric, i, j, counts)) if hold else None
+
+    def run(weighed) -> np.ndarray:
+        w, norms = weighed
+        blocks = _corated_blocks(a, metric, i, j, counts) if held is None else held
+        s = np.concatenate([*(_kernel(b, metric, w, norms) for b in blocks), [0.0]])
+        return np.clip(s, -1.0, 1.0, out=s)
+
+    return run
+
+
+class _Plan(NamedTuple):
+    """A similarity's values for any set of its pairs, with the bits of the
+    full similarity. `weigh(weights)` checks a weight vector and returns what
+    the gathers need of it; `gather(i, j, counts, hold)`, given pairs in
+    ascending co-count `counts`, returns `weigh(weights) -> those pairs'
+    values, in order, then 0.0`, holding what no weight changes when `hold`
+    is set. `ids` and `co` are the similarity's ids and n x n co-counts, and
+    a `symmetric` plan is asked for pairs i < j alone."""
+
+    weigh: Callable
+    gather: Callable
+    ids: tuple
+    co: np.ndarray
+    min_overlap: int
+    symmetric: bool
+
+
+def _plan(matrix: RatingMatrix, axis: str, metric: str, min_overlap: int) -> _Plan:
+    """The _Plan of `similarity_matrix(matrix, axis, metric, weights,
+    min_overlap)`. The axis and the metric are checked here, the weights
+    on each call."""
+    a = _axis(matrix, axis, metric)
+    return _Plan(partial(_weigh, a, metric), partial(_gather, a, metric), a.ids, _co_counts(a.mask), min_overlap, True)
+
+
+def _similarity_plan(sim: SimilarityMatrix) -> _Plan:
+    """The _Plan of a similarity already made: its gather reads sim.values
+    at the pairs asked for, whatever the weights. Every co-counted rater
+    keeps its own value (min_overlap 0), and a similarity may be
+    asymmetric, so it is asked for ordered (target, rater) pairs."""
+
+    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
+        s = np.concatenate((_cells(sim.values, i, j), [0.0]))
+        return lambda weighed: s
+
+    return _Plan(lambda weights: None, gather, sim.ids, sim.co_counts, 0, False)
+
+
+def _fill(plan: _Plan, axis: str, metric: str, weights) -> SimilarityMatrix:
+    """The full SimilarityMatrix of a symmetric `plan` under `weights`: the
+    plan gathers the pairs i < j with a co-count of at least min_overlap,
+    those of at most max(1, _BLOCK_CELLS // n) rows i at a time, in
+    ascending co-count; each value is stored at (i, j) and (j, i), every
+    other pair scores 0 and the diagonal 1. The weights are checked even
+    when no pair reaches min_overlap."""
+    weighed = plan.weigh(weights)
+    co, n = plan.co, len(plan.ids)
+    values = np.zeros((n, n))
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    for a in range(0, n, rows):
+        i, j = np.nonzero(np.triu(co[a : a + rows] >= plan.min_overlap, a + 1))
+        i += a
+        counts = _cells(co, i, j)
+        # cast to the smallest unsigned type that holds them, the counts
+        # sort by radix, in the same stable order
+        by_count = np.argsort(counts.astype(np.min_scalar_type(counts.max(initial=0))), kind="stable")
+        i, j, counts = i.take(by_count), j.take(by_count), counts.take(by_count)
+        s = plan.gather(i, j, counts, False)(weighed)[:-1]
+        _put(values, i, j, s)
+        _put(values, j, i, s)
+    np.fill_diagonal(values, 1.0)
+    return SimilarityMatrix(axis, metric, plan.ids, values, co, plan.min_overlap)
 
 
 def similarity_matrix(
@@ -404,70 +466,22 @@ def similarity_matrix(
     dimension's contribution to the metric is scaled by its weight. All-ones
     weights reproduce the unweighted metric exactly.
     """
-    a = _axis(matrix, axis, metric, weights)
-    co = _co_counts(a.mask)
-    blocks = _corated_blocks(a, _overlapping(co, min_overlap))
-    return SimilarityMatrix(axis, metric, a.ids, _similarities(blocks, len(a.ids), metric, a.w, a.norms), co, min_overlap)
+    return _fill(_plan(matrix, axis, metric, min_overlap), axis, metric, weights)
 
 
-def _similarity_row(a: _Axis, s: int, min_overlap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row `s` of similarity_matrix over axis `a`, and its co-counts, with
-    the same bits, from the pairs of s alone: each pair keeps its i < j
-    orientation, and the co-counts are counted, with no n x n co-count."""
+def _similarity_row(a: _Axis, metric: str, weighed, s: int, min_overlap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row `s` of similarity_matrix over axis `a` under `metric` and the
+    _weigh output `weighed`, and its co-counts, with the same bits, from the
+    pairs of s alone (_gather): each pair keeps its i < j orientation, and
+    the co-counts are counted, with no n x n co-count."""
     co = np.count_nonzero(a.mask & a.mask[s], axis=1)
     other = np.flatnonzero(co >= min_overlap)
     other = other[other != s]
-    pairs = [(np.minimum(other, s), np.maximum(other, s), co[other])] if other.size else []
+    other = other.take(np.argsort(co.take(other), kind="stable"))
     row = np.zeros(len(a.ids))
-    for b in _corated_blocks(a, pairs):
-        row[b.i + b.j - s] = _kernel(b, a.metric, a.w, a.norms)
-    np.clip(row, -1.0, 1.0, out=row)
+    row[other] = _gather(a, metric, np.minimum(other, s), np.maximum(other, s), co.take(other), False)(weighed)[:-1]
     row[s] = 1.0
     return row, co
-
-
-def _pearson_plan(matrix: RatingMatrix, axis: str, min_overlap: int):
-    """The plan (gather, ids, co, min_overlap, symmetric) of
-    `similarity_matrix(matrix, axis, "pearson", weights, min_overlap)`, for
-    _predictor: `ids` and `co` are the ids and co-counts it holds, and it
-    is symmetric, so it is asked for pairs i < j. `gather(i, j, counts,
-    hold)`, given such pairs in ascending co-count `counts`, returns
-    `weights -> those pairs' values in that similarity, in order, then
-    0.0`, with the same bits. With `hold` it gathers their co-rated cells
-    once, for every call (20 B per co-rated cell, 24 B per pair held);
-    without, each call gathers them again, a block at a time. No n x n
-    similarity is made."""
-    a = _axis(matrix, axis)
-    co, d = _co_counts(a.mask), a.vals.shape[1]
-
-    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
-        # pairs in ascending co-count keep their order in every block
-        pairs = [(i, j, counts)] if i.size else []
-        held = list(_corated_blocks(a, pairs)) if hold else None
-
-        def run(weights) -> np.ndarray:
-            w = _weight_vector(weights, d)
-            blocks = _corated_blocks(a, pairs) if held is None else held
-            s = np.concatenate([*(_kernel(b, "pearson", w) for b in blocks), [0.0]])
-            return np.clip(s, -1.0, 1.0, out=s)
-
-        return run
-
-    return gather, a.ids, co, min_overlap, True
-
-
-def _similarity_plan(sim: SimilarityMatrix):
-    """The plan, as _pearson_plan's, of a similarity already made: its
-    gather reads sim.values at the pairs asked for, whatever the weights.
-    Every co-counted rater keeps its own value (min_overlap 0), and a
-    similarity may be asymmetric, so it is asked for ordered (target,
-    rater) pairs."""
-
-    def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
-        s = np.concatenate((_cells(sim.values, i, j), [0.0]))
-        return lambda weights: s
-
-    return gather, sim.ids, sim.co_counts, 0, False
 
 
 @dataclass
@@ -628,8 +642,8 @@ def _predict(
 def _predictor(matrix: RatingMatrix, axis: str, plan, user_ids, movie_ids, k: int):
     """`weights -> (values, fallback)`: predict_many's values and fallback
     flags of the (user, movie) pairs, in input order, under the similarities
-    on `axis` of `plan` (_pearson_plan, _similarity_plan or
-    optimize._fuzzy_plan) for those weights.
+    on `axis` of `plan` (_plan, _similarity_plan or optimize._fuzzy_plan)
+    for those weights.
 
     Built once, here: the pairs' positions and each pair's eligible raters
     (_raters, from the plan's co-counts), in id order within each pair; the
@@ -649,27 +663,21 @@ def _predictor(matrix: RatingMatrix, axis: str, plan, user_ids, movie_ids, k: in
     gather again, a block at a time, so memory stays bounded.
     """
     require_positive("k", k)
-    gather, ids, co, min_overlap, symmetric = plan
+    weigh, gather, ids, co, min_overlap, symmetric = plan
     n = len(ids)
     axis_ids, index = (matrix.user_ids, matrix.user_index) if axis == "user" else (matrix.item_ids, matrix.item_index)
     if ids != axis_ids:
         index = {e: p for p, e in enumerate(ids)}
     t = _targets(matrix, axis, ids, index, user_ids, movie_ids)
     hold = int(np.diff(t.indptr).take(t.other).sum()) <= _HELD_CELLS
-    # _targets lists each pair's raters in matrix order, their id order
-    # when the matrix ids, which are distinct, ascend
-    id_rank = None if sorted(axis_ids) == list(axis_ids) else np.argsort(np.argsort(ids))
 
     def keyed():
-        """(start, end, _Raters, keys) of each _raters run: each rater
-        cell's (target, rater) pair at target * n + rater (i * n + j, i < j,
-        for a symmetric plan), or at n * n when below min_overlap."""
+        """(start, end, _Raters, keys) of each _raters run, each pair's
+        raters in matrix order, which is id order: each rater cell's
+        (target, rater) pair at target * n + rater (i * n + j, i < j, for a
+        symmetric plan), or at n * n when below min_overlap."""
         for a, b, g in _raters(t, co, k):
-            pair = np.repeat(np.arange(g.counts.size), g.counts)
-            if id_rank is not None:
-                order = np.argsort(pair * n + id_rank.take(g.cols))
-                g = g._replace(cols=g.cols.take(order), dev=g.dev.take(order))
-            target = g.pos.take(pair)
+            target = g.pos.take(np.repeat(np.arange(g.counts.size), g.counts))
             key = np.minimum(target, g.cols) * n + np.maximum(target, g.cols) if symmetric else target * n + g.cols
             key[_cells(co, target, g.cols) < min_overlap] = n * n
             yield a, b, g, key
@@ -701,7 +709,7 @@ def _predictor(matrix: RatingMatrix, axis: str, plan, user_ids, movie_ids, k: in
     run = gather(i, j, _cells(co, i, j), hold)
 
     def predict(weights) -> tuple[np.ndarray, np.ndarray]:
-        sims = run(weights)
+        sims = run(weigh(weights))
         rank = _desc_ranks(sims)
         values, fallback = np.empty(t.pos.size), np.empty(t.pos.size, dtype=bool)
         for a, b, g, at in held if hold else ((a, b, g, slot.take(key)) for a, b, g, key in keyed()):

@@ -14,6 +14,7 @@ predicted without falling back to the user's mean.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .cf import (
     DEFAULT_LIKE_THRESHOLD,
     DEFAULT_MIN_OVERLAP,
     RatingMatrix,
-    _pearson_plan,
+    _plan,
     _predictor,
     augment_implicit,
     build_rating_matrix,
@@ -38,9 +39,8 @@ from .optimize import (
     SwarmConfig,
     _fuzzy_plan,
     _mae,
+    _objective,
     build_fuzzy_profiles,
-    cf_mae_objective,
-    fuzzy_mae_objective,
     ga_optimize,
     pso_optimize,
 )
@@ -141,34 +141,40 @@ def evaluate_variants(
         raise CinefuseError("split produced no held-out ratings; raise holdout_fraction")
     matrix = build_rating_matrix(train_cat)
     users, movies = [r.user_id for r in test], [r.movie_id for r in test]
+    # the user-axis pearson plan of the train matrix, built on first use,
+    # shared by plain, the ga_weighted objective and its report, and freed
+    # once no later variant reads it
+    train_plan = functools.cache(lambda: _plan(matrix, "user", "pearson", DEFAULT_MIN_OVERLAP))
 
-    def predict(scored: RatingMatrix, weights=None, plan=None):
-        if plan is None:
-            plan = _pearson_plan(scored, "user", DEFAULT_MIN_OVERLAP)
+    def predict(scored: RatingMatrix, plan, weights=None):
         return _predictor(scored, "user", plan, users, movies, k)(weights)
 
     reports = []
-    for variant in variants:
+    for at, variant in enumerate(variants):
         start = time.perf_counter()
         if variant == "plain":
-            values, fallback = predict(matrix)
+            values, fallback = predict(matrix, train_plan())
         elif variant == "ga_weighted":
             dim = len(matrix.item_ids)
-            objective = cf_mae_objective(matrix, test, axis="user", k=k)
+            objective = _objective(matrix, "user", train_plan, test, k)
             cfg = GAConfig(population=12, generations=8, seed=split.seed)
             wv, _, _ = ga_optimize(objective, dim, cfg, initial=np.ones(dim))
-            values, fallback = predict(matrix, wv.as_array())
+            values, fallback = predict(matrix, train_plan(), wv.as_array())
         elif variant == "pso_fuzzy":
             profiles = build_fuzzy_profiles(train_cat)
             dim = len(profiles.genres)
             if not dim:
                 raise CinefuseError("pso_fuzzy needs movies with genres")
-            objective = fuzzy_mae_objective(matrix, profiles, test, k=k)
+            plan = _fuzzy_plan(profiles)
+            objective = _objective(matrix, "user", lambda: plan, test, k)
             cfg = SwarmConfig(particles=10, iterations=10, seed=split.seed)
             wv, _, _ = pso_optimize(objective, dim, cfg, initial=np.ones(dim))
-            values, fallback = predict(matrix, wv.as_array(), _fuzzy_plan(profiles))
+            values, fallback = predict(matrix, plan, wv.as_array())
         else:  # implicit_augmented
-            values, fallback = predict(augment_implicit(matrix, train_cat.implicit))
+            scored = augment_implicit(matrix, train_cat.implicit)
+            values, fallback = predict(scored, _plan(scored, "user", "pearson", DEFAULT_MIN_OVERLAP))
+        if not {"plain", "ga_weighted"} & set(variants[at + 1 :]):
+            train_plan.cache_clear()
         m, cov = _score(values, fallback, test)
         reports.append(EvalReport(variant, m, cov, time.perf_counter() - start, split.seed))
     return reports

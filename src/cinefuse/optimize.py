@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,10 +29,10 @@ from .cf import (
     RatingMatrix,
     SimilarityMatrix,
     _co_counts,
-    _pair_blocks,
-    _pearson_plan,
+    _fill,
+    _Plan,
+    _plan,
     _predictor,
-    _put,
     _runs,
     _weight_vector,
 )
@@ -262,15 +263,9 @@ def build_fuzzy_profiles(catalog: Catalog) -> FuzzyProfiles:
     return FuzzyProfiles(tuple(user_ids.tolist()), tuple(genres), degrees)
 
 
-def _fuzzy_blocks(i: np.ndarray, j: np.ndarray, genres: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs (i, j) cut into blocks of about _BLOCK_CELLS pair-by-genre
-    cells."""
-    return [(i[a:b], j[a:b]) for a, b in _runs(np.full(i.size, genres))]
-
-
 def _fuzzy_pairs(degrees: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The fuzzy similarity of each pair (i, j) of rows of `degrees`, one
-    of _fuzzy_blocks, under genre weights `w`."""
+    """The fuzzy similarity of each pair (i, j) of rows of `degrees` under
+    genre weights `w`."""
     x, y = degrees[i], degrees[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         num = (w * np.minimum(x, y)).sum(axis=1)
@@ -278,46 +273,33 @@ def _fuzzy_pairs(degrees: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarra
         return np.where(den == 0.0, 1.0, np.clip(num / den, 0.0, 1.0))
 
 
-def _fuzzy_plan(profiles: FuzzyProfiles):
-    """The plan (gather, ids, co, 0, symmetric), as cf._pearson_plan's, of
-    `fuzzy_similarity_matrix(profiles, weights)`: `gather(i, j, counts,
-    hold)` returns `weights -> those pairs' values in that similarity, in
-    order, then 0.0`. Held or not, it holds the pairs alone; a call gathers
-    their degrees a block at a time."""
+def _fuzzy_plan(profiles: FuzzyProfiles) -> _Plan:
+    """The cf._Plan of `fuzzy_similarity_matrix(profiles, weights)`, every
+    pair at min_overlap 0: `weigh` checks the genre weights, and a gather,
+    held or not, holds its pairs alone; a call gathers their degrees in
+    blocks of about _BLOCK_CELLS pair-by-genre cells."""
     degrees = profiles.degrees
 
     def gather(i: np.ndarray, j: np.ndarray, counts: np.ndarray, hold: bool):
-        blocks = _fuzzy_blocks(i, j, degrees.shape[1])
-
-        def run(weights) -> np.ndarray:
-            w = _weight_vector(weights, degrees.shape[1])
-            return np.concatenate([*(_fuzzy_pairs(degrees, bi, bj, w) for bi, bj in blocks), [0.0]])
-
-        return run
+        blocks = [(i[a:b], j[a:b]) for a, b in _runs(np.full(i.size, degrees.shape[1]))]
+        return lambda w: np.concatenate([*(_fuzzy_pairs(degrees, bi, bj, w) for bi, bj in blocks), [0.0]])
 
     # with degrees >= 0, a genre is shared support where both are positive
-    return gather, profiles.user_ids, _co_counts(degrees > 0), 0, True
+    co = _co_counts(degrees > 0)
+    return _Plan(partial(_weight_vector, d=degrees.shape[1]), gather, profiles.user_ids, co, 0, True)
 
 
 def fuzzy_similarity_matrix(profiles: FuzzyProfiles, weights) -> SimilarityMatrix:
     """User-user similarity from fuzzy profiles: the weighted fuzzy Jaccard
-    sum(w*min) / sum(w*max) of every pair, clipped into [0, 1], computed a
-    block of pairs at a time. Weights align with the profiles' genres; a
-    zero denominator (both profiles zero wherever weight is positive) counts
-    as identical, i.e. 1.
+    sum(w*min) / sum(w*max) of every pair, clipped into [0, 1], filled a
+    block of pairs at a time (cf._fill). Weights align with the profiles'
+    genres; a zero denominator (both profiles zero wherever weight is
+    positive) counts as identical, i.e. 1.
 
     Co-counts here are shared-support sizes (genres where both memberships
     are positive), which is what neighbor eligibility keys on.
     """
-    degrees = profiles.degrees
-    w = _weight_vector(weights, degrees.shape[1])
-    values = np.eye(len(profiles.user_ids))
-    for pi, pj in _pair_blocks(len(profiles.user_ids)):
-        for i, j in _fuzzy_blocks(pi, pj, degrees.shape[1]):
-            s = _fuzzy_pairs(degrees, i, j, w)
-            _put(values, i, j, s)
-            _put(values, j, i, s)
-    return SimilarityMatrix("user", "fuzzy", profiles.user_ids, values, _co_counts(degrees > 0), min_overlap=0)
+    return _fill(_fuzzy_plan(profiles), "user", "fuzzy", weights)
 
 
 def _subsample(validation: list[Rating]) -> list[Rating]:
@@ -337,7 +319,7 @@ def _mae(values: np.ndarray, actual: np.ndarray) -> float:
 
 def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], k: int):
     """`weights -> validation MAE` for the similarities on `axis` of the
-    plan `plan()` builds (_pearson_plan or _fuzzy_plan): a call scores
+    plan `plan()` builds (cf._plan or _fuzzy_plan): a call scores
     every held-out rating as predict_many would, fallback predictions
     included. What no weight changes is done once, here, after the
     arguments are checked: the plan is built, the validation set is
@@ -367,8 +349,8 @@ def cf_mae_objective(
     """Objective: weights over the co-rated dimension -> validation MAE
     under the weighted pearson similarity on `axis` (_objective). The
     co-rated cells of the pairs the sample reads are gathered once
-    (_pearson_plan)."""
-    return _objective(train_matrix, axis, lambda: _pearson_plan(train_matrix, axis, min_overlap), validation_ratings, k)
+    (cf._plan)."""
+    return _objective(train_matrix, axis, lambda: _plan(train_matrix, axis, "pearson", min_overlap), validation_ratings, k)
 
 
 def fuzzy_mae_objective(

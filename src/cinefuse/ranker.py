@@ -25,7 +25,7 @@ import numpy as np
 
 from . import textpipe
 from .catalog import Catalog, Movie, closest_titles, resolve_title
-from .cf import DEFAULT_MIN_OVERLAP, _Axis, _axis, _nearest, _similarity_row, build_rating_matrix
+from .cf import DEFAULT_MIN_OVERLAP, _Axis, _axis, _nearest, _similarity_row, _weigh, build_rating_matrix
 from .cf import similarity_matrix  # noqa: F401 -- kept importable here; the benchmark's tracer looks it up
 from .critic import CriticConsensus, consensus_map
 from .errors import CinefuseError, UnknownEntityError, require_positive
@@ -76,16 +76,17 @@ def _fit_key(config: PipelineConfig) -> tuple[str, int, int]:
 class HybridModel:
     """What ranking needs from a catalog, fitted once by `fit_hybrid`.
 
-    `items` is the item axis of the rating matrix under the fit's metric and
-    weights: what one movie's item-item similarity row needs. A seed's
-    candidate pool, its co-counted neighbors (similarity desc, id asc) cut
-    at the candidate pool, is computed from its row on its first request
-    and memoised; so is each movie's embedding. No similarity beyond one
-    row at a time is held.
+    `items` is the item axis of the rating matrix and `weights` the fit's
+    weights under its metric (cf._weigh): what one movie's item-item
+    similarity row needs. A seed's candidate pool, its co-counted neighbors
+    (similarity desc, id asc) cut at the candidate pool, is computed from
+    its row on its first request and memoised; so is each movie's
+    embedding. No similarity beyond one row at a time is held.
     """
 
     key: tuple[str, int, int]  # (metric, min_overlap, candidate_pool) of the fit
     items: _Axis
+    weights: tuple  # (w, norms) of cf._weigh
     provider: object  # anything with `vector(movie)`
     consensus: dict[int, CriticConsensus]
     _pools: dict[int, tuple[int, ...]] = field(init=False, repr=False, default_factory=dict)
@@ -95,9 +96,9 @@ class HybridModel:
         """The candidate pool around a seed movie; None when it has no ratings."""
         pool = self._pools.get(movie_id)
         if pool is None and movie_id in self.items.index:
-            _, min_overlap, size = self.key
+            metric, min_overlap, size = self.key
             s = self.items.index[movie_id]
-            row, co = _similarity_row(self.items, s, min_overlap)
+            row, co = _similarity_row(self.items, metric, self.weights, s, min_overlap)
             near = _nearest(row, co, np.argsort(self.items.ids), s, size)
             pool = self._pools[movie_id] = tuple(self.items.ids[j] for j in near.tolist())
         return pool
@@ -118,11 +119,12 @@ def fit_hybrid(catalog: Catalog, config: PipelineConfig, provider=None, weights=
     """
     matrix = build_rating_matrix(catalog)
     w = weights.as_array() if hasattr(weights, "as_array") else weights
-    items = _axis(matrix, "item", config.metric, w)
+    items = _axis(matrix, "item", config.metric)
+    weights = _weigh(items, config.metric, w)
     if provider is None:
         texts = [m.summary if m.summary else m.title for _, m in sorted(catalog.movies.items())]
         provider = textpipe.fit_tfidf(texts)
-    return HybridModel(_fit_key(config), items, provider, consensus_map(catalog))
+    return HybridModel(_fit_key(config), items, weights, provider, consensus_map(catalog))
 
 
 def recommend_hybrid(

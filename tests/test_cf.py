@@ -271,6 +271,47 @@ class TestRatingMatrixMeans:
             assert np.array_equal(got[~empty], want[~empty])
 
 
+class TestRatingMatrixIds:
+    """A matrix's ids ascend without repeats on both axes: a repeated id
+    would merge two rows in the index, and the predictor lists raters in
+    matrix order as id order."""
+
+    @staticmethod
+    def matrix(user_ids, item_ids):
+        values = np.full((len(user_ids), len(item_ids)), 3.0)
+        return RatingMatrix(user_ids, item_ids, values, np.ones(values.shape, dtype=np.uint8), RatingScale())
+
+    @pytest.mark.parametrize(
+        "user_ids, item_ids, message",
+        [
+            ((1, 4, 4, 9), (10, 20), "user ids must be distinct and ascending: user id 4 follows 4"),
+            ((1, 2), (10, 30, 30), "item ids must be distinct and ascending: item id 30 follows 30"),
+            ((1, 2, 3), (10, 20, 20), "item id 20 follows 20"),
+        ],
+    )
+    def test_duplicate_ids_rejected(self, user_ids, item_ids, message):
+        with pytest.raises(CinefuseError, match=message):
+            self.matrix(user_ids, item_ids)
+
+    @pytest.mark.parametrize(
+        "user_ids, item_ids, message",
+        [
+            ((3, 2, 1), (10, 20), "user ids must be distinct and ascending: user id 2 follows 3"),
+            ((1, 5, 9, 7), (10, 20), "user id 7 follows 9"),
+            ((1, 2), (10, 40, 20, 30), "item ids must be distinct and ascending: item id 20 follows 40"),
+            ((2, 1), (20, 10), "user id 1 follows 2"),  # the user axis is checked first
+        ],
+    )
+    def test_descending_ids_rejected(self, user_ids, item_ids, message):
+        with pytest.raises(CinefuseError, match=message):
+            self.matrix(user_ids, item_ids)
+
+    def test_ascending_ids_with_gaps_accepted(self):
+        matrix = self.matrix((2, 7, 30), (5, 1000))
+        assert matrix.user_index == {2: 0, 7: 1, 30: 2} and matrix.item_index == {5: 0, 1000: 1}
+        assert self.matrix((), ()).user_index == {}
+
+
 class TestSimilarityOracle:
     def test_random_matrices_all_metrics(self):
         rng = np.random.default_rng(1234)
@@ -490,9 +531,10 @@ class TestSimilarityRow:
 
     def assert_rows_equal(self, matrix, axis, metric, weights, min_overlap):
         sim = similarity_matrix(matrix, axis, metric, weights=weights, min_overlap=min_overlap)
-        a = cf._axis(matrix, axis, metric, weights)
+        a = cf._axis(matrix, axis, metric)
+        weighed = cf._weigh(a, metric, weights)
         for s in range(len(sim.ids)):
-            row, co = cf._similarity_row(a, s, min_overlap)
+            row, co = cf._similarity_row(a, metric, weighed, s, min_overlap)
             assert np.array_equal(row, sim.values[s]), (axis, metric, min_overlap, s)
             assert np.array_equal(co, sim.co_counts[s])
 
@@ -530,6 +572,47 @@ class TestSimilarityRow:
         for axis, d in (("user", 20), ("item", 14)):
             for metric in ("pearson", "cosine", "jaccard"):
                 self.assert_rows_equal(matrix, axis, metric, rng.uniform(0.0, 2.0, size=d), 1)
+
+
+class TestFill:
+    """similarity_matrix fills its pairs a block of rows at a time from the
+    plan's gather, with the weights checked and weighed once per fill."""
+
+    def test_cosine_norms_computed_once_per_fill(self, monkeypatch):
+        matrix = half_step_matrix(np.random.default_rng(8), 14, 20, 0.6)
+        weights = {"user": np.linspace(0.0, 2.0, 20), "item": np.linspace(2.0, 0.5, 14)}
+        want = {axis: similarity_matrix(matrix, axis, "cosine", weights[axis]) for axis in weights}
+        calls = []
+
+        def counted(*args, weigh=cf._weigh):
+            calls.append(args[1])
+            return weigh(*args)
+
+        monkeypatch.setattr(cf, "_weigh", counted)
+        # one row a block: 14 or 20 gathers per fill
+        monkeypatch.setattr(cf, "_BLOCK_CELLS", 7)
+        for axis in weights:
+            calls.clear()
+            sim = similarity_matrix(matrix, axis, "cosine", weights[axis])
+            assert calls == ["cosine"]
+            assert np.array_equal(sim.values, want[axis].values)
+
+    @pytest.mark.parametrize("metric", ["pearson", "cosine", "jaccard"])
+    def test_weights_checked_when_no_pair_reaches_min_overlap(self, metric):
+        matrix = half_step_matrix(np.random.default_rng(9), 6, 5, 0.5)
+        with pytest.raises(CinefuseError, match="negative weight"):
+            similarity_matrix(matrix, "user", metric, weights=[1.0, -1.0, 1.0, 1.0, 1.0], min_overlap=99)
+        sim = similarity_matrix(matrix, "user", metric, min_overlap=99)
+        assert np.array_equal(sim.values, np.eye(6))
+
+    def test_errors_name_axis_then_metric_then_weights(self):
+        matrix = half_step_matrix(np.random.default_rng(10), 4, 3, 0.7)
+        with pytest.raises(CinefuseError, match="axis must be"):
+            similarity_matrix(matrix, "movie", "bogus", weights=[-1.0])
+        with pytest.raises(CinefuseError, match="unknown metric"):
+            similarity_matrix(matrix, "user", "bogus", weights=[-1.0])
+        with pytest.raises(CinefuseError, match="weight vector of length 1, expected 3"):
+            similarity_matrix(matrix, "user", "cosine", weights=[-1.0])
 
 
 class TestFlatCells:

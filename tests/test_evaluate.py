@@ -183,9 +183,26 @@ class TestEvaluateVariants:
         def refuse(*args, **kwargs):
             raise AssertionError("n x n similarity built")
 
-        for module, name in ((cf, "_similarities"), (cf, "_pair_blocks"), (optimize, "_pair_blocks"), (cf, "_by_rank")):
+        for module, name in ((cf, "_fill"), (optimize, "_fill"), (cf, "_by_rank")):
             monkeypatch.setattr(module, name, refuse)
         self.test_matches_golden_file(fixture_catalog)
+
+    def test_plain_and_ga_weighted_share_one_train_plan(self, monkeypatch, fixture_catalog):
+        # plain, the ga_weighted objective and the ga_weighted report all
+        # read the train matrix's one user-axis pearson plan: its co-counts
+        # are counted once, and the reports keep the golden bits
+        lines = (Path(__file__).parent / "data" / "golden_evaluate.txt").read_text().splitlines()
+        golden = {v: (float(m), float(c)) for v, m, c in (line.split() for line in lines)}
+        counts = []
+
+        def counted(mask, co_counts=cf._co_counts):
+            counts.append(mask.shape)
+            return co_counts(mask)
+
+        monkeypatch.setattr(cf, "_co_counts", counted)
+        reports = evaluate_variants(fixture_catalog, ["plain", "ga_weighted"])
+        assert len(counts) == 1
+        assert [(r.variant, r.mae, r.coverage) for r in reports] == [(v, *golden[v]) for v in ("plain", "ga_weighted")]
 
     def test_predictors_holding_nothing_keep_the_golden_bits(self, monkeypatch, fixture_catalog):
         # every predictor past its held cells: each call walks the raters

@@ -7,7 +7,7 @@ import pytest
 
 from cinefuse import cf, optimize
 from cinefuse.catalog import Movie, Rating, train_test_split
-from cinefuse.cf import _pearson_plan, build_rating_matrix, predict_rating, similarity_matrix
+from cinefuse.cf import _plan, build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError, DataFormatError
 from cinefuse.optimize import (
     FuzzyProfiles,
@@ -377,9 +377,9 @@ class TestObjectivesBitwise:
             matrix = build_rating_matrix(train)
             profiles = build_fuzzy_profiles(train)
             cases = [
-                ("user", lambda: _pearson_plan(matrix, "user", 2), len(matrix.item_ids),
+                ("user", lambda: _plan(matrix, "user", "pearson", 2), len(matrix.item_ids),
                  lambda w: similarity_matrix(matrix, "user", "pearson", weights=w)),
-                ("item", lambda: _pearson_plan(matrix, "item", 2), len(matrix.user_ids),
+                ("item", lambda: _plan(matrix, "item", "pearson", 2), len(matrix.user_ids),
                  lambda w: similarity_matrix(matrix, "item", "pearson", weights=w)),
                 ("user", lambda: _fuzzy_plan(profiles), len(profiles.genres),
                  lambda w: fuzzy_similarity_matrix(profiles, w)),
@@ -486,7 +486,8 @@ class TestObjectivesHeldPlan:
         monkeypatch.setattr(cf, "_targets", counted("positions", cf._targets))
         monkeypatch.setattr(cf, "_raters", counted("raters", cf._raters))
         monkeypatch.setattr(cf, "_corated_blocks", counted("gather", cf._corated_blocks))
-        monkeypatch.setattr(optimize, "_pair_blocks", counted("all pairs", optimize._pair_blocks))
+        monkeypatch.setattr(cf, "_fill", counted("all pairs", cf._fill))
+        monkeypatch.setattr(optimize, "_fill", cf._fill)
         objective = cf_mae_objective(matrix, test, axis="user")
         for _ in range(4):
             objective(random_weights(np.random.default_rng(0), len(matrix.item_ids)))
@@ -548,9 +549,9 @@ class TestObjectivesHeldPlan:
         def refuse(*args, **kwargs):
             raise AssertionError("n x n similarity built")
 
-        monkeypatch.setattr(cf, "_similarities", refuse)
+        monkeypatch.setattr(cf, "_fill", refuse)
         monkeypatch.setattr(cf, "_by_rank", refuse)
-        monkeypatch.setattr(optimize, "_pair_blocks", refuse)
+        monkeypatch.setattr(optimize, "_fill", refuse)
         for objective, w, want in runs:
             assert objective(w) == want
 
@@ -574,22 +575,21 @@ class TestObjectivesHeldPlan:
         profiles = build_fuzzy_profiles(train)
         gathered = []
 
-        def recorded(a, pairs):
-            pairs = list(pairs)
-            gathered.append([(i.tolist(), j.tolist(), c.tolist()) for i, j, c in pairs])
-            return cf_gather(a, pairs)
+        def recorded(a, metric, i, j, counts, hold):
+            gathered.append((i.tolist(), j.tolist(), counts.tolist()))
+            return cf_gather(a, metric, i, j, counts, hold)
 
         def recorded_fuzzy(profiles):
-            gather, *rest = fuzzy_plan(profiles)
+            plan = fuzzy_plan(profiles)
 
             def recorded_gather(i, j, counts, hold):
-                gathered.append([(i.tolist(), j.tolist(), counts.tolist())])
-                return gather(i, j, counts, hold)
+                gathered.append((i.tolist(), j.tolist(), counts.tolist()))
+                return plan.gather(i, j, counts, hold)
 
-            return recorded_gather, *rest
+            return plan._replace(gather=recorded_gather)
 
-        cf_gather, fuzzy_plan = cf._corated_blocks, optimize._fuzzy_plan
-        monkeypatch.setattr(cf, "_corated_blocks", recorded)
+        cf_gather, fuzzy_plan = cf._gather, optimize._fuzzy_plan
+        monkeypatch.setattr(cf, "_gather", recorded)
         monkeypatch.setattr(optimize, "_fuzzy_plan", recorded_fuzzy)
         for axis in ("user", "item"):
             rated = (~np.isnan(matrix.values)).astype(int)
@@ -597,8 +597,8 @@ class TestObjectivesHeldPlan:
             for min_overlap in (1, 2, 3):
                 gathered.clear()
                 cf_mae_objective(matrix, test, axis=axis, min_overlap=min_overlap)
-                [blocks] = gathered
-                pairs = [(p, c) for i, j, counts in blocks for p, c in zip(zip(i, j), counts)]
+                [(i, j, counts)] = gathered
+                pairs = list(zip(zip(i, j), counts))
                 want = self.read_pairs(matrix, axis, co, test, min_overlap)
                 assert len(pairs) == len(want) and {p for p, _ in pairs} == want
                 assert [c for _, c in pairs] == [co[p] for p, _ in pairs] == sorted(c for _, c in pairs)
@@ -607,7 +607,7 @@ class TestObjectivesHeldPlan:
                     assert 0 < len(want) < np.count_nonzero(np.triu(co >= min_overlap, 1))
         gathered.clear()
         fuzzy_mae_objective(matrix, profiles, test)
-        [[(i, j, counts)]] = gathered
+        [(i, j, counts)] = gathered
         support = (profiles.degrees > 0).astype(int)
         co = support @ support.T
         want = self.read_pairs(matrix, "user", co, test, 0)
@@ -616,16 +616,16 @@ class TestObjectivesHeldPlan:
         assert 0 < len(want) < len(profiles.user_ids) * (len(profiles.user_ids) - 1) // 2
 
     def test_ids_in_any_order_rank_ties_by_id(self):
-        # ids that do not ascend with matrix position, profiles listing users
-        # in yet another order (some not at all), and coarse values that
-        # make many equal similarities: the order among equals, by id,
-        # decides which k raters count
+        # ids with gaps (a matrix's ids ascend), profiles listing users in
+        # another order (some not at all), and coarse values that make many
+        # equal similarities: the order among equals, by id, decides which k
+        # raters count
         rng = np.random.default_rng(1209)
         for _ in range(8):
             n_users, n_items = (int(v) for v in rng.integers(4, 16, size=2))
             matrix, held = random_split(rng, n_users, n_items, rng.uniform(0.3, 0.9))
-            user_ids = tuple(rng.permutation(np.arange(1, 3 * n_users))[:n_users].tolist())
-            item_ids = tuple(rng.permutation(np.arange(500, 500 + 3 * n_items))[:n_items].tolist())
+            user_ids = tuple(np.sort(rng.permutation(np.arange(1, 3 * n_users))[:n_users]).tolist())
+            item_ids = tuple(np.sort(rng.permutation(np.arange(500, 500 + 3 * n_items))[:n_items]).tolist())
             new_user, new_item = dict(zip(matrix.user_ids, user_ids)), dict(zip(matrix.item_ids, item_ids))
             matrix = replace(matrix, user_ids=user_ids, item_ids=item_ids, values=np.round(matrix.values))
             held = [Rating(new_user[r.user_id], new_item[r.movie_id], r.value) for r in held]
@@ -787,7 +787,7 @@ class TestObjectives:
         def refuse(*args, **kwargs):
             raise AssertionError("plan built")
 
-        monkeypatch.setattr(optimize, "_pearson_plan", refuse)
+        monkeypatch.setattr(optimize, "_plan", refuse)
         monkeypatch.setattr(optimize, "_fuzzy_plan", refuse)
         k, held = (0, test) if bad == "k" else (20, [] if bad == "empty" else test + [Rating(999, 1, 3.0)])
         with pytest.raises(CinefuseError):

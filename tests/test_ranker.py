@@ -161,7 +161,7 @@ class TestModelMemo:
         monkeypatch.setattr(ranker, "similarity_matrix", refuse)
         rows = []
         original = ranker._similarity_row
-        monkeypatch.setattr(ranker, "_similarity_row", lambda a, s, m: rows.append(s) or original(a, s, m))
+        monkeypatch.setattr(ranker, "_similarity_row", lambda a, metric, w, s, m: rows.append(s) or original(a, metric, w, s, m))
         cat = load_fixture_catalog()
         model = fit_hybrid(cat, PipelineConfig())
         assert rows == []
