@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import re
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -84,33 +84,77 @@ class RatingColumns(NamedTuple):
 
     @classmethod
     def of(cls, ratings: list[Rating]) -> RatingColumns:
-        n = len(ratings)
-        return cls._read_only(
-            np.fromiter(map(itemgetter(0), ratings), np.int64, n),
-            np.fromiter(map(itemgetter(1), ratings), np.int64, n),
-            np.fromiter(map(itemgetter(2), ratings), np.float64, n),
-        )
+        return _columns_of(cls, ratings, (np.int64, np.int64, np.float64))
 
     def where(self, keep: np.ndarray) -> RatingColumns:
         """The columns of the ratings where the boolean mask `keep` is true."""
-        return self._read_only(*(column[keep] for column in self))
+        return self._make(_read_only(column[keep]) for column in self)
+
+
+class ImplicitColumns(NamedTuple):
+    """Implicit events as read-only arrays, one entry per event, in list order."""
+
+    user: np.ndarray  # int64
+    movie: np.ndarray  # int64
+    watched: np.ndarray  # float64, 1.0 or 0.0
+    fraction: np.ndarray  # float64
+    count: np.ndarray  # int64
 
     @classmethod
-    def _read_only(cls, *columns: np.ndarray) -> RatingColumns:
-        for column in columns:
-            column.flags.writeable = False
-        return cls(*columns)
+    def of(cls, events: list[ImplicitEvent]) -> ImplicitColumns:
+        return _columns_of(cls, events, (np.int64, np.int64, np.float64, np.float64, np.int64))
+
+
+def _columns_of(cls, records, dtypes):
+    """A `cls` of read-only arrays, one per record field, of `dtypes`."""
+    n = len(records)
+    return cls._make(_read_only(np.fromiter(map(itemgetter(i), records), dtype, n)) for i, dtype in enumerate(dtypes))
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+def _records(columns: RatingColumns, timestamps: np.ndarray, index: np.ndarray | None = None) -> list[Rating]:
+    """Rating records from columns, all of them or those at `index`."""
+    fields = (*columns, timestamps)
+    if index is not None:
+        fields = [column.take(index) for column in fields]
+    return list(map(Rating, *(column.tolist() for column in fields)))
+
+
+class _Ratings:
+    """The `ratings` field of a Catalog: the records it was built with, or,
+    for a catalog that holds its ratings as columns, records built from the
+    columns on the first read and then held."""
+
+    def __get__(self, catalog, owner=None):
+        if catalog is None:
+            raise AttributeError("ratings")  # so the field has no default
+        if catalog._ratings is None:
+            object.__setattr__(catalog, "_ratings", _records(catalog._columns, catalog._timestamps))
+        return catalog._ratings
+
+    def __set__(self, catalog, ratings):
+        object.__setattr__(catalog, "_ratings", ratings)
 
 
 @dataclass(frozen=True)
 class Catalog:
     """Merged, validated store. Treat as immutable after load: the fields
     cannot be reassigned, and the lists and dicts must not be mutated, since
-    a fitted ranking model or the column view memoised on the catalog would
-    go stale. The column view's arrays are read-only."""
+    a fitted ranking model or the column views memoised on the catalog would
+    go stale. The column views' arrays are read-only.
+
+    A catalog loaded from a ratings file in the strict form (README, "Data
+    formats"), and the train catalog of a split, hold their ratings as
+    columns only: `ratings` builds its records on the first read and holds
+    them. Its records, `==` and repr are those of a catalog built from the
+    same records."""
 
     movies: dict[int, Movie]
-    ratings: list[Rating]
+    ratings: list[Rating] = _Ratings()
     reviews: list[CriticReview]
     implicit: list[ImplicitEvent]
     scale: RatingScale = field(default_factory=RatingScale)
@@ -120,9 +164,13 @@ class Catalog:
     # ranking models fitted on this catalog, keyed by the config fields the
     # fit reads (see ranker.recommend_hybrid); a `replace` copy starts empty
     _models: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # `ratings` as columns, built on the first read of `columns`; a `replace`
-    # copy starts empty
+    # `ratings` as columns, and their timestamps as one more column, given
+    # at load or built on the first read of `columns` and `_timestamp_column`;
+    # a `replace` copy starts empty
     _columns: RatingColumns | None = field(init=False, repr=False, compare=False, default=None)
+    _timestamps: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    # `implicit` as columns, built on the first read of `implicit_columns`
+    _implicit_columns: ImplicitColumns | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def columns(self) -> RatingColumns:
@@ -130,6 +178,26 @@ class Catalog:
         if self._columns is None:
             object.__setattr__(self, "_columns", RatingColumns.of(self.ratings))
         return self._columns
+
+    @property
+    def implicit_columns(self) -> ImplicitColumns:
+        """The implicit events' fields as arrays, built once."""
+        if self._implicit_columns is None:
+            object.__setattr__(self, "_implicit_columns", ImplicitColumns.of(self.implicit))
+        return self._implicit_columns
+
+    def _timestamp_column(self) -> np.ndarray:
+        """The ratings' timestamps: int64 when loaded as columns, else the
+        records' own values (None, or an int of any size) as objects."""
+        if self._timestamps is None:
+            stamps = np.array([r.timestamp for r in self.ratings], dtype=object)
+            object.__setattr__(self, "_timestamps", _read_only(stamps))
+        return self._timestamps
+
+    def _hold(self, columns: RatingColumns, timestamps: np.ndarray) -> None:
+        """Hold the ratings as columns, in place of records."""
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_timestamps", timestamps)
 
     def genre_universe(self) -> list[str]:
         genres = set()
@@ -265,6 +333,13 @@ def load_catalog(
     movie are dropped; the count lands in `Catalog.dropped_reviews`. Any other
     referential or schema problem raises DataFormatError.
 
+    A ratings file in the strict form (an exact header, then lines of
+    unsigned ASCII `int,int,decimal,int`, ids and timestamps of at most 18
+    digits) is parsed as columns in one numpy call and checked with array
+    operations; the catalog then builds its Rating records only when
+    `ratings` is read. Any other file, or one that fails a check, is read a
+    row at a time as below, which gives an equal catalog or the first error.
+
     Each row's fields are converted inline with int()/float() and the exact
     boolean words. A row where that fails goes through the _parse_*
     functions in field order instead: they also accept padding that strip()
@@ -312,32 +387,8 @@ def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingS
     # the grid values contains() accepts; any other value (off the grid by
     # under its tolerance, out of range, NaN) is left to contains()
     on_grid = {v for v in scale.values() if scale.contains(v)}
-    ratings: list[Rating] = []
-    seen_pairs = set()
-    for line, row in _read_rows(ratings_path, ["userId", "movieId", "rating", "timestamp"]):
-        try:
-            uid, mid, value = int(row[0]), int(row[1]), float(row[2])
-            ts = int(row[3]) if row[3] else None
-        except ValueError:
-            uid = _parse_int(row[0], ratings_path, line, "userId")
-            mid = _parse_int(row[1], ratings_path, line, "movieId")
-            value = _parse_float(row[2], ratings_path, line, "rating")
-            ts = _parse_int(row[3], ratings_path, line, "timestamp", optional=True)
-        if not _INT64_MIN <= uid <= _INT64_MAX:
-            _outside_int64(uid, ratings_path, line, "userId")
-        if mid not in movies:
-            raise DataFormatError(f"unknown movieId {mid}", path=ratings_path, line=line, field="movieId")
-        if value not in on_grid and not scale.contains(value):
-            raise DataFormatError(
-                f"value out of scale at line {line}: {value}", path=ratings_path, line=line, field="rating"
-            )
-        pair = (uid, mid)
-        if pair in seen_pairs:
-            raise DataFormatError(
-                f"duplicate rating for user {uid}, movie {mid}", path=ratings_path, line=line
-            )
-        seen_pairs.add(pair)
-        ratings.append(Rating(uid, mid, value, ts))
+    held = _read_strict_ratings(ratings_path, movies, scale, on_grid)
+    ratings = None if held else _read_rating_rows(ratings_path, movies, scale, on_grid)
 
     reviews: list[CriticReview] = []
     dropped = 0
@@ -396,7 +447,7 @@ def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingS
     for mid in sorted(movies):
         groups.setdefault(norms[mid], []).append(mid)
 
-    return Catalog(
+    catalog = Catalog(
         movies=movies,
         ratings=ratings,
         reviews=reviews,
@@ -405,6 +456,85 @@ def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingS
         dropped_reviews=dropped,
         title_groups={norm: tuple(ids) for norm, ids in groups.items()},
     )
+    if held:
+        catalog._hold(*held)
+    return catalog
+
+
+def _read_rating_rows(
+    ratings_path, movies: dict[int, Movie], scale: RatingScale, on_grid: set[float]
+) -> list[Rating]:
+    """The ratings file as records, a row at a time; raises the first error
+    with file and line."""
+    ratings: list[Rating] = []
+    seen_pairs = set()
+    for line, row in _read_rows(ratings_path, _RATINGS_HEADER):
+        try:
+            uid, mid, value = int(row[0]), int(row[1]), float(row[2])
+            ts = int(row[3]) if row[3] else None
+        except ValueError:
+            uid = _parse_int(row[0], ratings_path, line, "userId")
+            mid = _parse_int(row[1], ratings_path, line, "movieId")
+            value = _parse_float(row[2], ratings_path, line, "rating")
+            ts = _parse_int(row[3], ratings_path, line, "timestamp", optional=True)
+        if not _INT64_MIN <= uid <= _INT64_MAX:
+            _outside_int64(uid, ratings_path, line, "userId")
+        if mid not in movies:
+            raise DataFormatError(f"unknown movieId {mid}", path=ratings_path, line=line, field="movieId")
+        if value not in on_grid and not scale.contains(value):
+            raise DataFormatError(
+                f"value out of scale at line {line}: {value}", path=ratings_path, line=line, field="rating"
+            )
+        pair = (uid, mid)
+        if pair in seen_pairs:
+            raise DataFormatError(
+                f"duplicate rating for user {uid}, movie {mid}", path=ratings_path, line=line
+            )
+        seen_pairs.add(pair)
+        ratings.append(Rating(uid, mid, value, ts))
+    return ratings
+
+
+_RATINGS_HEADER = ["userId", "movieId", "rating", "timestamp"]
+# A ratings line whose fields np.loadtxt reads as int() and float() read
+# them: unsigned ASCII ids and timestamp of at most 18 digits, so within
+# int64, and an unsigned decimal; no padding, sign, exponent, `_`, `#` or
+# quote. _NOT_STRICT finds a newline followed neither by the end of the file
+# nor by such a line ending in LF, CRLF or the end of the file: searched from
+# the header's newline, it finds none exactly when every line is strict. Each
+# match attempt reads one line, so its memory does not grow with the file, as
+# that of one repeated group over the whole body would (without 3.11's `*+`).
+_NOT_STRICT = re.compile(rb"\n(?!\Z|\d{1,18},\d{1,18},\d+(?:\.\d+)?,\d{1,18}(?:\r?\n|\Z))")
+_STRICT_ROW = np.dtype([("user", np.int64), ("movie", np.int64), ("value", np.float64), ("timestamp", np.int64)])
+
+
+def _read_strict_ratings(
+    path, movies: dict[int, Movie], scale: RatingScale, on_grid: set[float]
+) -> tuple[RatingColumns, np.ndarray] | None:
+    """The ratings file as (RatingColumns, int64 timestamps), parsed in one
+    numpy call, when its header is exact, every line is in the strict form
+    and every rating passes the row loop's checks; else None, and the row
+    loop reads the file and raises its first error with file and line."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    body = data.find(b"\n") + 1 or len(data)
+    header = data[:body].removesuffix(b"\n").removesuffix(b"\r")
+    if header != ",".join(_RATINGS_HEADER).encode() or _NOT_STRICT.search(data, body - 1):
+        return None
+    if body < len(data):
+        table = np.loadtxt(io.BytesIO(data), _STRICT_ROW, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    else:
+        table = np.empty(0, _STRICT_ROW)  # np.loadtxt warns on an empty input
+    user, movie, value, timestamps = (np.ascontiguousarray(table[name]) for name in _STRICT_ROW.names)
+    order = np.lexsort((movie, user))
+    user_sorted, movie_sorted = user.take(order), movie.take(order)
+    repeated = (user_sorted[1:] == user_sorted[:-1]) & (movie_sorted[1:] == movie_sorted[:-1])
+    off_grid = value[~np.isin(value, list(on_grid))].tolist()
+    if repeated.any() or not np.isin(movie, list(movies)).all() or not all(map(scale.contains, off_grid)):
+        return None
+    return RatingColumns(*map(_read_only, (user, movie, value))), _read_only(timestamps)
 
 
 @dataclass
@@ -445,16 +575,19 @@ def train_test_split(
 
     A rating moves to the test set only while its user and movie keep at
     least one other rating in train, so every test rating's entities stay
-    predictable. Train + test partition the original ratings exactly.
+    predictable. Train + test partition the original ratings exactly. The
+    train catalog holds its ratings as columns and shares the parent's
+    implicit columns; the test records are built from the test rows' columns.
     """
     if not (0.0 < holdout_fraction < 1.0):
         raise CinefuseError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
+    columns = catalog.columns
+    n = len(columns.user)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(catalog.ratings))
-    target = int(holdout_fraction * len(catalog.ratings))
+    order = rng.permutation(n)
+    target = int(holdout_fraction * n)
 
     # each rating's user and movie as an index into their counts
-    ratings, columns = catalog.ratings, catalog.columns
     _, user = np.unique(columns.user, return_inverse=True)
     _, movie = np.unique(columns.movie, return_inverse=True)
     user_counts, movie_counts = np.bincount(user).tolist(), np.bincount(movie).tolist()
@@ -470,10 +603,10 @@ def train_test_split(
             user_counts[u] -= 1
             movie_counts[m] -= 1
 
-    in_train = np.ones(len(ratings), dtype=bool)
+    in_train = np.ones(n, dtype=bool)
     in_train[picked] = False
-    train_ratings = list(compress(ratings, in_train.tolist()))
-    test_ratings = list(compress(ratings, (~in_train).tolist()))
-    train = replace(catalog, ratings=train_ratings)
-    object.__setattr__(train, "_columns", columns.where(in_train))
-    return train, test_ratings
+    timestamps = catalog._timestamp_column()
+    train = replace(catalog, ratings=None)
+    train._hold(columns.where(in_train), _read_only(timestamps[in_train]))
+    object.__setattr__(train, "_implicit_columns", catalog.implicit_columns)
+    return train, _records(columns, timestamps, np.flatnonzero(~in_train))

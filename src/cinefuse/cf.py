@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import Catalog, ImplicitEvent, RatingScale
+from .catalog import Catalog, ImplicitColumns, ImplicitEvent, RatingScale
 from .errors import CinefuseError, UnknownEntityError, require_positive
 
 DEFAULT_MIN_OVERLAP = 2
@@ -93,9 +93,9 @@ def _last_of_each(cells: np.ndarray) -> np.ndarray:
 def build_rating_matrix(catalog: Catalog) -> RatingMatrix:
     """One matrix entry per explicit rating (the last, should a cell be
     rated twice); means computed per axis."""
-    if not catalog.ratings:
-        raise CinefuseError("no ratings")
     columns = catalog.columns
+    if not len(columns.user):
+        raise CinefuseError("no ratings")
     user_ids, ui = np.unique(columns.user, return_inverse=True)
     item_ids, mj = np.unique(columns.movie, return_inverse=True)
     last = _last_of_each(ui * item_ids.size + mj)
@@ -770,19 +770,18 @@ def recommend_cf(sim_item: SimilarityMatrix, seed_id: int, n: int) -> list[tuple
     return [(sim_item.ids[j], float(sim_item.values[pos, j])) for j in order.tolist()]
 
 
-def augment_implicit(matrix: RatingMatrix, events: list[ImplicitEvent]) -> RatingMatrix:
+def augment_implicit(matrix: RatingMatrix, events: list[ImplicitEvent] | ImplicitColumns) -> RatingMatrix:
     """New matrix with pseudo-ratings filled into explicitly-unrated cells.
 
     Each event's pseudo-rating follows the IMPLICIT_* blend, clamped into
     the rating scale. Explicit entries are never overwritten; when several
     events hit one cell the last one wins. Users or movies seen only in
-    events become new rows/columns. Means are recomputed.
+    events become new rows/columns. Means are recomputed. The events are
+    records or their columns (`Catalog.implicit_columns`).
     """
-    eu = np.array([ev.user_id for ev in events], dtype=np.int64)
-    em = np.array([ev.movie_id for ev in events], dtype=np.int64)
-    watched = np.array([1.0 if ev.watched else 0.0 for ev in events])
-    fraction = np.array([ev.watch_fraction for ev in events], dtype=float)
-    count = np.array([ev.watch_count for ev in events], dtype=np.int64)
+    if not isinstance(events, ImplicitColumns):
+        events = ImplicitColumns.of(events)
+    eu, em, watched, fraction, count = events
     # the scalar formula's operations in its order, then RatingScale.clamp:
     # max(lo, v), then min(hi, .)
     raw = IMPLICIT_WATCH * watched + IMPLICIT_FRACTION * fraction

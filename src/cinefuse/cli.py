@@ -187,7 +187,7 @@ def _user_count(catalog) -> int:
 def cmd_load_check(args) -> int:
     catalog = _load(args)
     print(
-        f"movies={len(catalog.movies)} users={_user_count(catalog)} ratings={len(catalog.ratings)} "
+        f"movies={len(catalog.movies)} users={_user_count(catalog)} ratings={len(catalog.columns.user)} "
         f"reviews={len(catalog.reviews)} implicit={len(catalog.implicit)} "
         f"dropped_reviews={catalog.dropped_reviews}"
     )
@@ -197,7 +197,7 @@ def cmd_load_check(args) -> int:
 def cmd_stats(args) -> int:
     catalog = _load(args)
     stats = summary_stats(catalog)
-    print(f"movies={len(catalog.movies)} users={_user_count(catalog)} ratings={len(catalog.ratings)}")
+    print(f"movies={len(catalog.movies)} users={_user_count(catalog)} ratings={len(catalog.columns.user)}")
     print("movies by year:")
     for year, count in stats.per_year.items():
         print(f"  {year}: {count}")

@@ -131,10 +131,9 @@ def evaluate_variants(
     for v in variants:
         if v not in VARIANTS:
             raise CinefuseError(f"unknown variant {v!r}; choose from {', '.join(VARIANTS)}")
-    if len(catalog.ratings) < MIN_EVAL_RATINGS:
-        raise CinefuseError(
-            f"evaluation needs at least {MIN_EVAL_RATINGS} ratings, got {len(catalog.ratings)}"
-        )
+    n_ratings = len(catalog.columns.user)
+    if n_ratings < MIN_EVAL_RATINGS:
+        raise CinefuseError(f"evaluation needs at least {MIN_EVAL_RATINGS} ratings, got {n_ratings}")
     split = split or SplitConfig()
     train_cat, test = train_test_split(catalog, split.holdout_fraction, split.seed)
     if not test:
@@ -171,7 +170,7 @@ def evaluate_variants(
             wv, _, _ = pso_optimize(objective, dim, cfg, initial=np.ones(dim))
             values, fallback = predict(matrix, plan, wv.as_array())
         else:  # implicit_augmented
-            scored = augment_implicit(matrix, train_cat.implicit)
+            scored = augment_implicit(matrix, train_cat.implicit_columns)
             values, fallback = predict(scored, _plan(scored, "user", "pearson", DEFAULT_MIN_OVERLAP))
         if not {"plain", "ga_weighted"} & set(variants[at + 1 :]):
             train_plan.cache_clear()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cinefuse import catalog as catalog_module
+from cinefuse import cli
 from cinefuse.catalog import (
     Catalog,
     ImplicitEvent,
@@ -21,8 +22,10 @@ from cinefuse.catalog import (
 )
 from cinefuse.cli import FIXTURE_DIR
 from cinefuse.errors import CinefuseError, DataFormatError, UnknownEntityError
+from cinefuse.evaluate import VARIANTS, SplitConfig, evaluate_variants
+from cinefuse.ranker import PipelineConfig, recommend_hybrid
 
-from conftest import tiny_catalog
+from conftest import load_fixture_catalog, tiny_catalog
 
 
 class TestRatingScale:
@@ -112,16 +115,20 @@ class TestLoadPausesCollector:
         assert gc.isenabled() is enabled
 
     def test_collector_paused_while_reading(self, collector_state, monkeypatch):
-        read_rows, seen = catalog_module._read_rows, []
+        # the fixture's ratings file is in the strict form, so the column
+        # parse reads it and the row reader the other three files
+        seen = []
+        for name in ("_read_rows", "_read_strict_ratings"):
+            read = getattr(catalog_module, name)
 
-        def spy(*args):
-            seen.append(gc.isenabled())
-            return read_rows(*args)
+            def spy(*args, read=read, name=name):
+                seen.append((name, gc.isenabled()))
+                return read(*args)
 
-        monkeypatch.setattr(catalog_module, "_read_rows", spy)
+            monkeypatch.setattr(catalog_module, name, spy)
         gc.enable()
         load_catalog(*fixture_paths(), implicit_path=FIXTURE_DIR / "implicit.csv")
-        assert seen == [False] * 4
+        assert seen == [(name, False) for name in ("_read_rows", "_read_strict_ratings", "_read_rows", "_read_rows")]
         assert gc.isenabled()
 
 
@@ -184,6 +191,185 @@ class TestColumns:
                     train, _ = train_test_split(catalog, fraction, seed)
                     assert_columns_match(train)
                     assert_columns_match(catalog)
+
+
+STRICT_MOVIES = "movieId,title,genres,year,summary\n1,One,Drama,2000,x\n2,Two,Action,,y\n"
+# movie ids of 18 and 19 digits, both within int64
+LONG_IDS = (123456789012345678, 1234567890123456789)
+
+
+def load_ratings(tmp_path, text, rows_only=False):
+    """("columns" or "rows", catalog) from loading `text` as the ratings
+    file, or ("error", message, line, field). With `rows_only` the column
+    parse is switched off, so the row loop reads every file."""
+    movies, ratings, reviews = (tmp_path / f"{name}.csv" for name in ("movies", "ratings", "reviews"))
+    movies.write_text(STRICT_MOVIES + "".join(f"{mid},Long {mid},Drama,2000,z\n" for mid in LONG_IDS))
+    ratings.write_bytes(text.encode("utf-8"))
+    reviews.write_text("movieId,title,source,rawScore,reviewText\n")
+    read, took = catalog_module._read_strict_ratings, []
+
+    def spy(*args):
+        held = None if rows_only else read(*args)
+        took.append(held is not None)
+        return held
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog_module, "_read_strict_ratings", spy)
+        try:
+            catalog = load_catalog(movies, ratings, reviews)
+        except DataFormatError as exc:
+            return "error", str(exc), exc.line, exc.field
+    return "columns" if any(took) else "rows", catalog
+
+
+def assert_same_catalog(got, want):
+    """The same records, columns, timestamps, `==` and repr."""
+    assert got.ratings == want.ratings
+    assert got == want and repr(got) == repr(want)
+    for a, b in zip(got.columns, want.columns, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got._timestamp_column().tolist() == want._timestamp_column().tolist()
+
+
+HEADER = "userId,movieId,rating,timestamp"
+
+
+class TestStrictRatings:
+    """The column parse against the row loop: the same catalog, or the same
+    first error with file and line, whichever path the file takes."""
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (f"{HEADER}\n1,1,4.0,5\n1,2,3.5,7\n2,1,5,9\n", "columns"),
+            (f"{HEADER}\r\n1,1,4.0,5\r\n1,2,3.5,7\r\n", "columns"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,3.5,7", "columns"),
+            (f"{HEADER}\r\n1,1,4.0,5\r\n1,2,3.5,7", "columns"),
+            (f"{HEADER}\n", "columns"),
+            (HEADER, "columns"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,3.5,\n", "rows"),
+            (f"{HEADER}\n{10**17},{LONG_IDS[0]},4.0,{10**17}\n", "columns"),
+            (f"{HEADER}\n{10**18},{LONG_IDS[1]},4.0,{10**18}\n", "rows"),
+            (f"{HEADER}\n1,1,4.0,{2**70}\n", "rows"),
+            (f"{HEADER}\n+1,1,+4.0,+5\n", "rows"),
+            (f"{HEADER}\n 1,1, 4.0 ,5\n1,2,3.5\t,7\n", "rows"),
+            (f"{HEADER}\n1_0,1,4.0,1_000\n", "rows"),
+            (f"{HEADER}\n\u0663,2,\u0663.\u0665,\u0667\n", "rows"),
+            (f"{HEADER}\n1,1,4.0,5\n\n1,2,3.5,7\n", "rows"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,3.5,7\n\n", "rows"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,3.5,7\r", "rows"),
+            (f"{HEADER}\n1,1,4.0,5\r1,2,3.5,7\n", "rows"),
+            (f"{HEADER}\r\n1,1,4.0,5\n1,2,3.5,7\r\n", "columns"),
+            (f"{HEADER}\n1,1,4e0,5\n", "rows"),
+            (f"{HEADER}\n1,1,4.0000000001,5\n1,2,3.4999999999,7\n", "columns"),
+            (f"{HEADER}\n1,1,3.4999999999999999,5\n1,2,0.50000000000000001,7\n", "columns"),
+            (f"{HEADER}\n1,1,4.000000000000000000000000000001,5\n", "columns"),
+            (f"userId, movieId,rating,timestamp\n1,1,4.0,5\n", "rows"),
+        ],
+    )
+    def test_same_catalog(self, tmp_path, text, path):
+        got = load_ratings(tmp_path, text)
+        assert got[0] == path
+        if path == "columns":  # held as columns, records not built yet
+            assert got[1]._ratings is None and got[1]._timestamp_column().dtype == np.int64
+        want = load_ratings(tmp_path, text, rows_only=True)
+        assert want[0] == "rows"
+        assert_same_catalog(got[1], want[1])
+
+    @pytest.mark.parametrize(
+        "text, line, fld, message",
+        [
+            (f"{HEADER}\n1,1,nan,5\n", 2, "rating", "out of scale"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,inf,5\n", 3, "rating", "out of scale"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,4.00000001,5\n", 3, "rating", "out of scale"),
+            (f"{HEADER}\n1,1,4.0,5\n2,9,4.0,5\n", 3, "movieId", "unknown movieId 9"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,4.3,5\n1,1,3.0,6\n", 3, "rating", "out of scale"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2,3.0,5\n1,1,3.0,6\n1,2,9.0,5\n", 4, None, "duplicate rating"),
+            (f"{HEADER}\n9999999999999999999,1,4.0,5\n", 2, "userId", "64-bit"),
+            (f"{HEADER}\n1,1,4.0,5\n1,2\n", 3, None, "expected 4 fields"),
+        ],
+    )
+    def test_same_first_error(self, tmp_path, text, line, fld, message):
+        got = load_ratings(tmp_path, text)
+        assert got == load_ratings(tmp_path, text, rows_only=True)
+        assert got[0] == "error" and message in got[1] and "ratings.csv" in got[1]
+        assert got[2:] == (line, fld)
+
+    def test_split_of_columns_equals_split_of_records(self, fixture_catalog):
+        records = replace(fixture_catalog, ratings=list(fixture_catalog.ratings))
+        huge = replace(records, ratings=[r._replace(timestamp=[None, 2**70][i % 2]) for i, r in enumerate(records.ratings)])
+        for catalog, other in ((load_fixture_catalog(), records), (huge, huge)):
+            for seed in range(3):
+                (train, test), (want_train, want_test) = (train_test_split(c, 0.3, seed) for c in (catalog, other))
+                assert test == want_test and repr(test) == repr(want_test)
+                assert_same_catalog(train, want_train)
+                assert train.implicit_columns is catalog.implicit_columns
+
+
+class TestImplicitColumns:
+    def test_equal_record_arrays_built_once_read_only(self, fixture_catalog):
+        catalog = load_fixture_catalog()
+        columns = catalog.implicit_columns
+        assert catalog.implicit_columns is columns
+        events = catalog.implicit
+        want = (
+            np.array([e.user_id for e in events], dtype=np.int64),
+            np.array([e.movie_id for e in events], dtype=np.int64),
+            np.array([1.0 if e.watched else 0.0 for e in events]),
+            np.array([e.watch_fraction for e in events]),
+            np.array([e.watch_count for e in events], dtype=np.int64),
+        )
+        for got, expected in zip(columns, want, strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
+
+    def test_not_part_of_equality_or_repr(self):
+        a, b = load_fixture_catalog(), load_fixture_catalog()
+        a.implicit_columns
+        assert a == b and repr(a) == repr(b)
+
+
+def recorded_builds(monkeypatch):
+    """The size of each list of Rating records built from columns."""
+    build, sizes = catalog_module._records, []
+
+    def spy(*args):
+        sizes.append(len(build(*args)))
+        return build(*args)
+
+    monkeypatch.setattr(catalog_module, "_records", spy)
+    return sizes
+
+
+class TestRecordsOnlyWhereRead:
+    def test_recommend_builds_none(self, monkeypatch):
+        catalog = load_fixture_catalog()
+        sizes = recorded_builds(monkeypatch)
+        recommend_hybrid(catalog, next(iter(catalog.movies.values())).title, PipelineConfig())
+        assert sizes == [] and catalog._ratings is None
+
+    def test_evaluate_builds_the_test_ratings_only(self, monkeypatch):
+        catalog = load_fixture_catalog()
+        split = SplitConfig()
+        _, test = train_test_split(load_fixture_catalog(), split.holdout_fraction, split.seed)
+        sizes = recorded_builds(monkeypatch)
+        evaluate_variants(catalog, VARIANTS, split=split)
+        assert sizes == [len(test)] and catalog._ratings is None
+
+    def test_stats_build_none(self, monkeypatch, capsys):
+        catalog = load_fixture_catalog()
+        sizes = recorded_builds(monkeypatch)
+        summary_stats(catalog)
+        assert cli.main(["stats"]) == 0 and cli.main(["load-check"]) == 0
+        assert "ratings=60" in capsys.readouterr().out
+        assert sizes == [] and catalog._ratings is None
+
+    def test_first_read_builds_every_record_once(self, monkeypatch):
+        catalog = load_fixture_catalog()
+        sizes = recorded_builds(monkeypatch)
+        assert catalog.ratings is catalog.ratings
+        assert sizes == [60]
 
 
 class TestLoadCatalog:

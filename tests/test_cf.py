@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cinefuse import cf
-from cinefuse.catalog import ImplicitEvent, Rating, RatingScale
+from cinefuse.catalog import ImplicitColumns, ImplicitEvent, Rating, RatingScale
 from cinefuse.cf import (
     SOURCE_EXPLICIT,
     SOURCE_IMPLICIT,
@@ -1175,7 +1175,9 @@ class TestImplicitAugmentation:
                 )
             ]
             events += events[: n // 3]  # the same events again, after others on their cells
-            assert_matrix_equals(augment_implicit(matrix, events), loop_augment_implicit(matrix, events))
+            want = loop_augment_implicit(matrix, events)
+            assert_matrix_equals(augment_implicit(matrix, events), want)
+            assert_matrix_equals(augment_implicit(matrix, ImplicitColumns.of(events)), want)
 
     def test_pseudo_rating_formula(self):
         matrix = make_matrix([[4.0, np.nan], [3.0, 2.0]])
