@@ -1,9 +1,10 @@
 """Hybrid movie recommendation engine.
 
-Collaborative filtering over a sparse rating matrix, content similarity
-over preprocessed plot summaries, and a normalized critic-consensus
-bonus, fused into one descending ranking. Includes GA/PSO similarity-
-weight tuning, fuzzy genre profiles, implicit-feedback densification,
+Collaborative filtering over a dense user x item rating matrix (a
+float64 per cell, NaN where unrated), content similarity over
+preprocessed plot summaries, and a normalized critic-consensus bonus,
+fused into one descending ranking. Includes GA/PSO similarity-weight
+tuning, fuzzy genre profiles, implicit-feedback densification,
 cold-start fallbacks, an MAE evaluation harness, and a CLI.
 """
 

@@ -1,6 +1,7 @@
 """Collaborative-filtering engine.
 
-Builds the sparse user x item rating matrix, computes pairwise similarity
+Builds the dense user x item rating matrix (a float64 per cell, NaN where
+unrated, plus a uint8 source flag), computes pairwise similarity
 matrices (pearson / cosine / jaccard, optionally feature-weighted), selects
 KNN neighborhoods, predicts unseen ratings by weighted deviation from the
 mean, and lists a seed movie's item-item candidates. Implicit events can
@@ -321,15 +322,15 @@ def _corated_blocks(a: _Axis, metric: str, pi: np.ndarray, pj: np.ndarray, pc: n
     The pairs come in ascending co-count `pc`, so every block keeps them in
     that order. A pair's co-rated cells are those of its sparser row that
     the other row rated too, ascending, read from the axis' CSR. A block
-    holds about _BLOCK_CELLS gathered cells (both rows' cells too, for
-    jaccard's union).
+    holds about _BLOCK_CELLS gathered cells (for jaccard, both rows' whole
+    rated masks too).
     """
     if not pi.size:
         return
     vals, mask, rated, indptr, indices = a.vals, a.mask, a.rated, a.indptr, a.indices
     union = metric == "jaccard"
     need = np.minimum(rated[pi], rated[pj])
-    for s, e in _runs(need + rated[pi] + rated[pj] if union else need):
+    for s, e in _runs(need + mask.shape[1] if union else need):
         i, j, counts = pi[s:e], pj[s:e], pc[s:e]
         src = np.where(rated[i] <= rated[j], i, j)
         pair, at = _rated_cells(indptr, src)
@@ -339,16 +340,12 @@ def _corated_blocks(a: _Axis, metric: str, pi: np.ndarray, pj: np.ndarray, pc: n
         pair, cols = pair.take(hit), cols.take(hit)
         merged = None
         if union:
-            # i's cells and those of j that i did not rate, pairs in
-            # ascending union size, columns ascending
+            # the columns either row rated, pairs in ascending union size,
+            # columns ascending: row-major nonzero of the masks' union
             sizes = rated[i] + rated[j] - counts
             by_size = np.argsort(sizes, kind="stable")
-            iu, ju = i.take(by_size), j.take(by_size)
-            (ri, ai), (rj, aj) = _rated_cells(indptr, iu), _rated_cells(indptr, ju)
-            ci, cj = indices.take(ai), indices.take(aj)
-            extra = np.flatnonzero(~_cells(mask, iu.take(rj), cj))
-            upair, ucols = np.concatenate((ri, rj.take(extra))), np.concatenate((ci, cj.take(extra)))
-            merged = (by_size, ucols[np.lexsort((ucols, upair))], _groups(sizes[by_size]))
+            ucols = np.nonzero(mask[i.take(by_size)] | mask[j.take(by_size)])[1]
+            merged = (by_size, ucols, _groups(sizes[by_size]))
         x, y = _cells(vals, i.take(pair), cols), _cells(vals, j.take(pair), cols)
         yield _Block(i, j, counts, _groups(counts), x, y, cols.astype(np.int32), merged)
 

@@ -277,6 +277,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    # the GA carries its elitism best members over, so it needs one more to breed
+    least = opt.GAConfig.elitism + 1
+    if args.method == "ga" and args.population < least:
+        raise UsageError(f"--population must be >= {least} for ga, got {args.population}")
     catalog = _load(args)
     train_cat, test = train_test_split(catalog, args.holdout, args.seed)
     matrix = build_rating_matrix(train_cat)

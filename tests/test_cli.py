@@ -411,6 +411,14 @@ class TestExitCodes:
         assert out == ""
         assert f"argument {flag}: must be >= 1" in err
 
+    @pytest.mark.parametrize("population", ["1", "2"])
+    def test_ga_population_below_three_is_usage_error(self, capsys, population):
+        code, out, err = run_cli(
+            capsys, "optimize-weights", "--method", "ga", "--population", population, "--out", "unused.txt"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --population must be >= 3 for ga, got {population}\n"
+
     def test_missing_weights_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"
         code, _, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(missing))
