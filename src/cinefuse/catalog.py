@@ -116,12 +116,9 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _records(columns: RatingColumns, timestamps: np.ndarray, index: np.ndarray | None = None) -> list[Rating]:
-    """Rating records from columns, all of them or those at `index`."""
-    fields = (*columns, timestamps)
-    if index is not None:
-        fields = [column.take(index) for column in fields]
-    return list(map(Rating, *(column.tolist() for column in fields)))
+def _records(columns: RatingColumns, timestamps: np.ndarray) -> list[Rating]:
+    """Rating records from columns and their timestamps."""
+    return list(map(Rating, *(column.tolist() for column in (*columns, timestamps))))
 
 
 class _Ratings:
@@ -577,8 +574,15 @@ def train_test_split(
     least one other rating in train, so every test rating's entities stay
     predictable. Train + test partition the original ratings exactly. The
     train catalog holds its ratings as columns and shares the parent's
-    implicit columns; the test records are built from the test rows' columns.
+    implicit columns. The test records, in catalog order, are built from
+    the test columns of _split, which evaluation and tuning read instead.
     """
+    train, test, timestamps = _split(catalog, holdout_fraction, seed)
+    return train, _records(test, timestamps)
+
+
+def _split(catalog: Catalog, holdout_fraction: float, seed: int) -> tuple[Catalog, RatingColumns, np.ndarray]:
+    """train_test_split with its test ratings as columns: (train, test, their timestamps)."""
     if not (0.0 < holdout_fraction < 1.0):
         raise CinefuseError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     columns = catalog.columns
@@ -609,4 +613,4 @@ def train_test_split(
     train = replace(catalog, ratings=None)
     train._hold(columns.where(in_train), _read_only(timestamps[in_train]))
     object.__setattr__(train, "_implicit_columns", catalog.implicit_columns)
-    return train, _records(columns, timestamps, np.flatnonzero(~in_train))
+    return train, columns.where(~in_train), timestamps[~in_train]

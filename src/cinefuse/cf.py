@@ -470,8 +470,8 @@ def _similarity_row(a: _Axis, metric: str, weighed, s: int, min_overlap: int) ->
     """Row `s` of similarity_matrix over axis `a` under `metric` and the
     _weigh output `weighed`, and its co-counts, with the same bits, from the
     pairs of s alone (_gather): each pair keeps its i < j orientation, and
-    the co-counts are counted, with no n x n co-count."""
-    co = np.count_nonzero(a.mask & a.mask[s], axis=1)
+    the co-counts are counted over s's rated columns, with no n x n one."""
+    co = np.count_nonzero(a.mask[:, a.indices[a.indptr[s] : a.indptr[s + 1]]], axis=1)
     other = np.flatnonzero(co >= min_overlap)
     other = other[other != s]
     other = other.take(np.argsort(co.take(other), kind="stable"))
@@ -517,6 +517,8 @@ class _Targets(NamedTuple):
 def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_ids) -> _Targets:
     """The _Targets of (user, movie) pairs for similarities on `axis` whose
     ids are `ids`, with `index` mapping each id to its position."""
+    # id arrays as lists: a dict finds Python ints faster than numpy scalars
+    user_ids, movie_ids = (v.tolist() if isinstance(v, np.ndarray) else v for v in (user_ids, movie_ids))
     ui = _positions(matrix.user_index, user_ids, "user")
     mj = _positions(matrix.item_index, movie_ids, "movie")
     if ui.size != mj.size:

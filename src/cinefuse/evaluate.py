@@ -1,14 +1,15 @@
 """Offline evaluation: MAE, precision@k, and the variant harness.
 
-All variants share one deterministic train/test split. The optimizer
-variants (ga_weighted, pso_fuzzy) tune their weights against the same
-held-out ratings the report scores, warm-started from uniform weights,
-so each report measures the improvement the optimizer can actually
-reach from the plain baseline rather than generalization to unseen
-data. Each variant scores every held-out rating with one call of a
-read-pairs predictor (cf._predictor), which computes only the
-similarities of each rating's user and the raters of its movie: no n x n
-similarity is made. Coverage counts the fraction of test ratings
+All variants share one deterministic train/test split, whose held-out
+ratings stay columns from the split (catalog._split) to the score: no
+Rating record is built. The optimizer variants (ga_weighted, pso_fuzzy)
+tune their weights against the same held-out ratings the report scores,
+warm-started from uniform weights, so each report measures the improvement
+the optimizer can actually reach from the plain baseline rather than
+generalization to unseen data. Each variant scores every held-out rating
+with one call of a read-pairs predictor (cf._predictor), which computes
+only the similarities of each rating's user and the raters of its movie:
+no n x n similarity is made. Coverage is the share of test ratings
 predicted without falling back to the user's mean.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Rating, train_test_split
+from .catalog import Catalog, Rating, _split
 from .cf import (
     DEFAULT_K,
     DEFAULT_LIKE_THRESHOLD,
@@ -65,11 +66,12 @@ class EvalReport:
 
 
 def mae(pairs) -> float:
-    """Mean absolute error over (predicted, actual) pairs."""
-    pairs = list(pairs)
-    if not pairs:
+    """Mean absolute error over (predicted, actual) pairs, summed left to
+    right (optimize._mae)."""
+    pairs = np.array(list(pairs), dtype=float)
+    if not pairs.size:
         raise CinefuseError("cannot compute MAE over an empty prediction list")
-    return sum(abs(p - a) for p, a in pairs) / len(pairs)
+    return _mae(pairs[:, 0], pairs[:, 1])
 
 
 def precision_at_k(
@@ -105,13 +107,6 @@ def precision_at_k(
     return sum(per_user) / len(per_user)
 
 
-def _score(values: np.ndarray, fallback: np.ndarray, test: list[Rating]) -> tuple[float, float]:
-    """(MAE, coverage) of the predictions `values`, with fallback flags
-    `fallback`, of the held-out ratings `test`."""
-    covered = len(test) - int(np.count_nonzero(fallback))
-    return _mae(values, np.array([r.value for r in test], dtype=float)), covered / len(test)
-
-
 def evaluate_variants(
     catalog: Catalog,
     variants,
@@ -135,18 +130,18 @@ def evaluate_variants(
     if n_ratings < MIN_EVAL_RATINGS:
         raise CinefuseError(f"evaluation needs at least {MIN_EVAL_RATINGS} ratings, got {n_ratings}")
     split = split or SplitConfig()
-    train_cat, test = train_test_split(catalog, split.holdout_fraction, split.seed)
-    if not test:
+    train_cat, test, _ = _split(catalog, split.holdout_fraction, split.seed)
+    n = len(test.user)
+    if not n:
         raise CinefuseError("split produced no held-out ratings; raise holdout_fraction")
     matrix = build_rating_matrix(train_cat)
-    users, movies = [r.user_id for r in test], [r.movie_id for r in test]
     # the user-axis pearson plan of the train matrix, built on first use,
     # shared by plain, the ga_weighted objective and its report, and freed
     # once no later variant reads it
     train_plan = functools.cache(lambda: _plan(matrix, "user", "pearson", DEFAULT_MIN_OVERLAP))
 
     def predict(scored: RatingMatrix, plan, weights=None):
-        return _predictor(scored, "user", plan, users, movies, k)(weights)
+        return _predictor(scored, "user", plan, test.user, test.movie, k)(weights)
 
     reports = []
     for at, variant in enumerate(variants):
@@ -174,6 +169,6 @@ def evaluate_variants(
             values, fallback = predict(scored, _plan(scored, "user", "pearson", DEFAULT_MIN_OVERLAP))
         if not {"plain", "ga_weighted"} & set(variants[at + 1 :]):
             train_plan.cache_clear()
-        m, cov = _score(values, fallback, test)
-        reports.append(EvalReport(variant, m, cov, time.perf_counter() - start, split.seed))
+        covered = n - int(np.count_nonzero(fallback))
+        reports.append(EvalReport(variant, _mae(values, test.value), covered / n, time.perf_counter() - start, split.seed))
     return reports

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .catalog import Catalog, Rating
+from .catalog import Catalog, Rating, RatingColumns
 from .cf import (
     DEFAULT_K,
     DEFAULT_MIN_OVERLAP,
@@ -302,14 +302,6 @@ def fuzzy_similarity_matrix(profiles: FuzzyProfiles, weights) -> SimilarityMatri
     return _fill(_fuzzy_plan(profiles), "user", "fuzzy", weights)
 
 
-def _subsample(validation: list[Rating]) -> list[Rating]:
-    if len(validation) <= VALIDATION_CAP:
-        return list(validation)
-    rng = np.random.default_rng(VALIDATION_CAP_SEED)
-    idx = sorted(rng.choice(len(validation), size=VALIDATION_CAP, replace=False))
-    return [validation[i] for i in idx]
-
-
 def _mae(values: np.ndarray, actual: np.ndarray) -> float:
     """Mean absolute error of predicted `values` against `actual` ratings,
     summed left to right from the first error, as a scalar loop from 0.0
@@ -317,26 +309,27 @@ def _mae(values: np.ndarray, actual: np.ndarray) -> float:
     return float(np.add.accumulate(np.abs(values - actual))[-1]) / values.size
 
 
-def _objective(matrix: RatingMatrix, axis: str, plan, validation: list[Rating], k: int):
+def _objective(matrix: RatingMatrix, axis: str, plan, validation: RatingColumns, k: int):
     """`weights -> validation MAE` for the similarities on `axis` of the
     plan `plan()` builds (cf._plan or _fuzzy_plan): a call scores
-    every held-out rating as predict_many would, fallback predictions
-    included. What no weight changes is done once, here, after the
-    arguments are checked: the plan is built, the validation set is
-    subsampled when it exceeds VALIDATION_CAP, and the sample's raters and
-    the pairs they read are gathered (cf._predictor)."""
+    every held-out rating of the columns `validation` as predict_many
+    would, fallback predictions included. What no weight changes is done
+    once, here, after the arguments are checked: the plan is built, the
+    validation set is subsampled when it exceeds VALIDATION_CAP, and the
+    sample's raters and the pairs they read are gathered (cf._predictor)."""
     require_positive("k", k)
-    if not validation:
+    if not len(validation.user):
         raise CinefuseError("empty validation set")
-    for r in validation:
-        if r.user_id not in matrix.user_index or r.movie_id not in matrix.item_index:
-            raise CinefuseError(
-                f"validation rating ({r.user_id}, {r.movie_id}) references entities absent from train"
-            )
-    sample = _subsample(validation)
-    predict = _predictor(matrix, axis, plan(), [r.user_id for r in sample], [r.movie_id for r in sample], k)
-    actual = np.array([r.value for r in sample], dtype=float)
-    return lambda weights: _mae(predict(weights)[0], actual)
+    for u, m in zip(validation.user.tolist(), validation.movie.tolist()):
+        if u not in matrix.user_index or m not in matrix.item_index:
+            raise CinefuseError(f"validation rating ({u}, {m}) references entities absent from train")
+    sample = validation
+    if len(validation.user) > VALIDATION_CAP:
+        keep = np.zeros(len(validation.user), dtype=bool)
+        keep[np.random.default_rng(VALIDATION_CAP_SEED).choice(keep.size, size=VALIDATION_CAP, replace=False)] = True
+        sample = validation.where(keep)
+    predict = _predictor(matrix, axis, plan(), sample.user, sample.movie, k)
+    return lambda weights: _mae(predict(weights)[0], sample.value)
 
 
 def cf_mae_objective(
@@ -347,10 +340,11 @@ def cf_mae_objective(
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ):
     """Objective: weights over the co-rated dimension -> validation MAE
-    under the weighted pearson similarity on `axis` (_objective). The
-    co-rated cells of the pairs the sample reads are gathered once
-    (cf._plan)."""
-    return _objective(train_matrix, axis, lambda: _plan(train_matrix, axis, "pearson", min_overlap), validation_ratings, k)
+    under the weighted pearson similarity on `axis` (_objective, over the
+    records as columns). The co-rated cells of the pairs the sample reads
+    are gathered once (cf._plan)."""
+    validation = RatingColumns.of(validation_ratings)
+    return _objective(train_matrix, axis, lambda: _plan(train_matrix, axis, "pearson", min_overlap), validation, k)
 
 
 def fuzzy_mae_objective(
@@ -360,9 +354,9 @@ def fuzzy_mae_objective(
     k: int = DEFAULT_K,
 ):
     """Objective: genre weights -> validation MAE under fuzzy user
-    similarity (_objective). The pairs the sample reads are found once
-    (_fuzzy_plan)."""
-    return _objective(train_matrix, "user", lambda: _fuzzy_plan(profiles), validation_ratings, k)
+    similarity (_objective, over the records as columns). The pairs the
+    sample reads are found once (_fuzzy_plan)."""
+    return _objective(train_matrix, "user", lambda: _fuzzy_plan(profiles), RatingColumns.of(validation_ratings), k)
 
 
 def save_weights(wv: WeightVector, path, seed: int, objective_value: float) -> None:

@@ -22,7 +22,7 @@ from cinefuse.catalog import (
 )
 from cinefuse.cli import FIXTURE_DIR
 from cinefuse.errors import CinefuseError, DataFormatError, UnknownEntityError
-from cinefuse.evaluate import VARIANTS, SplitConfig, evaluate_variants
+from cinefuse.evaluate import VARIANTS, evaluate_variants
 from cinefuse.ranker import PipelineConfig, recommend_hybrid
 
 from conftest import load_fixture_catalog, tiny_catalog
@@ -349,13 +349,19 @@ class TestRecordsOnlyWhereRead:
         recommend_hybrid(catalog, next(iter(catalog.movies.values())).title, PipelineConfig())
         assert sizes == [] and catalog._ratings is None
 
-    def test_evaluate_builds_the_test_ratings_only(self, monkeypatch):
+    def test_evaluate_builds_none(self, monkeypatch):
         catalog = load_fixture_catalog()
-        split = SplitConfig()
-        _, test = train_test_split(load_fixture_catalog(), split.holdout_fraction, split.seed)
         sizes = recorded_builds(monkeypatch)
-        evaluate_variants(catalog, VARIANTS, split=split)
-        assert sizes == [len(test)] and catalog._ratings is None
+        evaluate_variants(catalog, VARIANTS)
+        assert sizes == [] and catalog._ratings is None
+
+    @pytest.mark.parametrize("budget", [("ga", "--population", "3", "--generations", "1"),
+                                        ("pso", "--particles", "2", "--iterations", "1")])
+    def test_optimize_weights_builds_the_test_ratings_only(self, monkeypatch, tmp_path, capsys, budget):
+        _, test = train_test_split(load_fixture_catalog(), 0.2, 0)
+        sizes = recorded_builds(monkeypatch)
+        assert cli.main(["optimize-weights", "--method", *budget, "--out", str(tmp_path / "w.txt")]) == 0
+        assert sizes == [len(test)]
 
     def test_stats_build_none(self, monkeypatch, capsys):
         catalog = load_fixture_catalog()

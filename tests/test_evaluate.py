@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cinefuse import cf, optimize
-from cinefuse.catalog import Rating, train_test_split
+from cinefuse.catalog import Rating, RatingColumns, train_test_split
 from cinefuse.cf import (
     DEFAULT_K,
     augment_implicit,
@@ -21,7 +21,6 @@ from cinefuse.evaluate import (
     VARIANTS,
     EvalReport,
     SplitConfig,
-    _score,
     evaluate_variants,
     mae,
     precision_at_k,
@@ -51,6 +50,16 @@ class TestMae:
         truth = rng.uniform(0.5, 5.0, size=40)
         pairs = list(zip(pred, truth))
         assert mae(pairs) == pytest.approx(float(np.abs(pred - truth).mean()), abs=1e-12)
+
+    def test_equals_scalar_sum_bit_for_bit(self):
+        # the one MAE summation adds the errors left to right from the
+        # first, as a scalar sum from 0 does
+        rng = np.random.default_rng(21)
+        for n in [1, 2, 3, 20_000, *rng.integers(1, 20_001, size=40).tolist()]:
+            pred = rng.uniform(0.5, 5.0, size=n).tolist()
+            truth = (rng.integers(1, 11, size=n) / 2.0).tolist()
+            pairs = list(zip(pred, truth))
+            assert mae(pairs) == sum(abs(p - a) for p, a in pairs) / len(pairs), n
 
 
 class TestPrecisionAtK:
@@ -137,8 +146,11 @@ class TestBatchedScoringBitwise:
     def test_score_equals_per_pair_loop(self, fixture_catalog):
         for matrix, sim, test in scored_splits(fixture_catalog):
             for k in (1, 3, 20):
-                values, fallback = predict_many(matrix, sim, [r.user_id for r in test], [r.movie_id for r in test], k)
-                assert _score(values, fallback, test) == loop_score(matrix, sim, test, k)
+                # as evaluate_variants scores its held-out columns
+                held = RatingColumns.of(test)
+                values, fallback = predict_many(matrix, sim, held.user, held.movie, k)
+                coverage = (len(test) - int(np.count_nonzero(fallback))) / len(test)
+                assert (optimize._mae(values, held.value), coverage) == loop_score(matrix, sim, test, k)
 
     def test_precision_equals_per_pair_loop(self, fixture_catalog):
         for matrix, sim, test in scored_splits(fixture_catalog):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cinefuse import cf, optimize
-from cinefuse.catalog import Movie, Rating, train_test_split
+from cinefuse.catalog import Movie, Rating, RatingColumns, train_test_split
 from cinefuse.cf import _plan, build_rating_matrix, predict_rating, similarity_matrix
 from cinefuse.errors import CinefuseError, DataFormatError
 from cinefuse.optimize import (
@@ -388,7 +388,8 @@ class TestObjectivesBitwise:
                 w = rng.uniform(0.0, 2.0, d)
                 sim = fresh(w)
                 for k in (1, 4, 20):
-                    assert _objective(matrix, axis, plan, test, k)(w) == loop_sample_mae(matrix, sim, test, k)
+                    objective = _objective(matrix, axis, plan, RatingColumns.of(test), k)
+                    assert objective(w) == loop_sample_mae(matrix, sim, test, k)
 
     def test_objectives_equal_per_pair_loop(self, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.3, seed=2)
