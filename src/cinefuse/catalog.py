@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CinefuseError, DataFormatError, UnknownEntityError
+from .errors import CinefuseError, DataFormatError, UnknownEntityError, not_utf8
 
 
 @dataclass(frozen=True)
@@ -256,27 +256,29 @@ def _read_rows(path, expected_header):
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot open: {exc}", path=path) from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file, expected header", path=path, line=1) from None
-        if [h.strip() for h in header] != expected_header:
-            raise DataFormatError(
-                f"bad header {header!r}, expected {expected_header!r}", path=path, line=1
-            )
-        rows = []
-        for row in reader:
-            if len(row) != len(expected_header):
-                if not row:
-                    continue
+    rows = []
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError("empty file, expected header", path=path, line=1)
+            if [h.strip() for h in header] != expected_header:
                 raise DataFormatError(
-                    f"expected {len(expected_header)} fields, got {len(row)}",
-                    path=path,
-                    line=reader.line_num,
+                    f"bad header {header!r}, expected {expected_header!r}", path=path, line=1
                 )
-            rows.append((reader.line_num, row))
+            for row in reader:
+                if len(row) != len(expected_header):
+                    if not row:
+                        continue
+                    raise DataFormatError(
+                        f"expected {len(expected_header)} fields, got {len(row)}",
+                        path=path,
+                        line=reader.line_num,
+                    )
+                rows.append((reader.line_num, row))
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return rows
 
 

@@ -514,9 +514,10 @@ class _Targets(NamedTuple):
     dev: np.ndarray
 
 
-def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_ids) -> _Targets:
+def _targets(matrix: RatingMatrix, axis: str, ids, user_ids, movie_ids) -> _Targets:
     """The _Targets of (user, movie) pairs for similarities on `axis` whose
-    ids are `ids`, with `index` mapping each id to its position."""
+    ids are `ids`: a target's position is its matrix position when those
+    are the matrix axis' ids, else its position in `ids`."""
     # id arrays as lists: a dict finds Python ints faster than numpy scalars
     user_ids, movie_ids = (v.tolist() if isinstance(v, np.ndarray) else v for v in (user_ids, movie_ids))
     ui = _positions(matrix.user_index, user_ids, "user")
@@ -524,12 +525,11 @@ def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_
     if ui.size != mj.size:
         raise CinefuseError(f"{ui.size} user ids but {mj.size} movie ids")
     if axis == "user":
-        target_ids, targets, other, means = user_ids, ui, mj, matrix.user_means
+        target_ids, pos, other, means = user_ids, ui, mj, matrix.user_means
         axis_index, axis_ids, grid = matrix.user_index, matrix.user_ids, matrix.values.T
     else:
-        target_ids, targets, other, means = movie_ids, mj, ui, matrix.item_means
+        target_ids, pos, other, means = movie_ids, mj, ui, matrix.item_means
         axis_index, axis_ids, grid = matrix.item_index, matrix.item_ids, matrix.values
-    pos = _positions(index, target_ids, f"similarity {axis}")
     others, other = np.unique(other, return_inverse=True)
     # the rated cells of the other entities' rows, a block of at most
     # _BLOCK_CELLS cells at a time, so one pair reads one row
@@ -537,49 +537,57 @@ def _targets(matrix: RatingMatrix, axis: str, ids, index: dict, user_ids, movie_
     rated = [~np.isnan(grid[others[a : a + step]]) for a in range(0, max(others.size, 1), step)]
     o, m = np.nonzero(np.concatenate(rated))
     dev = grid[others[o], m] - means[m]
+    base = means[pos]
     if ids != axis_ids:
+        # each matrix position's similarity position, -1 where it has none
         sim_of = np.full(len(axis_ids), -1)
         sim_of[_positions(axis_index, ids, f"matrix {axis}")] = np.arange(len(ids))
-        m = sim_of[m]
+        pos, m = sim_of.take(pos), sim_of[m]
+        if pos.min(initial=0) < 0:
+            raise UnknownEntityError(f"unknown similarity {axis} id {target_ids[int(pos.argmin())]}")
     indptr = np.searchsorted(o, np.arange(others.size + 1))
-    return _Targets(pos, means[targets], other, indptr, m.astype(np.int32), dev)
+    return _Targets(pos, base, other, indptr, m.astype(np.int32), dev)
 
 
 class _Raters(NamedTuple):
     """What no similarity value changes in the predictions of a run of
-    pairs: each pair's target position `pos` and mean `base` (_Targets)
-    and number `counts` of eligible raters, and those raters
-    pair after pair, as int32 similarity positions `cols` and deviations
-    `dev` (rating minus mean). Once each pair's raters are sorted by
-    neighbor rank, `first` (int32) are the positions of each pair's first
-    k and `first_pair` their pair."""
+    pairs: each pair's target mean `base` (_Targets) and number `counts` of
+    eligible raters, and those raters pair after pair, in matrix order,
+    which is id order, as int32 similarity positions `cols`, deviations
+    `dev` (rating minus mean) and the `key` of the pair each reads (_raters).
+    Once each pair's raters are sorted by neighbor rank, `first` (int32)
+    are the positions of each pair's first k and `first_pair` their pair."""
 
-    pos: np.ndarray
     base: np.ndarray
     counts: np.ndarray
     cols: np.ndarray
     dev: np.ndarray
     first: np.ndarray
     first_pair: np.ndarray
+    key: np.ndarray | None
 
 
-def _raters(t: _Targets, co: np.ndarray, k: int):
-    """(start, end, _Raters) of the pairs of `t`, for similarities with
-    co-counts `co` and k neighbors, in _runs of the pairs' rater cells. A
-    rater is eligible when the similarity holds it, shares a co-count with
-    the target and is not the target."""
+def _raters(t: _Targets, plan: _Plan, k: int):
+    """(start, end, _Raters) of the pairs of `t`, for similarities of `plan`
+    and k neighbors, in _runs of the pairs' rater cells. A rater is eligible
+    when the similarity holds it, shares a co-count with the target and is
+    not the target. Its (target, rater) pair is keyed target * n + rater
+    (i * n + j, i < j, for a symmetric plan), or n * n below min_overlap."""
+    co, n = plan.co, len(plan.ids)
     for a, b in _runs(np.diff(t.indptr)[t.other]):
-        pos = t.pos[a:b]
         pair, at = _rated_cells(t.indptr, t.other[a:b])
-        cols, target = t.cols.take(at), pos.take(pair)
+        cols, target = t.cols.take(at), t.pos[a:b].take(pair)
         # a column of -1 reads a cell of the row before, or co's last cell,
         # in range either way; `cols >= 0` drops it
-        keep = np.flatnonzero((cols >= 0) & (cols != target) & (_cells(co, target, cols) > 0))
-        pair, cols, at = pair.take(keep), cols.take(keep), at.take(keep)
+        shared = _cells(co, target, cols)
+        keep = np.flatnonzero((cols >= 0) & (cols != target) & (shared > 0))
+        pair, cols, at, target = pair.take(keep), cols.take(keep), at.take(keep), target.take(keep)
         counts = np.bincount(pair, minlength=b - a)
         slot = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
         first = np.flatnonzero(slot < k)
-        yield a, b, _Raters(pos, t.base[a:b], counts, cols, t.dev[at], first.astype(np.int32), pair[first])
+        key = np.minimum(target, cols) * n + np.maximum(target, cols) if plan.symmetric else target * n + cols
+        key[shared.take(keep) < plan.min_overlap] = n * n
+        yield a, b, _Raters(t.base[a:b], counts, cols, t.dev[at], first.astype(np.int32), pair[first], key)
 
 
 def _by_rank(rows: np.ndarray, by_id: np.ndarray) -> np.ndarray:
@@ -662,24 +670,10 @@ def _predictor(matrix: RatingMatrix, axis: str, plan, user_ids, movie_ids, k: in
     gather again, a block at a time, so memory stays bounded.
     """
     require_positive("k", k)
-    weigh, gather, ids, co, min_overlap, symmetric = plan
+    weigh, gather, ids, co, _, _ = plan
     n = len(ids)
-    axis_ids, index = (matrix.user_ids, matrix.user_index) if axis == "user" else (matrix.item_ids, matrix.item_index)
-    if ids != axis_ids:
-        index = {e: p for p, e in enumerate(ids)}
-    t = _targets(matrix, axis, ids, index, user_ids, movie_ids)
+    t = _targets(matrix, axis, ids, user_ids, movie_ids)
     hold = int(np.diff(t.indptr).take(t.other).sum()) <= _HELD_CELLS
-
-    def keyed():
-        """(start, end, _Raters, keys) of each _raters run, each pair's
-        raters in matrix order, which is id order: each rater cell's
-        (target, rater) pair at target * n + rater (i * n + j, i < j, for a
-        symmetric plan), or at n * n when below min_overlap."""
-        for a, b, g in _raters(t, co, k):
-            target = g.pos.take(np.repeat(np.arange(g.counts.size), g.counts))
-            key = np.minimum(target, g.cols) * n + np.maximum(target, g.cols) if symmetric else target * n + g.cols
-            key[_cells(co, target, g.cols) < min_overlap] = n * n
-            yield a, b, g, key
 
     # each position is marked where first read, then holds its slot. A
     # block's new positions are those whose mark is still their own, one
@@ -688,30 +682,31 @@ def _predictor(matrix: RatingMatrix, axis: str, plan, user_ids, movie_ids, k: in
     # co-count
     slot = np.zeros(n * n + 1, dtype=np.int32)
     found, held = [], []
-    for block in keyed():
-        new = block[3].take(np.flatnonzero(slot.take(block[3]) == 0))
+    for a, b, g in _raters(t, plan, k):
+        new = g.key.take(np.flatnonzero(slot.take(g.key) == 0))
         mark = np.arange(1, new.size + 1, dtype=np.int32)
         slot[new] = mark
         found.append(new.take(np.flatnonzero(slot.take(new) == mark)))
         if hold:
-            held.append(block)
+            held.append((a, b, g))
     pairs = np.sort(np.concatenate(found))
-    pairs = pairs[pairs < n * n]
-    pairs = pairs.take(np.argsort(_cells(co, pairs // n, pairs % n), kind="stable"))
-    slot[pairs] = np.arange(pairs.size)
-    slot[-1] = pairs.size
+    i, j = np.divmod(pairs[pairs < n * n], n)
+    counts = _cells(co, i, j)
+    by_count = np.argsort(counts, kind="stable")
+    i, j, counts = i.take(by_count), j.take(by_count), counts.take(by_count)
+    del pairs, by_count  # unused past here; freeing them before the gather lowers its peak
+    slot[i * n + j] = np.arange(i.size)
+    slot[-1] = i.size
     if hold:
-        held = [(a, b, g, slot.take(key)) for a, b, g, key in held]
+        held = [(a, b, g._replace(key=None), slot.take(g.key)) for a, b, g in held]  # slots held, keys dropped
         slot = None  # unused past here; freeing it before the gather lowers its peak
-    i = pairs // n
-    j = pairs - i * n
-    run = gather(i, j, _cells(co, i, j), hold)
+    run = gather(i, j, counts, hold)
 
     def predict(weights) -> tuple[np.ndarray, np.ndarray]:
         sims = run(weigh(weights))
         rank = _desc_ranks(sims)
         values, fallback = np.empty(t.pos.size), np.empty(t.pos.size, dtype=bool)
-        for a, b, g, at in held if hold else ((a, b, g, slot.take(key)) for a, b, g, key in keyed()):
+        for a, b, g, at in held if hold else ((a, b, g, slot.take(g.key)) for a, b, g in _raters(t, plan, k)):
             values[a:b], fallback[a:b] = _predict(matrix.scale, g, rank.take(at), sims.size, sims, at)
         return values, fallback
 

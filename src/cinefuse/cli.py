@@ -25,7 +25,7 @@ from . import evaluate as ev
 from . import optimize as opt
 from .catalog import Movie, load_catalog, summary_stats, train_test_split
 from .cf import build_rating_matrix
-from .errors import CinefuseError
+from .errors import CinefuseError, not_utf8
 from .ranker import PipelineConfig, cold_start_item, cold_start_user, fit_hybrid, recommend_hybrid
 from .textpipe import load_precomputed
 
@@ -130,6 +130,8 @@ def _read_config(path: str) -> list[tuple[str, str]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CinefuseError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path, text_lines=True) from None
     pairs = []
     for i, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

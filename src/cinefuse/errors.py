@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the check on count arguments."""
+"""Exception types shared across the package, the error of a file that is
+not UTF-8, and the check on count arguments."""
+
+from pathlib import Path
 
 
 class CinefuseError(Exception):
@@ -24,6 +27,23 @@ class DataFormatError(CinefuseError):
         self.path = path
         self.line = line
         self.field = field
+
+
+def not_utf8(path, text_lines: bool = False) -> DataFormatError:
+    """The DataFormatError of a file that fails to decode as UTF-8, naming
+    the line of its first bad byte. Called only once a decode has failed,
+    it reads the file again as bytes, so a file that loads pays nothing.
+    Lines end where its reader ends them: at LF, CRLF or CR for a file read
+    line by line, and also at the other separators of str.splitlines for a
+    file split as text (`text_lines`)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        head = head.decode("utf-8") + "." if text_lines else head + b"."
+        return DataFormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}", path=path, line=len(head.splitlines()))
+    return DataFormatError("not UTF-8", path=path)  # the file changed since the failed decode
 
 
 class UnknownEntityError(CinefuseError):

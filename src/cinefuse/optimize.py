@@ -36,7 +36,7 @@ from .cf import (
     _runs,
     _weight_vector,
 )
-from .errors import CinefuseError, DataFormatError, require_positive
+from .errors import CinefuseError, DataFormatError, not_utf8, require_positive
 
 # Objectives score at most this many validation ratings, a sample drawn with
 # this seed, so one evaluation's cost does not grow with the held-out set.
@@ -370,8 +370,11 @@ def save_weights(wv: WeightVector, path, seed: int, objective_value: float) -> N
 def load_weights(path) -> tuple[WeightVector, int, float]:
     """The weights, seed and objective value of a save_weights file; a
     weight that is not a finite number raises, naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     if not lines or not lines[0][1].startswith("#"):
         raise CinefuseError(f"weight file {path} lacks a header line")
     try:

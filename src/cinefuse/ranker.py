@@ -19,6 +19,7 @@ ratings is surfaced next to the top-rated movies sharing a genre.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,9 @@ class HybridModel:
     similarity row needs. A seed's candidate pool, its co-counted neighbors
     (similarity desc, id asc) cut at the candidate pool, is computed from
     its row on its first request and memoised; so is each movie's
-    embedding. No similarity beyond one row at a time is held.
+    embedding. No similarity beyond one row at a time is held. `_catalog`
+    is a weak reference to the catalog it was fitted on, so a model
+    memoised on its catalog forms no reference cycle.
     """
 
     key: tuple[str, int, int]  # (metric, min_overlap, candidate_pool) of the fit
@@ -89,6 +92,7 @@ class HybridModel:
     weights: tuple  # (w, norms) of cf._weigh
     provider: object  # anything with `vector(movie)`
     consensus: dict[int, CriticConsensus]
+    _catalog: weakref.ref = field(repr=False)
     _pools: dict[int, tuple[int, ...]] = field(init=False, repr=False, default_factory=dict)
     _vectors: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
@@ -124,7 +128,7 @@ def fit_hybrid(catalog: Catalog, config: PipelineConfig, provider=None, weights=
     if provider is None:
         texts = [m.summary if m.summary else m.title for _, m in sorted(catalog.movies.items())]
         provider = textpipe.fit_tfidf(texts)
-    return HybridModel(_fit_key(config), items, weights, provider, consensus_map(catalog))
+    return HybridModel(_fit_key(config), items, weights, provider, consensus_map(catalog), weakref.ref(catalog))
 
 
 def recommend_hybrid(
@@ -137,7 +141,8 @@ def recommend_hybrid(
 
     Without `model`, ranks from the model memoised on the catalog for the
     config's metric, min_overlap and candidate_pool, fitted on first use,
-    so repeated calls on one catalog fit once.
+    so repeated calls on one catalog fit once. A `model` must have been
+    fitted on this catalog object for those three fields.
     """
     config = config or PipelineConfig()
     try:
@@ -156,6 +161,8 @@ def recommend_hybrid(
         raise CinefuseError(
             f"model fitted for (metric, min_overlap, candidate_pool) = {model.key}, config asks {key}"
         )
+    elif model._catalog() is not catalog:
+        raise CinefuseError("model fitted on another catalog")
 
     seed = catalog.movies[seed_id]
     pool = model.pool(seed_id)

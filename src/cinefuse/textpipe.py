@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import Movie
-from .errors import CinefuseError, DataFormatError, UnknownEntityError
+from .errors import CinefuseError, DataFormatError, UnknownEntityError, not_utf8
 from .porter import stem as porter_stem
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -182,8 +182,11 @@ class PrecomputedProvider:
 def load_precomputed(path) -> PrecomputedProvider:
     """Read `dim=<D>` then one `movieId<TAB>f1 f2 ...` row per movie."""
     path = str(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise not_utf8(path, text_lines=True) from None
     if not lines or not lines[0].startswith("dim="):
         raise DataFormatError("first line must be 'dim=<D>'", path=path, line=1)
     try:

@@ -512,6 +512,32 @@ class TestLoadCatalog:
         with pytest.raises(DataFormatError, match="watched"):
             load_catalog(movies, ratings, reviews, implicit_path=implicit)
 
+    @pytest.mark.parametrize("line", [1, 3])
+    @pytest.mark.parametrize("name", ["movies.csv", "ratings.csv", "reviews.csv", "implicit.csv"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, name, line):
+        names = ("movies.csv", "ratings.csv", "reviews.csv", "implicit.csv")
+        for n in names:
+            (tmp_path / n).write_bytes((FIXTURE_DIR / n).read_bytes())
+        lines = (tmp_path / name).read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:1] + b"\xff" + lines[line - 1][1:]
+        (tmp_path / name).write_bytes(b"\n".join(lines))
+        movies, ratings, reviews, implicit = (tmp_path / n for n in names)
+        with pytest.raises(DataFormatError) as err:
+            load_catalog(movies, ratings, reviews, implicit_path=implicit)
+        assert str(err.value) == f"{tmp_path / name}, line {line}: not UTF-8: byte 0xff"
+
+    def test_non_utf8_line_counted_as_the_reader_counts(self, tmp_path):
+        # past the text reader's first 8 KiB, after CRLF endings and a quoted
+        # summary over two lines: movie m >= 2 is on line m + 2
+        rows = ["movieId,title,genres,year,summary", '1,One,Drama,2000,"two\r\nlines"']
+        rows += [f"{m},Movie {m},Drama,2000,a plain summary of movie {m}" for m in range(2, 400)]
+        data = "\r\n".join(rows).encode().replace(b"Movie 300,", b"Movie \xe9,")
+        movies = tmp_path / "m.csv"
+        movies.write_bytes(data)
+        assert data.index(b"\xe9") > 8192
+        with pytest.raises(DataFormatError, match=r"m\.csv, line 302: not UTF-8: byte 0xe9$"):
+            load_catalog(movies, tmp_path / "r.csv", tmp_path / "v.csv")
+
     def test_review_title_mismatch_dropped_not_fatal(self, fixture_catalog):
         reviewed = {r.movie_id for r in fixture_catalog.reviews}
         assert 999 not in reviewed

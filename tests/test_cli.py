@@ -36,6 +36,32 @@ class TestLoadCheck:
         assert "error" in err
 
 
+class TestNonUtf8Files:
+    # each file the CLI reads names the file and line of its first byte that
+    # is not UTF-8, counting lines as its reader does: the config and the
+    # embeddings split as text (a form feed ends a line), the weights line by
+    # line (so does a lone CR)
+    FILES = {
+        "movies": (("load-check", "--movies"), b"movieId,title,genres,year,summary\n1,One,Drama,,x\n2,T\xffo,,,\n", 3),
+        "config": (("recommend", "--seed", "Northern Lights", "--config"), b"n=5\x0cformat=tuples\n# \xff\n", 3),
+        "weights": (("recommend", "--seed", "Northern Lights", "--weights"), b"# provenance=ga\n1.0\r1.0\n\xff\n", 4),
+        "embeddings": (
+            ("recommend", "--seed", "Northern Lights", "--provider", "precomputed", "--embeddings"),
+            b"dim=2\n1\t0.5 0.5\n2\t0.5 0\xff\n",
+            3,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_error_names_file_and_line(self, capsys, tmp_path, name):
+        argv, data, line = self.FILES[name]
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}, line {line}: not UTF-8: byte 0xff\n"
+
+
 class TestStats:
     def test_sections_present(self, capsys):
         code, out, _ = run_cli(capsys, "stats")

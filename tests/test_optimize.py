@@ -498,6 +498,31 @@ class TestObjectivesHeldPlan:
             objective(np.ones(len(train.genre_universe())))
         assert calls == {"co": 2, "positions": 2, "raters": 2, "gather": 1, "all pairs": 0}
 
+    def test_ids_looked_up_once_per_build(self, monkeypatch, fixture_catalog):
+        # one _positions call for the pairs' users and one for their movies;
+        # a target's similarity position is its matrix position, since these
+        # plans' ids are the matrix axis ids
+        train, test = train_test_split(fixture_catalog, 0.3, seed=4)
+        matrix = build_rating_matrix(train)
+        profiles = build_fuzzy_profiles(train)
+        looked_up = []
+
+        def counted(index, ids, what, positions=cf._positions):
+            looked_up.append(what)
+            return positions(index, ids, what)
+
+        monkeypatch.setattr(cf, "_positions", counted)
+        for build in (
+            lambda: cf_mae_objective(matrix, test, axis="user"),
+            lambda: cf_mae_objective(matrix, test, axis="item"),
+            lambda: fuzzy_mae_objective(matrix, profiles, test),
+        ):
+            looked_up.clear()
+            objective = build()
+            assert looked_up == ["user", "movie"]
+            objective(None)
+            assert looked_up == ["user", "movie"]
+
     def test_objectives_past_the_held_cells_walk_raters_on_each_call(self, monkeypatch, fixture_catalog):
         train, test = train_test_split(fixture_catalog, 0.3, seed=4)
         matrix = build_rating_matrix(train)

@@ -1,5 +1,7 @@
 """Hybrid recommendation assembly, fusion arithmetic, and cold-start paths."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -188,6 +190,29 @@ class TestModelMemo:
     def test_model_for_other_fit_fields_rejected(self, pipeline):
         with pytest.raises(CinefuseError, match="candidate_pool"):
             run(pipeline, "Northern Lights", candidate_pool=50)
+
+    def test_model_fitted_on_another_catalog_rejected(self, pipeline):
+        # an equal catalog is another catalog too: the model names the one
+        # it was fitted on, by identity
+        cat, model = pipeline
+        for other in (train_test_split(cat, 0.2, seed=3)[0], load_fixture_catalog()):
+            with pytest.raises(CinefuseError, match="model fitted on another catalog"):
+                recommend_hybrid(other, "Northern Lights", PipelineConfig(), model)
+
+    def test_memoised_model_leaves_its_catalog_to_reference_counting(self):
+        # no cycle: the catalog goes as its last reference does, collector paused
+        cat = load_fixture_catalog()
+        recommend_hybrid(cat, "Northern Lights")
+        assert len(cat._models) == 1
+        ref = weakref.ref(cat)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cat
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_vectors_embedded_only_for_ranked_movies(self, fixture_catalog):
         model = fit_hybrid(fixture_catalog, PipelineConfig())
