@@ -43,8 +43,7 @@ class RatingScale:
         return min(self.max, max(self.min, value))
 
 
-@dataclass(frozen=True)
-class Movie:
+class Movie(NamedTuple):
     movie_id: int
     title: str
     genres: frozenset[str]
@@ -59,8 +58,7 @@ class Rating(NamedTuple):
     timestamp: int | None = None
 
 
-@dataclass(frozen=True)
-class CriticReview:
+class CriticReview(NamedTuple):
     movie_id: int
     source: str
     review_text: str

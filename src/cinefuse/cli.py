@@ -25,7 +25,7 @@ from . import evaluate as ev
 from . import optimize as opt
 from .catalog import Movie, load_catalog, summary_stats, train_test_split
 from .cf import build_rating_matrix
-from .errors import CinefuseError, not_utf8
+from .errors import CinefuseError, text_lines
 from .ranker import PipelineConfig, cold_start_item, cold_start_user, fit_hybrid, recommend_hybrid
 from .textpipe import load_precomputed
 
@@ -127,13 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> list[tuple[str, str]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = text_lines(path)
     except OSError as exc:
         raise CinefuseError(f"cannot read config file {path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise not_utf8(path, text_lines=True) from None
     pairs = []
-    for i, raw in enumerate(text.splitlines(), 1):
+    for i, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

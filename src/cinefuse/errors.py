@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the error of a file that is
-not UTF-8, and the check on count arguments."""
+"""Shared exception types, the line reader of every text file but the CSVs,
+the error of a file that is not UTF-8, and the check on count arguments."""
 
 from pathlib import Path
 
@@ -29,20 +29,29 @@ class DataFormatError(CinefuseError):
         self.field = field
 
 
-def not_utf8(path, text_lines: bool = False) -> DataFormatError:
+def text_lines(path) -> list[tuple[int, str]]:
+    """Each line of the UTF-8 file at `path`, numbered from 1, without its
+    line ending. Lines end at LF, CRLF or CR only, as the CSV reader ends
+    records and as `not_utf8` counts them. A bad byte raises `not_utf8`; an
+    OSError propagates, for the caller to name the file its own way."""
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines: each ending reads as LF
+            return [(i, line.rstrip("\n")) for i, line in enumerate(fh, 1)]
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
+def not_utf8(path) -> DataFormatError:
     """The DataFormatError of a file that fails to decode as UTF-8, naming
-    the line of its first bad byte. Called only once a decode has failed,
-    it reads the file again as bytes, so a file that loads pays nothing.
-    Lines end where its reader ends them: at LF, CRLF or CR for a file read
-    line by line, and also at the other separators of str.splitlines for a
-    file split as text (`text_lines`)."""
+    the line of its first bad byte, where lines end at LF, CRLF or CR. Called
+    only once a decode has failed, it reads the file again as bytes, so a
+    file that loads pays nothing."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        head = head.decode("utf-8") + "." if text_lines else head + b"."
-        return DataFormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}", path=path, line=len(head.splitlines()))
+        line = len((data[: exc.start] + b".").splitlines())
+        return DataFormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}", path=path, line=line)
     return DataFormatError("not UTF-8", path=path)  # the file changed since the failed decode
 
 

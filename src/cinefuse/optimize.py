@@ -36,7 +36,7 @@ from .cf import (
     _runs,
     _weight_vector,
 )
-from .errors import CinefuseError, DataFormatError, not_utf8, require_positive
+from .errors import CinefuseError, DataFormatError, require_positive, text_lines
 
 # Objectives score at most this many validation ratings, a sample drawn with
 # this seed, so one evaluation's cost does not grow with the held-out set.
@@ -369,12 +369,8 @@ def save_weights(wv: WeightVector, path, seed: int, objective_value: float) -> N
 
 def load_weights(path) -> tuple[WeightVector, int, float]:
     """The weights, seed and objective value of a save_weights file; a
-    weight that is not a finite number raises, naming the file and line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    weight that is negative or not finite raises, naming the file and line."""
+    lines = [(i, ln.strip()) for i, ln in text_lines(path) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
         raise CinefuseError(f"weight file {path} lacks a header line")
     try:
@@ -388,4 +384,6 @@ def load_weights(path) -> tuple[WeightVector, int, float]:
     for (i, ln), v in zip(lines[1:], values):
         if not math.isfinite(v):
             raise DataFormatError(f"non-finite weight {ln!r}", path=path, line=i)
+        if v < 0:
+            raise DataFormatError(f"negative weight {ln!r}", path=path, line=i)
     return WeightVector(values, provenance), seed, objective

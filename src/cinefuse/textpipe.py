@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import Movie
-from .errors import CinefuseError, DataFormatError, UnknownEntityError, not_utf8
+from .errors import CinefuseError, DataFormatError, UnknownEntityError, text_lines
 from .porter import stem as porter_stem
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -39,7 +39,7 @@ def stopword_set() -> frozenset:
 @lru_cache(maxsize=1)
 def _emoji_table() -> dict:
     table = {}
-    for i, line in enumerate((_DATA_DIR / "emoji_map.tsv").read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in text_lines(_DATA_DIR / "emoji_map.tsv"):
         if not line.strip():
             continue
         code, _, name = line.partition("\t")
@@ -52,7 +52,7 @@ def _emoji_table() -> dict:
 @lru_cache(maxsize=1)
 def lemma_table() -> dict:
     table = {}
-    for line in (_DATA_DIR / "lemmas.tsv").read_text(encoding="utf-8").splitlines():
+    for _, line in text_lines(_DATA_DIR / "lemmas.tsv"):
         if line.strip():
             form, _, lemma = line.partition("\t")
             table[form] = lemma
@@ -182,21 +182,18 @@ class PrecomputedProvider:
 def load_precomputed(path) -> PrecomputedProvider:
     """Read `dim=<D>` then one `movieId<TAB>f1 f2 ...` row per movie."""
     path = str(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise not_utf8(path, text_lines=True) from None
-    if not lines or not lines[0].startswith("dim="):
+    lines = text_lines(path)
+    header = lines[0][1] if lines else ""
+    if not header.startswith("dim="):
         raise DataFormatError("first line must be 'dim=<D>'", path=path, line=1)
     try:
-        dim = int(lines[0][4:])
+        dim = int(header[4:])
     except ValueError:
-        raise DataFormatError(f"bad dimension {lines[0][4:]!r}", path=path, line=1) from None
+        raise DataFormatError(f"bad dimension {header[4:]!r}", path=path, line=1) from None
     if dim < 1:
         raise DataFormatError(f"dimension must be >= 1, got {dim}", path=path, line=1)
     vectors: dict[int, np.ndarray] = {}
-    for i, line in enumerate(lines[1:], 2):
+    for i, line in lines[1:]:
         if not line.strip():
             continue
         ident, _, rest = line.partition("\t")

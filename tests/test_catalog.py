@@ -10,7 +10,9 @@ from cinefuse import catalog as catalog_module
 from cinefuse import cli
 from cinefuse.catalog import (
     Catalog,
+    CriticReview,
     ImplicitEvent,
+    Movie,
     Rating,
     RatingScale,
     closest_titles,
@@ -77,6 +79,22 @@ class TestRecords:
                 setattr(record, name, 0)
         with pytest.raises(AttributeError):
             record.extra = 0
+
+    def test_movie_and_review_are_tuples(self):
+        assert Movie._fields == ("movie_id", "title", "genres", "summary", "release_year")
+        assert CriticReview._fields == ("movie_id", "source", "review_text", "raw_score")
+        assert Movie._field_defaults == {"summary": "", "release_year": None}
+        assert CriticReview._field_defaults == {}
+        movie = Movie(1, "One", frozenset({"Drama"}))
+        assert movie == (1, "One", frozenset({"Drama"}), "", None)
+        assert movie._replace(release_year=2000) == Movie(1, "One", frozenset({"Drama"}), "", 2000)
+        review = CriticReview(1, "outlet", "text", 4.0)
+        assert review == (1, "outlet", "text", 4.0)
+        assert review._replace(raw_score=2.5).raw_score == 2.5
+        assert repr(review) == "CriticReview(movie_id=1, source='outlet', review_text='text', raw_score=4.0)"
+        for record in (movie, review):
+            with pytest.raises(AttributeError):
+                record.movie_id = 0
 
 
 def fixture_paths():

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import ast
+import csv
 import shlex
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from cinefuse.cli import main
+from cinefuse.errors import DataFormatError, text_lines
 from cinefuse.optimize import WeightVector, load_weights, save_weights
 from cinefuse.ranker import PipelineConfig, fit_hybrid, recommend_hybrid
-from cinefuse.textpipe import save_precomputed
+from cinefuse.textpipe import load_precomputed, save_precomputed
 
 
 def run_cli(capsys, *argv):
@@ -38,12 +40,11 @@ class TestLoadCheck:
 
 class TestNonUtf8Files:
     # each file the CLI reads names the file and line of its first byte that
-    # is not UTF-8, counting lines as its reader does: the config and the
-    # embeddings split as text (a form feed ends a line), the weights line by
-    # line (so does a lone CR)
+    # is not UTF-8, where every reader ends lines at LF, CRLF or CR only (a
+    # form feed in the config does not, a lone CR in the weights does)
     FILES = {
         "movies": (("load-check", "--movies"), b"movieId,title,genres,year,summary\n1,One,Drama,,x\n2,T\xffo,,,\n", 3),
-        "config": (("recommend", "--seed", "Northern Lights", "--config"), b"n=5\x0cformat=tuples\n# \xff\n", 3),
+        "config": (("recommend", "--seed", "Northern Lights", "--config"), b"n=5\x0cformat=tuples\n# \xff\n", 2),
         "weights": (("recommend", "--seed", "Northern Lights", "--weights"), b"# provenance=ga\n1.0\r1.0\n\xff\n", 4),
         "embeddings": (
             ("recommend", "--seed", "Northern Lights", "--provider", "precomputed", "--embeddings"),
@@ -60,6 +61,44 @@ class TestNonUtf8Files:
         code, out, err = run_cli(capsys, *argv, str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {path}, line {line}: not UTF-8: byte 0xff\n"
+
+
+class TestLineRule:
+    # every text file cinefuse reads ends a line at LF, CRLF or CR only; the
+    # other separators of str.splitlines stay inside the line
+    SEPARATORS = {"VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+
+    @pytest.mark.parametrize("sep", SEPARATORS.values(), ids=SEPARATORS)
+    def test_config_line_is_one_setting(self, capsys, tmp_path, sep):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n=5{sep}format=tuples\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "argument --n:" in err
+
+    @pytest.mark.parametrize("sep", SEPARATORS.values(), ids=SEPARATORS)
+    def test_embedding_row_is_one_row(self, tmp_path, sep):
+        path = tmp_path / "e.txt"
+        path.write_text(f"dim=2\n1\t0.5{sep}0.5\n", encoding="utf-8")
+        vectors = load_precomputed(path).vectors
+        assert list(vectors) == [1]
+        assert vectors[1].tolist() == [0.5, 0.5]
+
+    def test_text_lines_number_as_not_utf8_and_the_csv_reader(self, tmp_path):
+        # lines end at a lone CR, at CRLF and at LF; a form feed stays inside its line
+        pieces = [(b"a", b"\r"), (b"b\x0cc", b"\r"), (b"", b"\r\n"), (b"d", b"\n"), (b"e", b"\n")]
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"".join(text + end for text, end in pieces))
+        expected = [(i, text.decode()) for i, (text, _) in enumerate(pieces, 1)]
+        assert text_lines(path) == expected
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            assert [(reader.line_num, row) for row in reader] == [(i, [text] if text else []) for i, text in expected]
+        for i in range(1, len(pieces) + 1):
+            bad = tmp_path / f"bad{i}.txt"
+            bad.write_bytes(b"".join(b"\xff" * (j == i) + text + end for j, (text, end) in enumerate(pieces, 1)))
+            with pytest.raises(DataFormatError, match=rf"bad{i}\.txt, line {i}: not UTF-8: byte 0xff$"):
+                text_lines(bad)
 
 
 class TestStats:
@@ -183,6 +222,13 @@ class TestRecommend:
         code, out, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {path}, line 6: non-finite weight 'nan'\n"
+
+    def test_negative_weight_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# provenance=ga seed=0 objective=0.5\n1.0\n-1.0\n" + "1.0\n" * 6)
+        code, out, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}, line 3: negative weight '-1.0'\n"
 
     def test_weights_rank_as_a_model_fitted_with_them(self, capsys, tmp_path, fixture_catalog):
         users = sorted({r.user_id for r in fixture_catalog.ratings})

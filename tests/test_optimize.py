@@ -173,6 +173,11 @@ class TestWeightVector:
         with pytest.raises(DataFormatError, match=rf"w\.txt, line 4: non-finite weight '{bad}'"):
             load_weights(path)
 
+    def test_load_accepts_negative_zero(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# provenance=ga seed=1 objective=0.5\n-0.0\n0.5\n")
+        assert load_weights(path)[0].values == (-0.0, 0.5)
+
     def test_header_token_without_equals_names_file(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("# provenance seed=1 objective=0.5\n1.0\n")
