@@ -146,7 +146,8 @@ class Catalog:
     formats"), and the train catalog of a split, hold their ratings as
     columns only: `ratings` builds its records on the first read and holds
     them. Its records, `==` and repr are those of a catalog built from the
-    same records."""
+    same records. From a strict implicit-events file, `implicit_columns` is
+    parsed at load and `implicit` built from it."""
 
     movies: dict[int, Movie]
     ratings: list[Rating] = _Ratings()
@@ -164,7 +165,7 @@ class Catalog:
     # a `replace` copy starts empty
     _columns: RatingColumns | None = field(init=False, repr=False, compare=False, default=None)
     _timestamps: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
-    # `implicit` as columns, built on the first read of `implicit_columns`
+    # `implicit` as columns, parsed at load or built on the first read
     _implicit_columns: ImplicitColumns | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
@@ -176,7 +177,7 @@ class Catalog:
 
     @property
     def implicit_columns(self) -> ImplicitColumns:
-        """The implicit events' fields as arrays, built once."""
+        """The implicit events' fields as arrays, parsed at load or built once."""
         if self._implicit_columns is None:
             object.__setattr__(self, "_implicit_columns", ImplicitColumns.of(self.implicit))
         return self._implicit_columns
@@ -330,18 +331,16 @@ def load_catalog(
     movie are dropped; the count lands in `Catalog.dropped_reviews`. Any other
     referential or schema problem raises DataFormatError.
 
-    A ratings file in the strict form (an exact header, then lines of
-    unsigned ASCII `int,int,decimal,int`, ids and timestamps of at most 18
-    digits) is parsed as columns in one numpy call and checked with array
-    operations; the catalog then builds its Rating records only when
-    `ratings` is read. Any other file, or one that fails a check, is read a
-    row at a time as below, which gives an equal catalog or the first error.
-
-    Each row's fields are converted inline with int()/float() and the exact
-    boolean words. A row where that fails goes through the _parse_*
-    functions in field order instead: they also accept padding that strip()
-    removes and int()/float() reject (U+001C-U+001F, or any case of a
-    boolean word), and raise the error naming the field.
+    A ratings or implicit-events file in the strict form (an exact header,
+    then lines of unsigned ASCII `int,int,decimal,int` or
+    `int,int,word,decimal,int`, a word being one of _BOOLS' lowercase keys,
+    ids, timestamps and counts of at most 18 digits) is parsed as columns
+    in one numpy call and checked with array operations; the catalog then
+    builds its Rating records only when `ratings` is read, and its
+    ImplicitEvent records from the implicit columns. Any other file, or one
+    that fails a check, is read a row at a time, each field converted once
+    by its _parse_* function, which gives an equal catalog or the first
+    error naming the file, line and field.
 
     The cyclic garbage collector is paused for the load: the records hold
     no reference cycles, and each collection the allocations would trigger
@@ -361,24 +360,19 @@ def load_catalog(
 def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingScale) -> Catalog:
     movies: dict[int, Movie] = {}
     norms: dict[int, str] = {}  # normalized title per movie id
-    for line, row in _read_rows(movies_path, ["movieId", "title", "genres", "year", "summary"]):
-        try:
-            mid = int(row[0])
-        except ValueError:
-            mid = _parse_int(row[0], movies_path, line, "movieId")
+    header = ["movieId", "title", "genres", "year", "summary"]
+    for line, (mid, title, genres, year, summary) in _read_rows(movies_path, header):
+        mid = _parse_int(mid, movies_path, line, "movieId")
         if not _INT64_MIN <= mid <= _INT64_MAX:
             _outside_int64(mid, movies_path, line, "movieId")
-        title = row[1].strip()
+        title = title.strip()
         if not title:
             raise DataFormatError("empty title", path=movies_path, line=line, field="title")
         if mid in movies:
             raise DataFormatError(f"duplicate movieId {mid}", path=movies_path, line=line, field="movieId")
-        genres = frozenset(filter(None, map(str.strip, row[2].split("|"))))
-        try:
-            year = int(row[3]) if row[3] else None
-        except ValueError:
-            year = _parse_int(row[3], movies_path, line, "year", optional=True)
-        movies[mid] = Movie(mid, title, genres, summary=row[4], release_year=year)
+        genres = frozenset(filter(None, map(str.strip, genres.split("|"))))
+        year = _parse_int(year, movies_path, line, "year", optional=True)
+        movies[mid] = Movie(mid, title, genres, summary=summary, release_year=year)
         norms[mid] = normalize_title(title)
 
     # the grid values contains() accepts; any other value (off the grid by
@@ -389,36 +383,33 @@ def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingS
 
     reviews: list[CriticReview] = []
     dropped = 0
-    for line, row in _read_rows(reviews_path, ["movieId", "title", "source", "rawScore", "reviewText"]):
-        try:
-            mid, raw = int(row[0]), float(row[3])
-        except ValueError:
-            mid = _parse_int(row[0], reviews_path, line, "movieId")
-            raw = _parse_float(row[3], reviews_path, line, "rawScore")
+    header = ["movieId", "title", "source", "rawScore", "reviewText"]
+    for line, (mid, title, source, raw, text) in _read_rows(reviews_path, header):
+        mid = _parse_int(mid, reviews_path, line, "movieId")
+        raw = _parse_float(raw, reviews_path, line, "rawScore")
         if not (0.0 <= raw <= 5.0):
             raise DataFormatError(
                 f"rawScore {raw} outside [0, 5]", path=reviews_path, line=line, field="rawScore"
             )
         movie = movies.get(mid)
         # a title equal to the movie's needs no normalizing to match it
-        if movie is None or (row[1] != movie.title and normalize_title(row[1]) != norms[mid]):
+        if movie is None or (title != movie.title and normalize_title(title) != norms[mid]):
             dropped += 1
             continue
-        reviews.append(CriticReview(mid, source=row[2], review_text=row[4], raw_score=raw))
+        reviews.append(CriticReview(mid, source=source, review_text=text, raw_score=raw))
 
     implicit: list[ImplicitEvent] = []
-    if implicit_path is not None:
-        header = ["userId", "movieId", "watched", "watchFraction", "watchCount"]
-        for line, row in _read_rows(implicit_path, header):
-            try:
-                uid, mid, watched = int(row[0]), int(row[1]), _BOOLS[row[2]]
-                frac, count = float(row[3]), int(row[4])
-            except (KeyError, ValueError):
-                uid = _parse_int(row[0], implicit_path, line, "userId")
-                mid = _parse_int(row[1], implicit_path, line, "movieId")
-                watched = _parse_bool(row[2], implicit_path, line, "watched")
-                frac = _parse_float(row[3], implicit_path, line, "watchFraction")
-                count = _parse_int(row[4], implicit_path, line, "watchCount")
+    events = None if implicit_path is None else _read_strict_implicit(implicit_path, movies)
+    if events is not None:
+        user, movie, watched, fraction, count = (column.tolist() for column in events)
+        implicit = list(map(ImplicitEvent, user, movie, map(bool, watched), fraction, count))
+    elif implicit_path is not None:
+        for line, (uid, mid, watched, frac, count) in _read_rows(implicit_path, _IMPLICIT_HEADER):
+            uid = _parse_int(uid, implicit_path, line, "userId")
+            mid = _parse_int(mid, implicit_path, line, "movieId")
+            watched = _parse_bool(watched, implicit_path, line, "watched")
+            frac = _parse_float(frac, implicit_path, line, "watchFraction")
+            count = _parse_int(count, implicit_path, line, "watchCount")
             if not _INT64_MIN <= uid <= _INT64_MAX:
                 _outside_int64(uid, implicit_path, line, "userId")
             if mid not in movies:
@@ -455,6 +446,8 @@ def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingS
     )
     if held:
         catalog._hold(*held)
+    if events is not None:
+        object.__setattr__(catalog, "_implicit_columns", events)
     return catalog
 
 
@@ -465,15 +458,11 @@ def _read_rating_rows(
     with file and line."""
     ratings: list[Rating] = []
     seen_pairs = set()
-    for line, row in _read_rows(ratings_path, _RATINGS_HEADER):
-        try:
-            uid, mid, value = int(row[0]), int(row[1]), float(row[2])
-            ts = int(row[3]) if row[3] else None
-        except ValueError:
-            uid = _parse_int(row[0], ratings_path, line, "userId")
-            mid = _parse_int(row[1], ratings_path, line, "movieId")
-            value = _parse_float(row[2], ratings_path, line, "rating")
-            ts = _parse_int(row[3], ratings_path, line, "timestamp", optional=True)
+    for line, (uid, mid, value, ts) in _read_rows(ratings_path, _RATINGS_HEADER):
+        uid = _parse_int(uid, ratings_path, line, "userId")
+        mid = _parse_int(mid, ratings_path, line, "movieId")
+        value = _parse_float(value, ratings_path, line, "rating")
+        ts = _parse_int(ts, ratings_path, line, "timestamp", optional=True)
         if not _INT64_MIN <= uid <= _INT64_MAX:
             _outside_int64(uid, ratings_path, line, "userId")
         if mid not in movies:
@@ -492,17 +481,30 @@ def _read_rating_rows(
     return ratings
 
 
+def _read_strict(path, header: list[str], line: bytes, dtypes: str) -> list[np.ndarray] | None:
+    """The file's columns of `dtypes` from one np.loadtxt call, when its header
+    is exactly `header` and each later line matches `line`, ending in LF, CRLF
+    or the end of the file; else None. `line` admits only what np.loadtxt
+    reads as int() and float() do: unsigned ASCII digits, at most 18 for an
+    int64. The search for a newline not followed by such a line reads one
+    line per attempt, so its memory does not grow with the file."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    body = data.find(b"\n") + 1 or len(data)
+    exact = data[:body].removesuffix(b"\n").removesuffix(b"\r") == ",".join(header).encode()
+    if not exact or re.compile(rb"\n(?!\Z|" + line + rb"(?:\r?\n|\Z))").search(data, body - 1):
+        return None
+    row = np.dtype(dtypes)
+    if body < len(data):
+        table = np.loadtxt(io.BytesIO(data), row, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    else:
+        table = np.empty(0, row)  # np.loadtxt warns on an empty input
+    return [np.ascontiguousarray(table[name]) for name in row.names]
+
+
 _RATINGS_HEADER = ["userId", "movieId", "rating", "timestamp"]
-# A ratings line whose fields np.loadtxt reads as int() and float() read
-# them: unsigned ASCII ids and timestamp of at most 18 digits, so within
-# int64, and an unsigned decimal; no padding, sign, exponent, `_`, `#` or
-# quote. _NOT_STRICT finds a newline followed neither by the end of the file
-# nor by such a line ending in LF, CRLF or the end of the file: searched from
-# the header's newline, it finds none exactly when every line is strict. Each
-# match attempt reads one line, so its memory does not grow with the file, as
-# that of one repeated group over the whole body would (without 3.11's `*+`).
-_NOT_STRICT = re.compile(rb"\n(?!\Z|\d{1,18},\d{1,18},\d+(?:\.\d+)?,\d{1,18}(?:\r?\n|\Z))")
-_STRICT_ROW = np.dtype([("user", np.int64), ("movie", np.int64), ("value", np.float64), ("timestamp", np.int64)])
 
 
 def _read_strict_ratings(
@@ -512,19 +514,10 @@ def _read_strict_ratings(
     numpy call, when its header is exact, every line is in the strict form
     and every rating passes the row loop's checks; else None, and the row
     loop reads the file and raises its first error with file and line."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
+    columns = _read_strict(path, _RATINGS_HEADER, rb"\d{1,18},\d{1,18},\d+(?:\.\d+)?,\d{1,18}", "i8,i8,f8,i8")
+    if columns is None:
         return None
-    body = data.find(b"\n") + 1 or len(data)
-    header = data[:body].removesuffix(b"\n").removesuffix(b"\r")
-    if header != ",".join(_RATINGS_HEADER).encode() or _NOT_STRICT.search(data, body - 1):
-        return None
-    if body < len(data):
-        table = np.loadtxt(io.BytesIO(data), _STRICT_ROW, delimiter=",", comments=None, skiprows=1, ndmin=1)
-    else:
-        table = np.empty(0, _STRICT_ROW)  # np.loadtxt warns on an empty input
-    user, movie, value, timestamps = (np.ascontiguousarray(table[name]) for name in _STRICT_ROW.names)
+    user, movie, value, timestamps = columns
     order = np.lexsort((movie, user))
     user_sorted, movie_sorted = user.take(order), movie.take(order)
     repeated = (user_sorted[1:] == user_sorted[:-1]) & (movie_sorted[1:] == movie_sorted[:-1])
@@ -532,6 +525,23 @@ def _read_strict_ratings(
     if repeated.any() or not np.isin(movie, list(movies)).all() or not all(map(scale.contains, off_grid)):
         return None
     return RatingColumns(*map(_read_only, (user, movie, value))), _read_only(timestamps)
+
+
+_IMPLICIT_HEADER = ["userId", "movieId", "watched", "watchFraction", "watchCount"]
+_IMPLICIT_LINE = rb"\d{1,18},\d{1,18},(?:%s),\d+(?:\.\d+)?,\d{1,18}" % b"|".join(map(str.encode, _BOOLS))
+
+
+def _read_strict_implicit(path, movies: dict[int, Movie]) -> ImplicitColumns | None:
+    """_read_strict_ratings for the implicit-events file, as ImplicitColumns;
+    `watched` in the strict form is a key of _BOOLS as written."""
+    columns = _read_strict(path, _IMPLICIT_HEADER, _IMPLICIT_LINE, "i8,i8,S5,f8,i8")
+    if columns is None:
+        return None
+    user, movie, word, fraction, count = columns
+    watched = np.isin(word, [w.encode() for w, value in _BOOLS.items() if value])
+    if not np.isin(movie, list(movies)).all() or (fraction > 1.0).any() or fraction[~watched].any():
+        return None
+    return ImplicitColumns(*map(_read_only, (user, movie, watched.astype(np.float64), fraction, count)))
 
 
 @dataclass

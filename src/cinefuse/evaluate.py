@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Rating, _split
+from .catalog import Catalog, Rating, RatingColumns, _split
 from .cf import (
     DEFAULT_K,
     DEFAULT_LIKE_THRESHOLD,
@@ -88,23 +88,21 @@ def precision_at_k(
     threshold), divide by the truncated length. Averaged across users.
     """
     require_positive("k", k)
-    by_user: dict[int, list[Rating]] = {}
-    for r in test_ratings:
-        if r.user_id in matrix.user_index and r.movie_id in matrix.item_index:
-            by_user.setdefault(r.user_id, []).append(r)
-    if not by_user:
+    held = RatingColumns.of(test_ratings)
+    held = held.where(np.isin(held.user, matrix.user_ids) & np.isin(held.movie, matrix.item_ids))
+    if not len(held.user):
         raise CinefuseError("no test ratings reference users and movies in the matrix")
-    ordered = [r for uid in sorted(by_user) for r in by_user[uid]]
-    values, _ = predict_many(matrix, sim, [r.user_id for r in ordered], [r.movie_id for r in ordered])
-    predicted = iter(values.tolist())
-    per_user = []
-    for uid in sorted(by_user):
-        scored = [(next(predicted), r) for r in by_user[uid]]
-        scored.sort(key=lambda t: (-t[0], t[1].movie_id))
-        top = scored[: min(k, len(scored))]
-        hits = sum(1 for _, r in top if r.value >= like_threshold)
-        per_user.append(hits / len(top))
-    return sum(per_user) / len(per_user)
+    predicted, _ = predict_many(matrix, sim, held.user, held.movie)
+    # users ascending, each user's ratings by prediction descending, then movie id
+    order = np.lexsort((held.movie, -predicted, held.user))
+    user = held.user[order]
+    first = np.r_[True, user[1:] != user[:-1]]
+    group = np.cumsum(first) - 1
+    counts = np.bincount(group)
+    top = np.arange(len(order)) - np.flatnonzero(first)[group] < k
+    hits = np.bincount(group[top], weights=held.value[order][top] >= like_threshold, minlength=len(counts))
+    # summed in Python, left to right, as the per-user loop did
+    return sum((hits / np.minimum(counts, k)).tolist()) / len(counts)
 
 
 def evaluate_variants(

@@ -369,21 +369,27 @@ def save_weights(wv: WeightVector, path, seed: int, objective_value: float) -> N
 
 def load_weights(path) -> tuple[WeightVector, int, float]:
     """The weights, seed and objective value of a save_weights file; a
-    weight that is negative or not finite raises, naming the file and line."""
+    weight that is not a number, negative or not finite raises, naming the
+    file and line."""
     lines = [(i, ln.strip()) for i, ln in text_lines(path) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
         raise CinefuseError(f"weight file {path} lacks a header line")
     try:
         header = dict(kv.split("=", 1) for kv in lines[0][1].lstrip("#").split())
         provenance, seed, objective = header["provenance"], int(header["seed"]), float(header["objective"])
-        values = tuple(float(ln) for _, ln in lines[1:])
     except (KeyError, ValueError) as exc:
         raise CinefuseError(f"corrupt weight file {path}: {exc}") from None
-    if not values:
+    if len(lines) == 1:
         raise CinefuseError(f"weight file {path} holds no weights")
-    for (i, ln), v in zip(lines[1:], values):
+    values = []
+    for i, ln in lines[1:]:
+        try:
+            v = float(ln)
+        except ValueError:
+            raise DataFormatError(f"not a number: {ln!r}", path=path, line=i) from None
         if not math.isfinite(v):
             raise DataFormatError(f"non-finite weight {ln!r}", path=path, line=i)
         if v < 0:
             raise DataFormatError(f"negative weight {ln!r}", path=path, line=i)
-    return WeightVector(values, provenance), seed, objective
+        values.append(v)
+    return WeightVector(tuple(values), provenance), seed, objective

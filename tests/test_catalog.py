@@ -133,10 +133,10 @@ class TestLoadPausesCollector:
         assert gc.isenabled() is enabled
 
     def test_collector_paused_while_reading(self, collector_state, monkeypatch):
-        # the fixture's ratings file is in the strict form, so the column
-        # parse reads it and the row reader the other three files
+        # the fixture's ratings and implicit files are in the strict form, so
+        # the column parse reads them and the row reader the other two files
         seen = []
-        for name in ("_read_rows", "_read_strict_ratings"):
+        for name in ("_read_rows", "_read_strict_ratings", "_read_strict_implicit"):
             read = getattr(catalog_module, name)
 
             def spy(*args, read=read, name=name):
@@ -146,7 +146,8 @@ class TestLoadPausesCollector:
             monkeypatch.setattr(catalog_module, name, spy)
         gc.enable()
         load_catalog(*fixture_paths(), implicit_path=FIXTURE_DIR / "implicit.csv")
-        assert seen == [(name, False) for name in ("_read_rows", "_read_strict_ratings", "_read_rows", "_read_rows")]
+        order = ("_read_rows", "_read_strict_ratings", "_read_rows", "_read_strict_implicit")
+        assert seen == [(name, False) for name in order]
         assert gc.isenabled()
 
 
@@ -346,6 +347,92 @@ class TestImplicitColumns:
         a, b = load_fixture_catalog(), load_fixture_catalog()
         a.implicit_columns
         assert a == b and repr(a) == repr(b)
+
+
+def load_implicit(tmp_path, text, rows_only=False):
+    """("columns" or "rows", catalog) from loading `text` as the implicit
+    file, or (path, (message, line, field)) from its error. With `rows_only`
+    the column parse is switched off, so the row loop reads every file."""
+    movies, ratings, reviews, implicit = (
+        tmp_path / f"{name}.csv" for name in ("movies", "ratings", "reviews", "implicit")
+    )
+    movies.write_text(STRICT_MOVIES + "".join(f"{mid},Long {mid},Drama,2000,z\n" for mid in LONG_IDS))
+    ratings.write_text(f"{HEADER}\n1,1,4.0,5\n")
+    reviews.write_text("movieId,title,source,rawScore,reviewText\n")
+    implicit.write_bytes(text.encode("utf-8"))
+    read, took = catalog_module._read_strict_implicit, []
+
+    def spy(*args):
+        held = None if rows_only else read(*args)
+        took.append(held is not None)
+        return held
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog_module, "_read_strict_implicit", spy)
+        try:
+            outcome = load_catalog(movies, ratings, reviews, implicit_path=implicit)
+        except DataFormatError as exc:
+            outcome = (str(exc), exc.line, exc.field)
+    return "columns" if any(took) else "rows", outcome
+
+
+IMPLICIT_HEADER = "userId,movieId,watched,watchFraction,watchCount"
+
+
+class TestStrictImplicit:
+    """The implicit column parse against the row loop: the same catalog, or
+    the same first error with file and line, whichever path the file takes."""
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (f"{IMPLICIT_HEADER}\n1,1,true,0.5,3\n2,2,false,0.0,0\n3,1,true,1,2\n", "columns"),
+            (f"{IMPLICIT_HEADER}\r\n1,1,true,0.5,3\r\n2,2,false,0,1\r\n", "columns"),
+            (f"{IMPLICIT_HEADER}\n1,1,true,0.5,3\n2,2,false,0.0,0", "columns"),
+            (f"{IMPLICIT_HEADER}\n", "columns"),
+            (IMPLICIT_HEADER, "columns"),
+            (
+                f"{IMPLICIT_HEADER}\n1,1,true,0.5,1\n1,2,1,0.25,1\n2,1,yes,1.0,1\n"
+                "2,2,false,0,0\n3,1,0,0.0,2\n3,2,no,0.000,3\n",
+                "columns",
+            ),
+            (f"{IMPLICIT_HEADER}\n1,1,True,0.5,3\n", "rows"),
+            (f"{IMPLICIT_HEADER}\n 1,1, true ,0.5 ,3\n2,2,false,0.0\t,0\n", "rows"),
+            (f"{IMPLICIT_HEADER}\n+1,1,true,0.5,3\n", "rows"),
+            (f"{IMPLICIT_HEADER}\n1,1,true,1e-1,3\n", "rows"),
+            (f"{IMPLICIT_HEADER}\n{10**17},{LONG_IDS[0]},true,0.5,{10**17}\n", "columns"),
+            (f"{IMPLICIT_HEADER}\n{10**18},{LONG_IDS[1]},true,0.5,{10**18}\n", "rows"),
+            (f"{IMPLICIT_HEADER}\n1,1,true,1.0000000000000000001,3\n", "columns"),
+        ],
+    )
+    def test_same_catalog(self, tmp_path, text, path):
+        got = load_implicit(tmp_path, text)
+        assert got[0] == path
+        # parsed at load on the column path, built on first read otherwise
+        assert (got[1]._implicit_columns is not None) == (path == "columns")
+        want = load_implicit(tmp_path, text, rows_only=True)
+        assert want[0] == "rows"
+        assert got[1].implicit == want[1].implicit and repr(got[1].implicit) == repr(want[1].implicit)
+        assert got[1] == want[1] and repr(got[1]) == repr(want[1])
+        for a, b in zip(got[1].implicit_columns, want[1].implicit_columns, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+
+    @pytest.mark.parametrize(
+        "text, line, fld, message",
+        [
+            (f"{IMPLICIT_HEADER}\n1,1,true,0.5,3\n2,9,true,0.5,3\n", 3, "movieId", "unknown movieId 9"),
+            (f"{IMPLICIT_HEADER}\n1,1,true,1.5,3\n", 2, "watchFraction", "outside [0, 1]"),
+            (f"{IMPLICIT_HEADER}\n1,1,true,0.5,3\n1,2,false,0.3,0\n", 3, "watchFraction", "must be 0"),
+            (f"{IMPLICIT_HEADER}\n1,1,true,0.5,-1\n", 2, "watchCount", "negative watchCount"),
+            (f"{IMPLICIT_HEADER}\n1,1,maybe,0.5,3\n", 2, "watched", "not a boolean"),
+        ],
+    )
+    def test_same_first_error(self, tmp_path, text, line, fld, message):
+        got = load_implicit(tmp_path, text)
+        assert got == load_implicit(tmp_path, text, rows_only=True)
+        assert got[0] == "rows" and message in got[1][0] and "implicit.csv" in got[1][0]
+        assert got[1][1:] == (line, fld)
 
 
 def recorded_builds(monkeypatch):

@@ -230,6 +230,13 @@ class TestRecommend:
         assert (code, out) == (1, "")
         assert err == f"error: {path}, line 3: negative weight '-1.0'\n"
 
+    def test_weight_not_a_number_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# provenance=ga seed=0 objective=0.5\n1.0\n\nabc\n" + "1.0\n" * 6)
+        code, out, err = run_cli(capsys, "recommend", "--seed", "Northern Lights", "--weights", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}, line 4: not a number: 'abc'\n"
+
     def test_weights_rank_as_a_model_fitted_with_them(self, capsys, tmp_path, fixture_catalog):
         users = sorted({r.user_id for r in fixture_catalog.ratings})
         rng = np.random.default_rng(0)

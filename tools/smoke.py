@@ -1,13 +1,13 @@
 """The program at the MovieLens-100K shape: five checks of its bits and peak memory.
 
 Generates the seed-1 catalog of 943 users x 1682 movies with 100k ratings
-and 20k implicit events (`bench/gen.py`) once, plus a copy of the ratings
-with space-padded fields. The movies, ratings and reviews files are the
-same bytes with or without the implicit events, so checks without them
-load the same catalog. Then runs each check of CHECKS in its own child
-processes, one after another, and prints one line per check: seconds, peak
-RSS, bound. Exits 1 if any check's output differs or any peak exceeds its
-bound.
+and 20k implicit events (`bench/gen.py`) once, plus copies of the ratings
+and of the implicit events with space-padded fields. The movies, ratings
+and reviews files are the same bytes with or without the implicit events,
+so checks without them load the same catalog. Then runs each check of
+CHECKS in its own child processes, one after another, and prints one line
+per check: seconds, peak RSS, bound. Exits 1 if any check's output differs
+or any peak exceeds its bound.
 
 Each peak is the child's own ru_maxrss, from os.wait4. A child started by
 vfork begins with its parent's RSS as its peak, so the catalog is generated
@@ -57,11 +57,11 @@ def spawn(*argv: str, hash_seed: bool = False) -> Run:
         return Run(proc.returncode, out.read().decode(), seconds, usage.ru_maxrss / 1024)
 
 
-def catalog(d: str, ratings: str = "ratings.csv", implicit: bool = False):
+def catalog(d: str, ratings: str = "ratings.csv", implicit: str | None = None):
     from cinefuse import load_catalog
 
     p = Path(d)
-    return load_catalog(p / "movies.csv", p / ratings, p / "reviews.csv", p / "implicit.csv" if implicit else None)
+    return load_catalog(p / "movies.csv", p / ratings, p / "reviews.csv", p / implicit if implicit else None)
 
 
 # the children, each printing what its check compares
@@ -72,30 +72,34 @@ def generate(d: str) -> None:
     import gen
 
     files = gen.generate(d, 1, gen.Shape(users=943, items=1682, ratings=100_000, implicit_events=20_000))
-    header, *rows = files.ratings.read_text(encoding="utf-8").splitlines()
-    padded = "\n".join([header, *(row.replace(",", " , ") for row in rows)]) + "\n"
-    (Path(d) / "ratings_padded.csv").write_text(padded, encoding="utf-8")
+    for name, path in (("ratings", files.ratings), ("implicit", files.implicit)):
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        padded = "\n".join([header, *(row.replace(",", " , ") for row in rows)]) + "\n"
+        (Path(d) / f"{name}_padded.csv").write_text(padded, encoding="utf-8")
     print(files.popular_titles[0])
 
 
-def load(d: str, ratings: str) -> None:
+def load(d: str, ratings: str, implicit: str) -> None:
     import hashlib
     import json
     import resource
 
-    loaded = catalog(d, ratings, implicit=True)
-    # read before the digests build any record
+    loaded = catalog(d, ratings, implicit)
+    # read before the digests build any record or column
     peak, as_columns = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, loaded._ratings is None
-    digests = [hashlib.sha256(column.tobytes()).hexdigest() for column in loaded.columns]
+    implicit_parsed = loaded._implicit_columns is not None
+    columns = (*loaded.columns, *loaded.implicit_columns)
+    digests = [hashlib.sha256(column.tobytes()).hexdigest() for column in columns]
     for text in (repr(loaded._timestamp_column().tolist()), repr(loaded)):
         digests.append(hashlib.sha256(text.encode()).hexdigest())
-    print(json.dumps({"peak_mb": peak, "columns": as_columns, "digests": digests}))
+    print(json.dumps({"peak_mb": peak, "columns": as_columns, "implicit_columns": implicit_parsed,
+                      "digests": digests}))
 
 
 def evaluate(d: str) -> None:
     from cinefuse import evaluate_variants
 
-    for r in evaluate_variants(catalog(d, implicit=True), ("plain", "implicit_augmented")):
+    for r in evaluate_variants(catalog(d, implicit="implicit.csv"), ("plain", "implicit_augmented")):
         print(r.variant, repr(r.mae), repr(r.coverage))
 
 
@@ -148,11 +152,13 @@ def check_recommend(d: str, title: str):
 def check_load(d: str, title: str):
     import json
 
-    runs = [spawn(__file__, "load", d, ratings, hash_seed=True) for ratings in ("ratings.csv", "ratings_padded.csv")]
+    pairs = (("ratings.csv", "implicit.csv"), ("ratings_padded.csv", "implicit_padded.csv"))
+    runs = [spawn(__file__, "load", d, *files, hash_seed=True) for files in pairs]
     if any(r.code for r in runs):
         return runs, False, []
     fast, rows = (json.loads(r.out) for r in runs)
-    return runs, fast["digests"] == rows["digests"] and fast["columns"] and not rows["columns"], [fast["peak_mb"]]
+    paths = fast["columns"] and fast["implicit_columns"] and not rows["columns"] and not rows["implicit_columns"]
+    return runs, fast["digests"] == rows["digests"] and paths, [fast["peak_mb"]]
 
 
 def golden(file: str, *children: tuple[str, ...]):
@@ -163,8 +169,9 @@ def golden(file: str, *children: tuple[str, ...]):
 
 # name: (peak bound in MB, check). recommend: the CLI exits 0 (so ranking
 # cannot drift back to fitting the whole item-item similarity); load: the
-# strict file takes the column parse, the padded copy the row loop, digests
-# equal, peak read right after the load; the rest: output equals a golden file
+# strict ratings and implicit files take the column parse, the padded copies
+# the row loop, digests equal, peak read right after the load; the rest:
+# output equals a golden file
 CHECKS = {
     "recommend": (120.0, check_recommend),
     "load": (75.0, check_load),
