@@ -119,20 +119,33 @@ def _records(columns: RatingColumns, timestamps: np.ndarray) -> list[Rating]:
     return list(map(Rating, *(column.tolist() for column in (*columns, timestamps))))
 
 
-class _Ratings:
-    """The `ratings` field of a Catalog: the records it was built with, or,
-    for a catalog that holds its ratings as columns, records built from the
-    columns on the first read and then held."""
+def _events(columns: ImplicitColumns) -> list[ImplicitEvent]:
+    """ImplicitEvent records from columns."""
+    user, movie, watched, fraction, count = (column.tolist() for column in columns)
+    return list(map(ImplicitEvent, user, movie, map(bool, watched), fraction, count))
+
+
+class _Records:
+    """A record field of a Catalog, held in the private slot of its name: the
+    records the catalog was built with, or, for a catalog that holds the
+    field as columns, records that `build` makes from the catalog on the
+    first read and then held."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
 
     def __get__(self, catalog, owner=None):
         if catalog is None:
-            raise AttributeError("ratings")  # so the field has no default
-        if catalog._ratings is None:
-            object.__setattr__(catalog, "_ratings", _records(catalog._columns, catalog._timestamps))
-        return catalog._ratings
+            raise AttributeError(self.name)  # so the field has no default
+        if getattr(catalog, self.slot) is None:
+            object.__setattr__(catalog, self.slot, self.build(catalog))
+        return getattr(catalog, self.slot)
 
-    def __set__(self, catalog, ratings):
-        object.__setattr__(catalog, "_ratings", ratings)
+    def __set__(self, catalog, records):
+        object.__setattr__(catalog, self.slot, records)
 
 
 @dataclass(frozen=True)
@@ -142,17 +155,17 @@ class Catalog:
     a fitted ranking model or the column views memoised on the catalog would
     go stale. The column views' arrays are read-only.
 
-    A catalog loaded from a ratings file in the strict form (README, "Data
-    formats"), and the train catalog of a split, hold their ratings as
-    columns only: `ratings` builds its records on the first read and holds
-    them. Its records, `==` and repr are those of a catalog built from the
-    same records. From a strict implicit-events file, `implicit_columns` is
-    parsed at load and `implicit` built from it."""
+    A catalog loaded from a ratings or implicit-events file in the strict
+    form (README, "Data formats") holds those ratings or events as columns
+    only, as the train catalog of a split holds its ratings: `ratings` and
+    `implicit` build their records on the first read and hold them. Its
+    records, `==` and repr are those of a catalog built from the same
+    records."""
 
     movies: dict[int, Movie]
-    ratings: list[Rating] = _Ratings()
+    ratings: list[Rating] = _Records(lambda catalog: _records(catalog._columns, catalog._timestamps))
     reviews: list[CriticReview]
-    implicit: list[ImplicitEvent]
+    implicit: list[ImplicitEvent] = _Records(lambda catalog: _events(catalog._implicit_columns))
     scale: RatingScale = field(default_factory=RatingScale)
     dropped_reviews: int = 0
     # all movie ids per normalized title, for year-hint disambiguation
@@ -165,7 +178,8 @@ class Catalog:
     # a `replace` copy starts empty
     _columns: RatingColumns | None = field(init=False, repr=False, compare=False, default=None)
     _timestamps: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
-    # `implicit` as columns, parsed at load or built on the first read
+    # `implicit` as columns, given at load or built on the first read of
+    # `implicit_columns`; a `replace` copy starts empty
     _implicit_columns: ImplicitColumns | None = field(init=False, repr=False, compare=False, default=None)
 
     @property
@@ -281,8 +295,13 @@ def _read_rows(path, expected_header):
     return rows
 
 
+# int() and float() ignore only padding that strip() also removes, so each
+# converts the field as it is and strips it only when that fails
 def _parse_int(value, path, line, fld, optional=False):
-    value = value.strip()
+    try:
+        return int(value)
+    except ValueError:
+        value = value.strip()
     if value == "":
         if optional:
             return None
@@ -294,6 +313,10 @@ def _parse_int(value, path, line, fld, optional=False):
 
 
 def _parse_float(value, path, line, fld):
+    try:
+        return float(value)
+    except ValueError:
+        pass
     try:
         return float(value.strip())
     except ValueError:
@@ -336,11 +359,11 @@ def load_catalog(
     `int,int,word,decimal,int`, a word being one of _BOOLS' lowercase keys,
     ids, timestamps and counts of at most 18 digits) is parsed as columns
     in one numpy call and checked with array operations; the catalog then
-    builds its Rating records only when `ratings` is read, and its
-    ImplicitEvent records from the implicit columns. Any other file, or one
-    that fails a check, is read a row at a time, each field converted once
-    by its _parse_* function, which gives an equal catalog or the first
-    error naming the file, line and field.
+    builds its Rating or ImplicitEvent records only when `ratings` or
+    `implicit` is read. Any other file, or one that fails a check, is read
+    a row at a time, each field converted once by its _parse_* function,
+    which gives an equal catalog or the first error naming the file, line
+    and field.
 
     The cyclic garbage collector is paused for the load: the records hold
     no reference cycles, and each collection the allocations would trigger
@@ -398,11 +421,10 @@ def _load(movies_path, ratings_path, reviews_path, implicit_path, scale: RatingS
             continue
         reviews.append(CriticReview(mid, source=source, review_text=text, raw_score=raw))
 
-    implicit: list[ImplicitEvent] = []
+    implicit: list[ImplicitEvent] | None = []
     events = None if implicit_path is None else _read_strict_implicit(implicit_path, movies)
     if events is not None:
-        user, movie, watched, fraction, count = (column.tolist() for column in events)
-        implicit = list(map(ImplicitEvent, user, movie, map(bool, watched), fraction, count))
+        implicit = None
     elif implicit_path is not None:
         for line, (uid, mid, watched, frac, count) in _read_rows(implicit_path, _IMPLICIT_HEADER):
             uid = _parse_int(uid, implicit_path, line, "userId")
@@ -584,8 +606,9 @@ def train_test_split(
     least one other rating in train, so every test rating's entities stay
     predictable. Train + test partition the original ratings exactly. The
     train catalog holds its ratings as columns and shares the parent's
-    implicit columns. The test records, in catalog order, are built from
-    the test columns of _split, which evaluation and tuning read instead.
+    implicit columns, and its implicit records if it holds them. The test
+    records, in catalog order, are built from the test columns of _split,
+    which evaluation and tuning read instead.
     """
     train, test, timestamps = _split(catalog, holdout_fraction, seed)
     return train, _records(test, timestamps)
@@ -620,7 +643,9 @@ def _split(catalog: Catalog, holdout_fraction: float, seed: int) -> tuple[Catalo
     in_train = np.ones(n, dtype=bool)
     in_train[picked] = False
     timestamps = catalog._timestamp_column()
-    train = replace(catalog, ratings=None)
+    # the parent's implicit records, or None where it holds columns only:
+    # left to itself, `replace` would read `implicit` and so build them
+    train = replace(catalog, ratings=None, implicit=catalog._implicit)
     train._hold(columns.where(in_train), _read_only(timestamps[in_train]))
     object.__setattr__(train, "_implicit_columns", catalog.implicit_columns)
     return train, columns.where(~in_train), timestamps[~in_train]

@@ -188,7 +188,7 @@ def cmd_load_check(args) -> int:
     catalog = _load(args)
     print(
         f"movies={len(catalog.movies)} users={_user_count(catalog)} ratings={len(catalog.columns.user)} "
-        f"reviews={len(catalog.reviews)} implicit={len(catalog.implicit)} "
+        f"reviews={len(catalog.reviews)} implicit={len(catalog.implicit_columns.user)} "
         f"dropped_reviews={catalog.dropped_reviews}"
     )
     return 0

@@ -435,52 +435,75 @@ class TestStrictImplicit:
         assert got[1][1:] == (line, fld)
 
 
-def recorded_builds(monkeypatch):
-    """The size of each list of Rating records built from columns."""
-    build, sizes = catalog_module._records, []
+def recorded_builds(monkeypatch, build="_records"):
+    """The size of each list of records built from columns by the catalog
+    function `build`: `_records` for Rating, `_events` for ImplicitEvent."""
+    made, sizes = getattr(catalog_module, build), []
 
     def spy(*args):
-        sizes.append(len(build(*args)))
-        return build(*args)
+        sizes.append(len(made(*args)))
+        return made(*args)
 
-    monkeypatch.setattr(catalog_module, "_records", spy)
+    monkeypatch.setattr(catalog_module, build, spy)
     return sizes
 
 
 class TestRecordsOnlyWhereRead:
-    def test_recommend_builds_none(self, monkeypatch):
-        catalog = load_fixture_catalog()
-        sizes = recorded_builds(monkeypatch)
-        recommend_hybrid(catalog, next(iter(catalog.movies.values())).title, PipelineConfig())
-        assert sizes == [] and catalog._ratings is None
+    """Rating and ImplicitEvent records are built from columns only where
+    `ratings` or `implicit` is read, and then once."""
 
-    def test_evaluate_builds_none(self, monkeypatch):
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The sizes of the Rating and the ImplicitEvent record lists built."""
+        return recorded_builds(monkeypatch), recorded_builds(monkeypatch, "_events")
+
+    def test_fixture_load_builds_none(self, builds):
         catalog = load_fixture_catalog()
-        sizes = recorded_builds(monkeypatch)
+        assert builds == ([], []) and catalog._ratings is None and catalog._implicit is None
+
+    def test_recommend_builds_none(self, builds):
+        catalog = load_fixture_catalog()
+        recommend_hybrid(catalog, next(iter(catalog.movies.values())).title, PipelineConfig())
+        assert builds == ([], []) and catalog._ratings is None and catalog._implicit is None
+
+    def test_evaluate_builds_none(self, builds):
+        catalog = load_fixture_catalog()
         evaluate_variants(catalog, VARIANTS)
-        assert sizes == [] and catalog._ratings is None
+        assert builds == ([], []) and catalog._ratings is None and catalog._implicit is None
+
+    def test_split_builds_the_test_ratings_only(self, builds):
+        catalog = load_fixture_catalog()
+        train, test = train_test_split(catalog, 0.2, 0)
+        assert builds == ([len(test)], [])
+        assert train._ratings is None and train._implicit is None and catalog._implicit is None
 
     @pytest.mark.parametrize("budget", [("ga", "--population", "3", "--generations", "1"),
                                         ("pso", "--particles", "2", "--iterations", "1")])
-    def test_optimize_weights_builds_the_test_ratings_only(self, monkeypatch, tmp_path, capsys, budget):
+    def test_optimize_weights_builds_the_test_ratings_only(self, builds, tmp_path, capsys, budget):
         _, test = train_test_split(load_fixture_catalog(), 0.2, 0)
-        sizes = recorded_builds(monkeypatch)
+        builds[0].clear()
         assert cli.main(["optimize-weights", "--method", *budget, "--out", str(tmp_path / "w.txt")]) == 0
-        assert sizes == [len(test)]
+        assert builds == ([len(test)], [])
 
-    def test_stats_build_none(self, monkeypatch, capsys):
+    def test_stats_build_none(self, builds, capsys):
         catalog = load_fixture_catalog()
-        sizes = recorded_builds(monkeypatch)
         summary_stats(catalog)
         assert cli.main(["stats"]) == 0 and cli.main(["load-check"]) == 0
-        assert "ratings=60" in capsys.readouterr().out
-        assert sizes == [] and catalog._ratings is None
+        out = capsys.readouterr().out
+        assert "ratings=60" in out and "implicit=15" in out
+        assert builds == ([], []) and catalog._ratings is None and catalog._implicit is None
 
-    def test_first_read_builds_every_record_once(self, monkeypatch):
+    def test_first_read_builds_every_record_once(self, builds):
         catalog = load_fixture_catalog()
-        sizes = recorded_builds(monkeypatch)
-        assert catalog.ratings is catalog.ratings
-        assert sizes == [60]
+        assert catalog.ratings is catalog.ratings and catalog.implicit is catalog.implicit
+        assert builds == ([60], [15])
+
+    def test_records_are_held_and_shared(self, builds):
+        # a catalog built from records holds them, and its split shares them
+        events = [ImplicitEvent(1, 1, True, 0.5, 3), ImplicitEvent(2, 1, False, 0.0, 0)]
+        catalog = replace(tiny_catalog(), implicit=events)
+        train, _ = train_test_split(catalog, 0.2, 0)
+        assert catalog.implicit is events and train.implicit is events and builds[1] == []
 
 
 class TestLoadCatalog:

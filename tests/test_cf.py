@@ -511,18 +511,22 @@ class TestSimilarityBitwise:
 
     def test_stacked_row_sums_equal_one_dimensional_sums(self):
         # rows of fewer than 8, of 8 to 128 and of more than 128 cells, in
-        # groups of one row and of many: every row of every stacked array
-        # sums to the bits of its own 1-D sum
+        # groups of one row and of many, with -0.0 cells and rows of -0.0
+        # only: every row of every stacked array sums to the bits of its own
+        # 1-D sum, compared as int64 so that -0.0 differs from 0.0
         rng = np.random.default_rng(31)
         counts = np.sort(
             np.concatenate((rng.integers(0, 8, 40), rng.integers(8, 129, 40), rng.integers(129, 400, 10), [1000]))
         )
-        flat = rng.normal(size=(3, int(counts.sum())))
-        got = cf._row_sums(flat, cf._groups(counts))
         ends = np.cumsum(counts)
+        flat = rng.normal(size=(3, int(counts.sum())))
+        flat[rng.uniform(size=flat.shape) < 0.2] = -0.0
+        for row in (int(np.argmax(counts > 0)), int(np.argmax(counts >= 8)), len(counts) - 1):
+            flat[:, ends[row] - counts[row] : ends[row]] = -0.0
+        got = cf._row_sums(flat, cf._groups(counts)).view(np.int64)
         for row, (e, c) in enumerate(zip(ends.tolist(), counts.tolist())):
             for k in range(3):
-                assert got[k, row] == flat[k, e - c : e].sum()
+                assert got[k, row] == flat[k, e - c : e].sum().view(np.int64), (k, row)
 
 
 class TestSimilarityRow:

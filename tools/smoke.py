@@ -6,8 +6,9 @@ and of the implicit events with space-padded fields. The movies, ratings
 and reviews files are the same bytes with or without the implicit events,
 so checks without them load the same catalog. Then runs each check of
 CHECKS in its own child processes, one after another, and prints one line
-per check: seconds, peak RSS, bound. Exits 1 if any check's output differs
-or any peak exceeds its bound.
+per check: seconds, peak RSS, bound, and for the load check the strict
+load's tracemalloc memory. Exits 1 if any check's output differs or any
+peak exceeds its bound.
 
 Each peak is the child's own ru_maxrss, from os.wait4. A child started by
 vfork begins with its parent's RSS as its peak, so the catalog is generated
@@ -85,15 +86,27 @@ def load(d: str, ratings: str, implicit: str) -> None:
     import resource
 
     loaded = catalog(d, ratings, implicit)
-    # read before the digests build any record or column
-    peak, as_columns = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, loaded._ratings is None
-    implicit_parsed = loaded._implicit_columns is not None
+    # read before the digests build any record or column: a catalog that
+    # holds no records of a kind holds that kind as columns only
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    as_columns, implicit_as_columns = loaded._ratings is None, loaded._implicit is None
     columns = (*loaded.columns, *loaded.implicit_columns)
     digests = [hashlib.sha256(column.tobytes()).hexdigest() for column in columns]
     for text in (repr(loaded._timestamp_column().tolist()), repr(loaded)):
         digests.append(hashlib.sha256(text.encode()).hexdigest())
-    print(json.dumps({"peak_mb": peak, "columns": as_columns, "implicit_columns": implicit_parsed,
+    print(json.dumps({"peak_mb": peak, "columns": as_columns, "implicit_columns": implicit_as_columns,
                       "digests": digests}))
+
+
+def traced_load(d: str) -> None:
+    import tracemalloc
+
+    import cinefuse  # noqa: F401  (so that only the load is traced)
+
+    tracemalloc.start()
+    loaded = catalog(d, "ratings.csv", "implicit.csv")  # noqa: F841  (held while measured)
+    held, peak = tracemalloc.get_traced_memory()
+    print(f"traced {held / 2**20:.1f} MB held, {peak / 2**20:.1f} MB peak")
 
 
 def evaluate(d: str) -> None:
@@ -140,13 +153,13 @@ def similarity(d: str) -> None:
         del sim
 
 
-# the checks, each returning (runs, output as it must be, bounded peaks)
+# the checks, each returning (runs, output as it must be, bounded peaks, note)
 
 
 def check_recommend(d: str, title: str):
     files = (f"--{name}={Path(d) / name}.csv" for name in ("movies", "ratings", "reviews"))
     run = spawn("-m", "cinefuse", "recommend", *files, "--implicit", "none", "--seed", title)
-    return [run], run.code == 0, [run.peak]
+    return [run], run.code == 0, [run.peak], ""
 
 
 def check_load(d: str, title: str):
@@ -154,24 +167,27 @@ def check_load(d: str, title: str):
 
     pairs = (("ratings.csv", "implicit.csv"), ("ratings_padded.csv", "implicit_padded.csv"))
     runs = [spawn(__file__, "load", d, *files, hash_seed=True) for files in pairs]
-    if any(r.code for r in runs):
-        return runs, False, []
+    traced = spawn(__file__, "traced_load", d)
+    if any(r.code for r in (*runs, traced)):
+        return [*runs, traced], False, [], ""
     fast, rows = (json.loads(r.out) for r in runs)
     paths = fast["columns"] and fast["implicit_columns"] and not rows["columns"] and not rows["implicit_columns"]
-    return runs, fast["digests"] == rows["digests"] and paths, [fast["peak_mb"]]
+    return [*runs, traced], fast["digests"] == rows["digests"] and paths, [fast["peak_mb"]], traced.out.strip()
 
 
 def golden(file: str, *children: tuple[str, ...]):
     runs = [spawn(__file__, *child) for child in children]
     same = not any(r.code for r in runs) and "".join(r.out for r in runs) == (ROOT / "tests/data" / file).read_text()
-    return runs, same, [r.peak for r in runs]
+    return runs, same, [r.peak for r in runs], ""
 
 
 # name: (peak bound in MB, check). recommend: the CLI exits 0 (so ranking
 # cannot drift back to fitting the whole item-item similarity); load: the
-# strict ratings and implicit files take the column parse, the padded copies
-# the row loop, digests equal, peak read right after the load; the rest:
-# output equals a golden file
+# strict ratings and implicit files take the column parse and the catalog
+# holds no records, the padded copies the row loop, digests equal, peak read
+# right after the load, and the strict load's tracemalloc held and peak
+# memory (from a third child, so that tracing adds nothing to the bounded
+# peak) noted; the rest: output equals a golden file
 CHECKS = {
     "recommend": (120.0, check_recommend),
     "load": (75.0, check_load),
@@ -190,17 +206,18 @@ def main() -> int:
         if made.code:
             return 1
         for name, (bound, check) in CHECKS.items():
-            runs, same, peaks = check(d, made.out.strip())
+            runs, same, peaks, note = check(d, made.out.strip())
             verdict = "output differs" if not same else "ok" if peaks and max(peaks) <= bound else "peak over bound"
             shown = "/".join(f"{p:.1f}" for p in peaks)  # tune's three children each have the bound
-            print(f"{name:<11}{sum(r.seconds for r in runs):6.2f} s  peak {shown} MB, bound {bound:.0f} MB: {verdict}")
+            line = f"{name:<11}{sum(r.seconds for r in runs):6.2f} s  peak {shown} MB, bound {bound:.0f} MB: {verdict}"
+            print(f"{line} ({note})" if note else line)
             if verdict != "ok":
                 failed.append(name)
     print("failed:", ", ".join(failed) or "none")
     return 1 if failed else 0
 
 
-CHILDREN = {child.__name__: child for child in (generate, load, evaluate, tune, similarity)}
+CHILDREN = {child.__name__: child for child in (generate, load, traced_load, evaluate, tune, similarity)}
 
 if __name__ == "__main__":
     raise SystemExit(CHILDREN[sys.argv[1]](*sys.argv[2:]) if len(sys.argv) > 1 else main())
